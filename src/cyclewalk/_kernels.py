@@ -1,32 +1,19 @@
-"""Hot numeric kernels: batched momentum-block evolution and TV scans.
+"""The momentum-path evolution engine and its three reductions.
 
-Every kernel evolves the N^2 Pauli 4-vectors (one per momentum pair) through
-repeated 4x4 matrix-vector products and folds the traces back into a position
-distribution through the cyclic phase sum.  Mixing scans run this loop for up
-to 10^6 steps, so the kernels are compiled with numba when available.
-
-Backend selection
------------------
-The environment variable ``CYCLEWALK_BACKEND`` picks the implementation:
-
-* unset / ``auto``: numba if importable, else pure numpy
-* ``numpy``: force the pure-numpy path
-* ``numba``: require numba (ImportError if missing)
-
-Both paths execute the same operations in the same order; results agree to
-within a few ulp.  ``benchmarks/bench_kernels.py`` compares their speed.
+One private generator, :func:`_evolve`, evolves the N^2 Pauli 4-vectors (one
+per momentum pair) through repeated 4x4 matrix-vector products and folds the
+per-pair traces back into a position distribution through the cyclic phase
+sum, yielding ``(P(., t), imaginary residue)`` for t = 0, 1, 2, ...  The
+public kernels are reductions over that stream: the full trajectory, the
+total-variation scan behind the mixing times (up to 10^6 steps), and Cesaro
+averages at chosen window lengths.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
 import numpy as np
 
 __all__ = [
-    "BACKEND",
-    "NUMBA_AVAILABLE",
     "distribution_trajectory",
     "tv_scan",
     "averaged_snapshots",
@@ -45,260 +32,38 @@ MODE_INSTANTANEOUS = 1
 #: under every tolerance in the package.
 FLUSH_TOL = 1e-280
 
-_requested = os.environ.get("CYCLEWALK_BACKEND", "auto").strip().lower() or "auto"
-if _requested not in ("auto", "numpy", "numba"):
-    warnings.warn(
-        f"CYCLEWALK_BACKEND={_requested!r} not recognized; using 'auto'",
-        stacklevel=1,
-    )
-    _requested = "auto"
 
-if _requested == "numpy":
-    NUMBA_AVAILABLE = False
-else:
-    try:
-        from numba import njit
+def _evolve(matrices, v0, d_index, phase):
+    """Yield (P(., t), largest |imaginary part| of it) for t = 0, 1, 2, ...
 
-        NUMBA_AVAILABLE = True
-    except ImportError:
-        if _requested == "numba":
-            raise
-        NUMBA_AVAILABLE = False
-
-BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# pure-numpy implementations
-# ---------------------------------------------------------------------------
-
-def _step_np(matrices, vectors):
-    out = np.matmul(matrices, vectors[:, :, None])[:, :, 0]
-    tiny = (np.abs(out.real) < FLUSH_TOL) & (np.abs(out.imag) < FLUSH_TOL)
-    out[tiny] = 0.0
-    return out
-
-
-def _reconstruct_np(vectors, group, phase, n):
-    # position distribution from the per-pair traces 2*v0
-    g = group @ (2.0 * vectors[:, 0])
-    pc = phase @ g / float(n * n)
-    return pc.real, float(np.abs(pc.imag).max())
-
-
-def _distribution_trajectory_np(matrices, v0, group, phase, steps):
+    The stream never ends; consumers stop pulling once they have what they
+    need, and no step is computed past the last one pulled.
+    """
     n = phase.shape[0]
-    out = np.empty((steps + 1, n))
-    vectors = v0.copy()
-    max_imag = 0.0
-    for t in range(steps + 1):
-        if t > 0:
-            vectors = _step_np(matrices, vectors)
-        out[t], im = _reconstruct_np(vectors, group, phase, n)
-        max_imag = max(max_imag, im)
-    return out, max_imag
-
-
-def _tv_scan_np(matrices, v0, group, phase, horizon, target0, target1, mode,
-                stop_below):
-    n = phase.shape[0]
-    tv = np.empty(horizon)
-    vectors = v0.copy()
-    cum = np.zeros(n)
-    max_imag = 0.0
-    filled = 0
-    t_last = horizon - 1 if mode == MODE_AVERAGED else horizon
-    for t in range(t_last + 1):
-        if t > 0:
-            vectors = _step_np(matrices, vectors)
-        dist, im = _reconstruct_np(vectors, group, phase, n)
-        max_imag = max(max_imag, im)
-        if mode == MODE_AVERAGED:
-            cum += dist
-            value = float(np.abs(cum / (t + 1) - target0).sum())
-            tv[t] = value
-            filled = t + 1
-        else:
-            if t == 0:
-                continue
-            target = target0 if t % 2 == 0 else target1
-            value = float(np.abs(dist - target).sum())
-            tv[t - 1] = value
-            filled = t
-        if stop_below > 0.0 and value < stop_below:
-            break
-    if mode == MODE_AVERAGED:
-        cum /= filled
-    return tv[:filled], cum, max_imag
-
-
-def _averaged_snapshots_np(matrices, v0, group, phase, taus):
-    n = phase.shape[0]
-    out = np.empty((len(taus), n))
-    vectors = v0.copy()
-    cum = np.zeros(n)
-    max_imag = 0.0
-    idx = 0
-    for t in range(int(taus[-1])):
-        if t > 0:
-            vectors = _step_np(matrices, vectors)
-        dist, im = _reconstruct_np(vectors, group, phase, n)
-        max_imag = max(max_imag, im)
-        cum += dist
-        while idx < len(taus) and t + 1 == taus[idx]:
-            out[idx] = cum / (t + 1)
-            idx += 1
-    return out, max_imag
-
-
-# ---------------------------------------------------------------------------
-# numba implementations (same loop structure, allocation-free inner loops)
-# ---------------------------------------------------------------------------
-
-if NUMBA_AVAILABLE:
-
-    @njit(cache=True, nogil=True)
-    def _step_nb(matrices, vecs, out):
-        pairs = matrices.shape[0]
-        for q in range(pairs):
-            for i in range(4):
-                acc = 0.0 + 0.0j
-                for j in range(4):
-                    acc += matrices[q, i, j] * vecs[q, j]
-                if abs(acc.real) < FLUSH_TOL and abs(acc.imag) < FLUSH_TOL:
-                    acc = 0.0 + 0.0j
-                out[q, i] = acc
-
-    @njit(cache=True, nogil=True)
-    def _reconstruct_nb(vecs, d_index, phase, g, dist):
-        n = phase.shape[0]
-        pairs = vecs.shape[0]
-        for d in range(n):
-            g[d] = 0.0 + 0.0j
-        for q in range(pairs):
-            g[d_index[q]] += 2.0 * vecs[q, 0]
-        scale = 1.0 / (n * n)
-        max_imag = 0.0
-        for x in range(n):
-            acc = 0.0 + 0.0j
-            for d in range(n):
-                acc += phase[x, d] * g[d]
-            acc *= scale
-            im = abs(acc.imag)
-            if im > max_imag:
-                max_imag = im
-            dist[x] = acc.real
-        return max_imag
-
-    @njit(cache=True, nogil=True)
-    def _distribution_trajectory_nb(matrices, v0, d_index, phase, steps):
-        n = phase.shape[0]
-        out = np.empty((steps + 1, n))
-        cur = v0.copy()
-        nxt = np.empty_like(cur)
-        g = np.empty(n, dtype=np.complex128)
-        dist = np.empty(n)
-        max_imag = 0.0
-        for t in range(steps + 1):
-            if t > 0:
-                _step_nb(matrices, cur, nxt)
-                cur, nxt = nxt, cur
-            im = _reconstruct_nb(cur, d_index, phase, g, dist)
-            if im > max_imag:
-                max_imag = im
-            out[t] = dist
-        return out, max_imag
-
-    @njit(cache=True, nogil=True)
-    def _tv_scan_nb(matrices, v0, d_index, phase, horizon, target0, target1,
-                    mode, stop_below):
-        n = phase.shape[0]
-        tv = np.empty(horizon)
-        cur = v0.copy()
-        nxt = np.empty_like(cur)
-        g = np.empty(n, dtype=np.complex128)
-        dist = np.empty(n)
-        cum = np.zeros(n)
-        max_imag = 0.0
-        filled = 0
-        t_last = horizon - 1 if mode == MODE_AVERAGED else horizon
-        for t in range(t_last + 1):
-            if t > 0:
-                _step_nb(matrices, cur, nxt)
-                cur, nxt = nxt, cur
-            im = _reconstruct_nb(cur, d_index, phase, g, dist)
-            if im > max_imag:
-                max_imag = im
-            value = 0.0
-            if mode == MODE_AVERAGED:
-                inv = 1.0 / (t + 1)
-                for x in range(n):
-                    cum[x] += dist[x]
-                    value += abs(cum[x] * inv - target0[x])
-                tv[t] = value
-                filled = t + 1
-            else:
-                if t == 0:
-                    continue
-                if t % 2 == 0:
-                    for x in range(n):
-                        value += abs(dist[x] - target0[x])
-                else:
-                    for x in range(n):
-                        value += abs(dist[x] - target1[x])
-                tv[t - 1] = value
-                filled = t
-            if stop_below > 0.0 and value < stop_below:
-                break
-        if mode == MODE_AVERAGED:
-            for x in range(n):
-                cum[x] /= filled
-        return tv[:filled], cum, max_imag
-
-    @njit(cache=True, nogil=True)
-    def _averaged_snapshots_nb(matrices, v0, d_index, phase, taus):
-        n = phase.shape[0]
-        out = np.empty((len(taus), n))
-        cur = v0.copy()
-        nxt = np.empty_like(cur)
-        g = np.empty(n, dtype=np.complex128)
-        dist = np.empty(n)
-        cum = np.zeros(n)
-        max_imag = 0.0
-        idx = 0
-        for t in range(taus[-1]):
-            if t > 0:
-                _step_nb(matrices, cur, nxt)
-                cur, nxt = nxt, cur
-            im = _reconstruct_nb(cur, d_index, phase, g, dist)
-            if im > max_imag:
-                max_imag = im
-            for x in range(n):
-                cum[x] += dist[x]
-            while idx < len(taus) and t + 1 == taus[idx]:
-                for x in range(n):
-                    out[idx, x] = cum[x] / (t + 1)
-                idx += 1
-        return out, max_imag
-
-
-# ---------------------------------------------------------------------------
-# dispatch
-# ---------------------------------------------------------------------------
-
-def _group_matrix(d_index, n):
+    # group[d, q] = 1 when pair q has k - k' = d (mod N)
     group = np.zeros((n, len(d_index)))
     group[d_index, np.arange(len(d_index))] = 1.0
-    return group
+    vectors = v0
+    while True:
+        # position distribution from the per-pair traces 2*v0
+        g = group @ (2.0 * vectors[:, 0])
+        pc = phase @ g / float(n * n)
+        yield pc.real, float(np.abs(pc.imag).max())
+        vectors = np.matmul(matrices, vectors[:, :, None])[:, :, 0]
+        tiny = (np.abs(vectors.real) < FLUSH_TOL) & (np.abs(vectors.imag) < FLUSH_TOL)
+        vectors[tiny] = 0.0
 
 
 def distribution_trajectory(matrices, v0, d_index, phase, steps):
     """P(x, t) for t = 0..steps, shape (steps+1, N), plus the largest
     imaginary residue seen in the reconstruction."""
-    if NUMBA_AVAILABLE:
-        return _distribution_trajectory_nb(matrices, v0, d_index, phase, int(steps))
-    group = _group_matrix(d_index, phase.shape[0])
-    return _distribution_trajectory_np(matrices, v0, group, phase, int(steps))
+    steps = int(steps)
+    out = np.empty((steps + 1, phase.shape[0]))
+    max_imag = 0.0
+    for t, (dist, im) in zip(range(steps + 1), _evolve(matrices, v0, d_index, phase)):
+        out[t] = dist
+        max_imag = max(max_imag, im)
+    return out, max_imag
 
 
 def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
@@ -316,12 +81,30 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
     """
     if target1 is None:
         target1 = target0
-    if NUMBA_AVAILABLE:
-        return _tv_scan_nb(matrices, v0, d_index, phase, int(horizon),
-                           target0, target1, int(mode), float(stop_below))
-    group = _group_matrix(d_index, phase.shape[0])
-    return _tv_scan_np(matrices, v0, group, phase, int(horizon),
-                       target0, target1, int(mode), float(stop_below))
+    horizon, stop_below = int(horizon), float(stop_below)
+    averaged = int(mode) == MODE_AVERAGED
+    tv = np.empty(horizon)
+    cum = np.zeros(phase.shape[0])
+    max_imag = 0.0
+    filled = 0
+    t_last = horizon - 1 if averaged else horizon
+    for t, (dist, im) in zip(range(t_last + 1), _evolve(matrices, v0, d_index, phase)):
+        max_imag = max(max_imag, im)
+        if averaged:
+            cum += dist
+            value = float(np.abs(cum / (t + 1) - target0).sum())
+        elif t == 0:
+            continue
+        else:
+            target = target0 if t % 2 == 0 else target1
+            value = float(np.abs(dist - target).sum())
+        tv[filled] = value
+        filled += 1
+        if stop_below > 0.0 and value < stop_below:
+            break
+    if averaged:
+        cum /= filled
+    return tv[:filled], cum, max_imag
 
 
 def averaged_snapshots(matrices, v0, d_index, phase, taus):
@@ -333,7 +116,14 @@ def averaged_snapshots(matrices, v0, d_index, phase, taus):
     taus = np.asarray(taus, dtype=np.int64)
     if len(taus) == 0 or np.any(np.diff(taus) <= 0) or taus[0] < 1:
         raise ValueError("taus must be a sorted ascending sequence of positive ints")
-    if NUMBA_AVAILABLE:
-        return _averaged_snapshots_nb(matrices, v0, d_index, phase, taus)
-    group = _group_matrix(d_index, phase.shape[0])
-    return _averaged_snapshots_np(matrices, v0, group, phase, taus)
+    out = np.empty((len(taus), phase.shape[0]))
+    cum = np.zeros(phase.shape[0])
+    max_imag = 0.0
+    idx = 0
+    for t, (dist, im) in zip(range(int(taus[-1])), _evolve(matrices, v0, d_index, phase)):
+        max_imag = max(max_imag, im)
+        cum += dist
+        if t + 1 == taus[idx]:
+            out[idx] = cum / (t + 1)
+            idx += 1
+    return out, max_imag

@@ -155,11 +155,25 @@ def time_averaged_snapshots(config: WalkConfig, taus) -> np.ndarray:
     return avgs
 
 
+def _check_epsilon(epsilon: float):
+    if not 0.0 < epsilon < math.inf:
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon}")
+
+
 def default_horizon(n_nodes: int, epsilon: float) -> int:
     """Scan horizon ceil(20 N^2 / epsilon), capped at 10^6 steps."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    _check_epsilon(epsilon)
     return min(math.ceil(20 * n_nodes * n_nodes / epsilon), MAX_HORIZON)
+
+
+def _scan_horizon(n_nodes: int, epsilon: float, horizon: int | None) -> int:
+    """Validate a scan to epsilon; horizon defaults to :func:`default_horizon`."""
+    _check_epsilon(epsilon)
+    if horizon is None:
+        horizon = default_horizon(n_nodes, epsilon)
+    if not horizon >= 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    return horizon
 
 
 def _mixing_from_trace(tv: np.ndarray, epsilon: float, horizon: int):
@@ -190,12 +204,7 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     scan may legitimately fail to converge, which is reported rather than
     raised.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if horizon is None:
-        horizon = default_horizon(config.n_nodes, epsilon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     target = averaged_limit(config.n_nodes).as_array()
     tv = _scan(config, epsilon, horizon, target, target, _kernels.MODE_AVERAGED)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
@@ -218,12 +227,7 @@ def mixing_time_instantaneous(config: WalkConfig, epsilon: float,
     single distribution, so each step is compared against the limit of its
     own time parity (2/N on the parity-matching nodes).
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if horizon is None:
-        horizon = default_horizon(config.n_nodes, epsilon)
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     n = config.n_nodes
     if n % 2 == 1:
         target0 = target1 = np.full(n, 1.0 / n)
@@ -243,10 +247,7 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
     """First tau at which TV(averaged distribution, uniform) drops below
     epsilon, or None if that never happens within the horizon.  Stops the
     scan at the crossing, unlike the full mixing-time scan."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if horizon is None:
-        horizon = default_horizon(config.n_nodes, epsilon)
+    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     target = averaged_limit(config.n_nodes).as_array()
     matrices, v0, d_index, phase = _fourier_state(config)
     tv, _avg, max_imag = _kernels.tv_scan(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -106,7 +107,10 @@ def _parse_coin(spec: str) -> np.ndarray:
             f"initial coin must be one of {sorted(COIN_STATES)} or re,im,re,im; "
             f"got {spec!r}"
         )
-    a_re, a_im, b_re, b_im = (float(s) for s in parts)
+    values = [float(s) for s in parts]
+    if not all(math.isfinite(v) for v in values):
+        raise ValueError(f"initial coin parts must be finite, got {spec!r}")
+    a_re, a_im, b_re, b_im = values
     vec = np.array([a_re + 1j * a_im, b_re + 1j * b_im])
     norm = np.linalg.norm(vec)
     if norm == 0:
@@ -167,7 +171,7 @@ def cmd_simulate(args) -> int:
     lines = ["t,x,p,method"]
     for t in range(steps + 1):
         row_sum = trajectory[t].sum()
-        if abs(row_sum - 1.0) > 1e-10:
+        if not abs(row_sum - 1.0) <= 1e-10:
             raise NumericalCheckError(
                 f"probabilities at t={t} sum to {row_sum!r}, not 1")
         for x in range(config.n_nodes):
@@ -265,6 +269,8 @@ def cmd_mixing(args) -> int:
     if resolved["bound"] not in ("auto", "require", "off"):
         raise ValueError(f"bound must be 'auto', 'require' or 'off', "
                          f"got {resolved['bound']!r}")
+    if resolved["trace-stride"] < 1:
+        raise ValueError(f"trace-stride must be >= 1, got {resolved['trace-stride']}")
     coin = _parse_coin(resolved["initial-coin"])
     config = WalkConfig(n_nodes=resolved["nodes"],
                         decoherence_rate=resolved["decoherence"],

@@ -91,7 +91,7 @@ class WalkConfig:
         coin = np.asarray(self.initial_coin, dtype=np.complex128)
         if coin.shape != (2,):
             raise ValueError(f"initial_coin must have shape (2,), got {coin.shape}")
-        if abs(np.linalg.norm(coin) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(coin) - 1.0) <= 1e-12:
             raise ValueError("initial_coin must be normalized to within 1e-12")
         if self.launch_position != 0:
             raise ValueError("launch_position is fixed at node 0")

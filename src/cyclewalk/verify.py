@@ -8,14 +8,11 @@ produce byte-identical reports.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from ._kernels import BACKEND
 from .analysis import (
     averaged_time_below,
     default_horizon,
@@ -355,13 +352,9 @@ _CHECKS = [
 CHECK_NAMES = [name for name, _ in _CHECKS]
 
 
-def run_checks(names=None, profile: str = "default", threads: int | None = None) -> dict:
-    """Run the selected checks and assemble the deterministic report.
-
-    threads defaults to the CYCLEWALK_THREADS environment variable (absent
-    means serial).  Check order in the report is fixed regardless of how the
-    work is scheduled.
-    """
+def run_checks(names=None, profile: str = "default") -> dict:
+    """Run the selected checks, in the fixed order of CHECK_NAMES, and
+    assemble the deterministic report."""
     prof = PROFILES[profile]
     selected = [(n, fn) for n, fn in _CHECKS if names is None or n in names]
     if names is not None:
@@ -369,19 +362,11 @@ def run_checks(names=None, profile: str = "default", threads: int | None = None)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}; "
                              f"available: {CHECK_NAMES}")
-    if threads is None:
-        threads = int(os.environ.get("CYCLEWALK_THREADS", "1") or "1")
-    if threads > 1 and len(selected) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [(name, pool.submit(fn, prof)) for name, fn in selected]
-            results = [future.result() for _, future in futures]
-    else:
-        results = [fn(prof) for _, fn in selected]
+    results = [fn(prof) for _, fn in selected]
     return {
         "tool": "cyclewalk",
         "version": __version__,
         "profile": prof.name,
-        "backend": BACKEND,
         "checks": results,
         "all_passed": all(r["passed"] for r in results),
     }

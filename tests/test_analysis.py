@@ -148,6 +148,25 @@ def test_averaged_time_below_none_when_unreachable():
     assert averaged_time_below(_cfg(9, 0.2), 1e-6, horizon=50) is None
 
 
+def test_averaged_time_below_rejects_bad_horizon():
+    for horizon in (0, -5):
+        with pytest.raises(ValueError, match="horizon must be >= 1"):
+            averaged_time_below(_cfg(5, 0.2), 0.01, horizon=horizon)
+
+
+def test_scans_reject_nonpositive_or_nonfinite_epsilon():
+    cfg = _cfg(5, 0.3)
+    for epsilon in (0.0, -0.1, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="epsilon must be positive and finite"):
+            default_horizon(5, epsilon)
+        for scan in (mixing_time_averaged, mixing_time_instantaneous,
+                     averaged_time_below):
+            for horizon in (None, 50):
+                with pytest.raises(ValueError,
+                                   match="epsilon must be positive and finite"):
+                    scan(cfg, epsilon, horizon)
+
+
 def test_bound_hand_computed_value():
     # two-term sum at N=3: both cosines are -1/2, so B = (1/9) * 2
     assert uniform_deviation_bound(8, 3, 1.0) == pytest.approx(2.0 / 9.0, abs=1e-15)

@@ -142,6 +142,25 @@ def test_mixing_bound_required_on_even_cycle_is_usage_error(capsys):
     assert "even" in err
 
 
+def test_mixing_rejects_nonfinite_epsilon_and_nonpositive_stride(capsys):
+    base = ("mixing", "--nodes", "5", "--decoherence", "0.3")
+    for extra in (("--epsilon", "nan", "--horizon", "50"),
+                  ("--epsilon", "inf", "--horizon", "50"),
+                  ("--epsilon", "nan"),
+                  ("--epsilon", "inf"),
+                  ("--epsilon", "-0.1")):
+        code, out, err = _run(capsys, *base, *extra)
+        assert code == 2
+        assert "epsilon must be positive and finite" in err
+        assert out == ""
+    for stride in ("0", "-3"):
+        code, out, err = _run(capsys, *base, "--epsilon", "0.05", "--horizon", "50",
+                              "--trace-stride", stride)
+        assert code == 2
+        assert "trace-stride" in err
+        assert out == ""
+
+
 def test_mixing_coherent_even_cycle_instantaneous_does_not_converge(tmp_path, capsys):
     out = tmp_path / "mix.json"
     code, _, _ = _run(capsys, "mixing", "--nodes", "8", "--decoherence", "0",
@@ -178,18 +197,6 @@ def test_verify_unknown_check_is_usage_error(capsys):
     assert "unknown checks" in err
 
 
-def test_verify_threaded_sweep_matches_serial(monkeypatch):
-    from cyclewalk.verify import run_checks
-
-    names = ["unitality", "geosum", "contraction"]
-    serial = run_checks(names=names, profile="quick", threads=1)
-    threaded = run_checks(names=names, profile="quick", threads=3)
-    assert serial == threaded
-    monkeypatch.setenv("CYCLEWALK_THREADS", "2")
-    via_env = run_checks(names=names, profile="quick")
-    assert via_env == serial
-
-
 def test_config_file_with_flag_override(tmp_path, capsys):
     config = tmp_path / "run.cfg"
     config.write_text("# walk setup\nnodes=5\ndecoherence=1.0\nsteps=2\nmethod=direct\n")
@@ -221,6 +228,14 @@ def test_initial_coin_quadruple_renormalizes_with_warning(tmp_path, capsys):
     assert code == 0
     assert "renormalizing" not in err
     assert out.read_bytes() == reference.read_bytes()
+    for bad in ("nan,0,0,0", "inf,0,0,0", "1,0,0,-inf"):
+        for command in (("simulate", "--steps", "3"),
+                        ("mixing", "--epsilon", "0.05", "--horizon", "50")):
+            code, stdout, err = _run(capsys, *command, "--nodes", "5",
+                                     "--decoherence", "0.3", "--initial-coin", bad)
+            assert code == 2
+            assert "finite" in err
+            assert stdout == ""
 
 
 def test_manifest_contents(tmp_path, capsys):

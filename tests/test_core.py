@@ -132,6 +132,9 @@ def test_walk_config_validates_inputs():
         WalkConfig(n_nodes=5, decoherence_rate=1.01)
     with pytest.raises(ValueError):
         WalkConfig(n_nodes=5, decoherence_rate=0.5, initial_coin=np.array([1.0, 1.0]))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            WalkConfig(n_nodes=5, decoherence_rate=0.5, initial_coin=np.array([bad, 0.0]))
     with pytest.raises(ValueError):
         WalkConfig(n_nodes=5, decoherence_rate=0.5, launch_position=2)
 

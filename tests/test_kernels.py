@@ -1,6 +1,3 @@
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -84,51 +81,3 @@ def test_averaged_snapshots_validates_taus():
         kernels.averaged_snapshots(matrices, v0, d_index, phase, [10, 5])
     with pytest.raises(ValueError):
         kernels.averaged_snapshots(matrices, v0, d_index, phase, [0, 5])
-
-
-@pytest.mark.skipif(not kernels.NUMBA_AVAILABLE, reason="numba backend not active")
-def test_backends_agree():
-    _, matrices, v0, d_index, phase = _inputs(6, 0.35, "balanced")
-    group = kernels._group_matrix(d_index, 6)
-    traj_nb, imag_nb = kernels._distribution_trajectory_nb(matrices, v0, d_index, phase, 80)
-    traj_np, imag_np = kernels._distribution_trajectory_np(matrices, v0, group, phase, 80)
-    assert np.abs(traj_nb - traj_np).max() <= 1e-13
-    assert abs(imag_nb - imag_np) <= 1e-13
-
-    target = np.full(6, 1 / 6)
-    tv_nb, avg_nb, _ = kernels._tv_scan_nb(matrices, v0, d_index, phase, 300,
-                                           target, target, kernels.MODE_AVERAGED, 0.0)
-    tv_np, avg_np, _ = kernels._tv_scan_np(matrices, v0, group, phase, 300,
-                                           target, target, kernels.MODE_AVERAGED, 0.0)
-    assert np.abs(tv_nb - tv_np).max() <= 1e-13
-    assert np.abs(avg_nb - avg_np).max() <= 1e-13
-
-    taus = np.array([5, 50, 200], dtype=np.int64)
-    snap_nb, _ = kernels._averaged_snapshots_nb(matrices, v0, d_index, phase, taus)
-    snap_np, _ = kernels._averaged_snapshots_np(matrices, v0, group, phase, taus)
-    assert np.abs(snap_nb - snap_np).max() <= 1e-13
-
-
-def test_backend_env_flag_forces_numpy():
-    import os
-
-    env = dict(os.environ, CYCLEWALK_BACKEND="numpy")
-    code = ("import cyclewalk._kernels as k; "
-            "print(k.BACKEND, k.NUMBA_AVAILABLE)")
-    out = subprocess.run([sys.executable, "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == ["numpy", "False"]
-
-
-def test_backend_env_flag_bogus_value_warns_and_falls_back():
-    import os
-
-    env = dict(os.environ, CYCLEWALK_BACKEND="sparkle")
-    code = ("import cyclewalk._kernels as k; "
-            "print(k.BACKEND)")
-    out = subprocess.run([sys.executable, "-W", "always", "-c", code], env=env,
-                         capture_output=True, text=True)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() in ("numba", "numpy")
-    assert "not recognized" in out.stderr
