@@ -94,11 +94,12 @@ class MixingReport:
 
     def trace_pairs(self, stride: int = 1):
         """(t, tv) pairs, optionally thinned; the final entry is always kept."""
-        last = len(self.tv_trace) - 1
-        for i in range(0, len(self.tv_trace), max(1, int(stride))):
-            yield i + 1, float(self.tv_trace[i])
-        if last >= 0 and last % max(1, int(stride)) != 0:
-            yield last + 1, float(self.tv_trace[last])
+        stride = max(1, int(stride))
+        last = len(self.tv_trace)
+        pairs = list(zip(range(1, last + 1, stride), self.tv_trace[::stride].tolist()))
+        if pairs and pairs[-1][0] != last:
+            pairs.append((last, float(self.tv_trace[-1])))
+        return pairs
 
 
 def total_variation(p, q) -> float:

@@ -34,8 +34,22 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
+class _Pairs(list):
+    """A list of [int, float] pairs, such as the mixing ``tv_trace``;
+    :func:`_emit_json` renders it with one template per entry, in the bytes
+    it would give a plain list of the same values."""
+
+
+def _emit_pairs(pairs: _Pairs, indent: int) -> str:
+    pad = "  " * (indent + 1)
+    entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}]"
+    return "[\n" + ",\n".join([entry % (t, v) for t, v in pairs]) + "\n" + "  " * indent + "]"
+
+
 def _emit_json(value, indent: int = 0) -> str:
     pad = "  " * indent
+    if isinstance(value, _Pairs) and value:
+        return _emit_pairs(value, indent)
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -300,7 +314,7 @@ def cmd_mixing(args) -> int:
         "converged": report.converged,
         "mixing_time": report.mixing_time,
         "bound": bound,
-        "tv_trace": [[t, tv] for t, tv in report.trace_pairs(resolved["trace-stride"])],
+        "tv_trace": _Pairs(report.trace_pairs(resolved["trace-stride"])),
     }
     _write_text(resolved["output"], _emit_json(payload) + "\n")
     if args.manifest:

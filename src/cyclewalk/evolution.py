@@ -186,5 +186,10 @@ def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     probs = np.zeros(int(n_nodes))
     probs[0] = 1.0
     for _ in range(int(t)):
-        probs = 0.5 * np.roll(probs, 1) + 0.5 * np.roll(probs, -1)
+        probs = _classical_step(probs)
     return PositionDistribution(probs=probs, time=int(t))
+
+
+def _classical_step(probs: np.ndarray) -> np.ndarray:
+    """One step of the classical +-1 chain."""
+    return 0.5 * np.roll(probs, 1) + 0.5 * np.roll(probs, -1)

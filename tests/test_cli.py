@@ -2,10 +2,11 @@ import csv
 import json
 import math
 
+import numpy as np
 import pytest
 
 from cyclewalk import classical_reference
-from cyclewalk.cli import main
+from cyclewalk.cli import _emit_json, _Pairs, main
 
 
 def _run(capsys, *argv):
@@ -16,6 +17,38 @@ def _run(capsys, *argv):
 
 def _rows(text):
     return list(csv.DictReader(text.splitlines()))
+
+
+# _emit_json output for _EMIT_PAYLOAD, recorded from the recursive emitter
+# that predates the one-template trace path
+_EMIT_EXPECTED = (
+    '{\n  "name": "walk",\n  "nested": {\n    "flag": true,\n    "off": false,\n'
+    '    "missing": null,\n    "empty_list": [],\n    "empty_dict": {}\n  },\n'
+    '  "count": 7,\n  "rate": 1.0000000000000001e-01,\n'
+    '  "small": 2.5000000000000000e-300,\n  "tv_trace": [\n    [\n      1,\n'
+    '      1.0000000000000000e+00\n    ],\n    [\n      2,\n'
+    '      3.3333333333333331e-01\n    ],\n    [\n      10,\n'
+    '      1.0000000000000001e-17\n    ]\n  ]\n}'
+)
+
+
+def _emit_payload(trace):
+    return {
+        "name": "walk",
+        "nested": {"flag": True, "off": False, "missing": None,
+                   "empty_list": [], "empty_dict": {}},
+        "count": np.int64(7),
+        "rate": np.float64(0.1),
+        "small": 2.5e-300,
+        "tv_trace": trace,
+    }
+
+
+def test_emit_json_golden_bytes():
+    pairs = [(1, 1.0), (2, 0.3333333333333333), (10, np.float64(1e-17))]
+    assert _emit_json(_emit_payload([list(p) for p in pairs])) == _EMIT_EXPECTED
+    assert _emit_json(_emit_payload(_Pairs(pairs))) == _EMIT_EXPECTED
+    assert _emit_json({"tv_trace": _Pairs()}) == '{\n  "tv_trace": []\n}'
 
 
 def test_simulate_shape_and_normalization(tmp_path, capsys):
