@@ -33,6 +33,7 @@ __all__ = [
     "mixing_time_averaged",
     "mixing_time_instantaneous",
     "averaged_time_below",
+    "bound_unavailable_reasons",
     "uniform_deviation_bound",
     "uniform_deviation_bound_integral",
     "verify_geometric_sum",
@@ -69,10 +70,6 @@ class LimitSpec:
             probs[self.support_parity::2] = self.value_on_support
             return probs
         return np.full(self.n_nodes, self.value_on_support)
-
-    def as_distribution(self) -> PositionDistribution:
-        kind = "time-averaged" if self.kind == KIND_AVERAGED_UNIFORM else "instantaneous"
-        return PositionDistribution(probs=self.as_array(), kind=kind)
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,9 +207,7 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     tv = _scan(config, epsilon, horizon, target, target, _kernels.MODE_AVERAGED)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
     bound = None
-    if (mixing_time is not None and config.n_nodes % 2 == 1
-            and config.decoherence_rate > 0.0
-            and np.allclose(config.initial_coin, [1.0, 0.0], atol=1e-12)):
+    if mixing_time is not None and not bound_unavailable_reasons(config):
         bound = uniform_deviation_bound(mixing_time, config.n_nodes,
                                         config.decoherence_rate)
     return MixingReport(epsilon=float(epsilon), mixing_time=mixing_time,
@@ -258,6 +253,19 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
     if len(tv) and tv[-1] < epsilon:
         return int(len(tv))
     return None
+
+
+def bound_unavailable_reasons(config: WalkConfig) -> list[str]:
+    """Why :func:`uniform_deviation_bound` does not apply to this walk, in
+    words; empty exactly when it does (odd N, p > 0, launched from ``up``)."""
+    reasons = []
+    if config.n_nodes % 2 == 0:
+        reasons.append("even cycle length")
+    if config.decoherence_rate == 0.0:
+        reasons.append("zero decoherence rate")
+    if not np.allclose(config.initial_coin, [1.0, 0.0], atol=1e-12):
+        reasons.append("initial coin is not 'up'")
+    return reasons
 
 
 def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:

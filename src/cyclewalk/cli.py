@@ -18,7 +18,11 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .analysis import mixing_time_averaged, mixing_time_instantaneous
+from .analysis import (
+    bound_unavailable_reasons,
+    mixing_time_averaged,
+    mixing_time_instantaneous,
+)
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, coin_state
 from .evolution import direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import superop_definitional
@@ -223,11 +227,8 @@ def cmd_spectrum(args) -> int:
             max_radius_all = max(max_radius_all, report.spectral_radius)
             if report.classification == CLASS_GENERIC:
                 max_radius_generic = max(max_radius_generic, report.spectral_radius)
-            if 0.0 < p < 1.0:
-                if report.has_unit_eigenvalue != (report.classification == CLASS_DIAGONAL):
-                    placement_ok = False
-                if report.has_minus_one != (report.classification == CLASS_ANTIPODAL):
-                    placement_ok = False
+            if 0.0 < p < 1.0 and not report.placement_ok:
+                placement_ok = False
             eig = report.eigenvalues
             parts = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in eig)
             lines.append(f"{k},{kp},{report.classification},"
@@ -290,13 +291,7 @@ def cmd_mixing(args) -> int:
                         decoherence_rate=resolved["decoherence"],
                         initial_coin=coin)
     if resolved["bound"] == "require":
-        problems = []
-        if config.n_nodes % 2 == 0:
-            problems.append("even cycle length")
-        if config.decoherence_rate == 0.0:
-            problems.append("zero decoherence rate")
-        if not np.allclose(coin, COIN_STATES["up"], atol=1e-12):
-            problems.append("initial coin is not 'up'")
+        problems = bound_unavailable_reasons(config)
         if resolved["target"] != "averaged":
             problems.append("instantaneous target")
         if problems:

@@ -123,9 +123,6 @@ class PauliVector:
     def trace(self) -> complex:
         return 2.0 * self.coeffs[0]
 
-    def to_matrix(self) -> np.ndarray:
-        return pauli_compose(self)
-
 
 @dataclass(frozen=True, eq=False)
 class KrausFamily:

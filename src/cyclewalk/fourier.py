@@ -53,9 +53,6 @@ class SuperOp:
     c_minus: float
     s_minus: float
 
-    def apply(self, operand: PauliVector) -> PauliVector:
-        return PauliVector(coeffs=self.matrix @ operand.coeffs)
-
     @property
     def is_diagonal_pair(self) -> bool:
         return self.k == self.k_prime
@@ -143,22 +140,20 @@ def trace_term(superop: SuperOp, initial: PauliVector, t: int) -> complex:
     return complex(2.0 * v[0])
 
 
-def all_pair_matrices(config: WalkConfig, method: str = "definitional"):
+def all_pair_matrices(config: WalkConfig):
     """Stack of all N^2 pair matrices plus the (k - k') mod N index per pair.
 
     Returns (matrices, d_index): matrices has shape (N^2, 4, 4) with pair
     (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N drives the
     phase grouping in the distribution reconstruction.
     """
-    build = {"definitional": superop_definitional,
-             "closed-form": superop_closed_form}[method]
     n = config.n_nodes
     matrices = np.empty((n * n, 4, 4), dtype=np.complex128)
     d_index = np.empty(n * n, dtype=np.int64)
     for k in range(n):
         for k_prime in range(n):
             q = k * n + k_prime
-            matrices[q] = build(k, k_prime, config).matrix
+            matrices[q] = superop_definitional(k, k_prime, config).matrix
             d_index[q] = (k - k_prime) % n
     return matrices, d_index
 

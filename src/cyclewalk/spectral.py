@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NumericalCheckError, WalkConfig
-from .fourier import SuperOp, superop_closed_form, superop_definitional
+from .fourier import SuperOp, superop_definitional
 
 __all__ = [
     "Quartic",
@@ -68,6 +68,14 @@ class SpectrumReport:
     has_unit_eigenvalue: bool
     has_minus_one: bool
     classification: str
+
+    @property
+    def placement_ok(self) -> bool:
+        """Persistent eigenvalues sit where the pair class puts them: +1
+        exactly on diagonal pairs, -1 exactly on antipodal pairs.  At p = 0
+        other pairs carry unit-modulus eigenvalues too."""
+        return (self.has_unit_eigenvalue == (self.classification == CLASS_DIAGONAL)
+                and self.has_minus_one == (self.classification == CLASS_ANTIPODAL))
 
 
 class GapResult(NamedTuple):
@@ -128,7 +136,7 @@ def eigenvalues(superop: SuperOp) -> SpectrumReport:
     )
 
 
-def spectral_gap(config: WalkConfig, method: str = "definitional") -> GapResult:
+def spectral_gap(config: WalkConfig) -> GapResult:
     """1 minus the largest eigenvalue modulus over non-persistent pairs.
 
     Diagonal pairs (and antipodal pairs for even N) carry eigenvalues of
@@ -136,15 +144,13 @@ def spectral_gap(config: WalkConfig, method: str = "definitional") -> GapResult:
     controls the geometric convergence rate of the position distribution.
     Positive for 0 < p <= 1; zero with the degenerate flag at p = 0.
     """
-    build = {"definitional": superop_definitional,
-             "closed-form": superop_closed_form}[method]
     n = config.n_nodes
     radius = 0.0
     for k in range(n):
         for k_prime in range(n):
             if classify_pair(k, k_prime, n) != CLASS_GENERIC:
                 continue
-            report = eigenvalues(build(k, k_prime, config))
+            report = eigenvalues(superop_definitional(k, k_prime, config))
             radius = max(radius, report.spectral_radius)
     gap = 1.0 - radius
     degenerate = config.decoherence_rate == 0.0

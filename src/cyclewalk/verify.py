@@ -25,7 +25,7 @@ from .analysis import (
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
 from .evolution import _classical_step, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import superop_closed_form, superop_definitional
-from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, char_poly, eigenvalues
+from .spectral import char_poly, eigenvalues
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
 
@@ -169,9 +169,7 @@ def check_spectrum(profile: VerifyProfile):
                     for lam in rep.eigenvalues[near_unit]:
                         if min(abs(lam - 1.0), abs(lam + 1.0)) > 1e-8:
                             ok = False
-                    if rep.has_unit_eigenvalue != (rep.classification == CLASS_DIAGONAL):
-                        ok = False
-                    if rep.has_minus_one != (rep.classification == CLASS_ANTIPODAL):
+                    if not rep.placement_ok:
                         ok = False
                     if rep.has_minus_one:
                         if abs(char_poly(op).derivative(-1.0)) <= 1e-10:
@@ -366,6 +364,8 @@ def run_checks(names=None, profile: str = "default") -> dict:
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}; "
                              f"available: {CHECK_NAMES}")
+    if not selected:
+        raise ValueError("no checks selected")
     results = [fn(prof) for _, fn in selected]
     return {
         "tool": "cyclewalk",

@@ -1,45 +1,24 @@
-"""Acceptance suite: one test per release criterion, each printing a
-pass/fail line with the measured worst-case figure (run with -s or -rA to see
-them).  Sizes and tolerances are fixed here, not tuned at runtime.
+"""Acceptance suite: every release criterion is one ``cyclewalk verify``
+check, run here at the default profile (``mixbound`` at N <= 17 and
+tau <= 10^4), each printing a pass/fail line with its measured figure (run
+with -s or -rA to see them).
 """
 
+import dataclasses
+import json
+
 import numpy as np
+import pytest
 
-from cyclewalk import (
-    WalkConfig,
-    build_kraus_family,
-    char_poly,
-    classical_reference,
-    coin_state,
-    eigenvalues,
-    fourier_trajectory,
-    position_marginal,
-    superop_closed_form,
-    superop_definitional,
-    total_variation,
-    uniform_deviation_bound,
-    verify_geometric_sum,
-)
-from cyclewalk.analysis import (
-    averaged_time_below,
-    default_horizon,
-    steps_to_uniform,
-    time_averaged_snapshots,
-)
-from cyclewalk.cli import main
-from cyclewalk.evolution import direct_trajectory
-from cyclewalk.spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, classify_pair
+from cyclewalk import cli, verify
+from cyclewalk.analysis import limiting_distribution, steps_to_uniform
+from cyclewalk.core import WalkConfig
+from cyclewalk.evolution import direct_trajectory, position_marginal
 
-
-def _cfg(n, p, coin="up"):
-    return WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
-
-
-def _random_tuples(count, max_nodes, seed):
-    rng = np.random.default_rng(seed)
-    for _ in range(count):
-        n = int(rng.integers(2, max_nodes + 1))
-        yield n, int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0, 1))
+PROFILE = verify.PROFILES["default"]
+MIXBOUND_PROFILE = dataclasses.replace(
+    PROFILE, bound_odd=(3, 5, 7, 9, 11, 13, 15, 17),
+    bound_taus=(100, 1000, 10000), ratio_taus=(1000, 10000))
 
 
 def _report(name, passed, detail):
@@ -47,179 +26,76 @@ def _report(name, passed, detail):
     assert passed, f"{name}: {detail}"
 
 
-def test_acceptance_kraus_unitality():
-    worst = max(build_kraus_family(p).unitality_defect()
-                for p in np.linspace(0.0, 1.0, 101))
-    _report("kraus-unitality", worst <= 1e-14,
-            f"max defect {worst:.3e} over 101 rates (tol 1e-14)")
-
-
-def test_acceptance_superop_cross_construction():
-    worst = 0.0
-    for n, k, kp, p in _random_tuples(200, 32, seed=777):
-        cfg = _cfg(n, p)
-        gap = np.abs(superop_definitional(k, kp, cfg).matrix
-                     - superop_closed_form(k, kp, cfg).matrix).max()
-        worst = max(worst, float(gap))
-    _report("superop-cross-construction", worst <= 1e-12,
-            f"max entrywise gap {worst:.3e} over 200 tuples (tol 1e-12)")
-
-
-def test_acceptance_characteristic_polynomial():
-    nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-    vander = np.vander(nodes, 5)
-    worst = 0.0
-    for n, k, kp, p in _random_tuples(200, 32, seed=778):
-        op = superop_definitional(k, kp, _cfg(n, p))
-        dets = np.array([np.linalg.det(lam * np.eye(4) - op.matrix) for lam in nodes])
-        fitted = np.linalg.solve(vander, dets)
-        worst = max(worst, float(np.abs(fitted - char_poly(op).coefficients).max()))
-    _report("characteristic-polynomial", worst <= 1e-10,
-            f"max coefficient gap {worst:.3e} vs det interpolation (tol 1e-10)")
-
-
-def test_acceptance_spectrum_classification():
-    checked = 0
-    worst_radius = 0.0
-    for n in range(3, 17):
-        for p in (0.1, 0.3, 0.5, 0.9):
-            cfg = _cfg(n, p)
-            for k in range(n):
-                for kp in range(n):
-                    op = superop_definitional(k, kp, cfg)
-                    rep = eigenvalues(op)
-                    checked += 1
-                    worst_radius = max(worst_radius, rep.spectral_radius)
-                    assert rep.spectral_radius <= 1.0 + 1e-10
-                    near_unit = rep.eigenvalues[
-                        np.abs(np.abs(rep.eigenvalues) - 1.0) < 1e-9]
-                    for lam in near_unit:
-                        assert min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-8
-                    expected = classify_pair(k, kp, n)
-                    assert rep.has_unit_eigenvalue == (expected == CLASS_DIAGONAL)
-                    assert rep.has_minus_one == (expected == CLASS_ANTIPODAL)
-                    if rep.has_minus_one:
-                        assert abs(char_poly(op).derivative(-1.0)) > 1e-10
-    _report("spectrum-classification", True,
-            f"{checked} pairs, max radius {worst_radius:.12f}")
-
-
-def test_acceptance_oracle_equivalence():
-    worst = 0.0
-    for n in range(3, 13):
-        for p in (0.0, 0.1, 0.5, 1.0):
-            for coin in ("up", "balanced"):
-                cfg = _cfg(n, p, coin)
-                fourier = fourier_trajectory(cfg, 200)
-                for t, rho in enumerate(direct_trajectory(cfg, 200, check=False)):
-                    direct = position_marginal(rho).probs
-                    worst = max(worst, float(np.abs(fourier[t] - direct).max()))
-    _report("oracle-equivalence", worst <= 1e-10,
-            f"max entrywise gap {worst:.3e} over 80 configs, t <= 200 (tol 1e-10)")
+@pytest.mark.parametrize("name", verify.CHECK_NAMES)
+def test_acceptance_check(name):
+    result = getattr(verify, f"check_{name}")(
+        MIXBOUND_PROFILE if name == "mixbound" else PROFILE)
+    _report(name, result["passed"], f"measure {result['measure']:.3e} over "
+            f"{result['cases']} cases ({result['detail']})")
 
 
 def test_acceptance_instantaneous_limits():
+    """The density-matrix path also reaches the limits at t*."""
     worst = 0.0
-    for n in (3, 5, 7, 9, 11):
-        for p in (0.1, 0.5, 0.9):
-            cfg = _cfg(n, p)
-            t_star = steps_to_uniform(cfg, tol=1e-6)
-            dist = fourier_trajectory(cfg, t_star)[t_star]
-            worst = max(worst, float(np.abs(dist - 1.0 / n).max()))
-    for n in (4, 6, 8):
-        for p in (0.1, 0.5, 0.9):
-            cfg = _cfg(n, p)
-            t_star = steps_to_uniform(cfg, tol=1e-6)
-            traj = fourier_trajectory(cfg, t_star + 1)
-            for t in (t_star, t_star + 1):
-                support = traj[t][t % 2::2]
-                rest = traj[t][(t + 1) % 2::2]
-                worst = max(worst, float(np.abs(support - 2.0 / n).max()))
-                worst = max(worst, float(np.abs(rest).max()))
-    # density-matrix cross-check on two cheap configs
     for n, p in ((3, 0.5), (4, 0.5)):
-        cfg = _cfg(n, p)
+        cfg = WalkConfig(n_nodes=n, decoherence_rate=p)
         t_star = steps_to_uniform(cfg, tol=1e-6)
-        direct = position_marginal(
-            list(direct_trajectory(cfg, t_star, check=False))[-1]).probs
-        target = (np.full(n, 1.0 / n) if n % 2 else
-                  np.array([2.0 / n if x % 2 == t_star % 2 else 0.0 for x in range(n)]))
-        worst = max(worst, float(np.abs(direct - target).max()))
+        direct = position_marginal(list(direct_trajectory(cfg, t_star, check=False))[-1])
+        limit = limiting_distribution(cfg, "odd" if t_star % 2 else "even").as_array()
+        worst = max(worst, float(np.abs(direct.probs - limit).max()))
     _report("instantaneous-limits", worst <= 1e-6,
-            f"max deviation from limit {worst:.3e} at measured decay times (tol 1e-6)")
-
-
-def test_acceptance_classical_limit():
-    worst = 0.0
-    for n in range(2, 13):
-        cfg = _cfg(n, 1.0)
-        for t, rho in enumerate(direct_trajectory(cfg, 200, check=False)):
-            gap = np.abs(position_marginal(rho).probs - classical_reference(n, t).probs)
-            worst = max(worst, float(gap.max()))
-    _report("classical-limit", worst <= 1e-12,
-            f"max gap to the +-1/2 chain {worst:.3e}, N <= 12, t <= 200 (tol 1e-12)")
-
-
-def test_acceptance_geometric_sum():
-    rng = np.random.default_rng(779)
-    worst = 0.0
-    for _ in range(50):
-        n = int(rng.integers(3, 17))
-        k = int(rng.integers(n))
-        kp = int(rng.integers(n))
-        if kp == k:
-            kp = (k + 1) % n
-        p = float(rng.uniform(0.05, 1.0))
-        op = superop_definitional(k, kp, _cfg(n, p))
-        for tau in (1, 10, 1000):
-            worst = max(worst, verify_geometric_sum(op, tau))
-    _report("geometric-sum", worst <= 1e-10,
-            f"max resolvent gap {worst:.3e} over 50 pairs (tol 1e-10)")
-
-
-def test_acceptance_averaged_deviation_bound():
-    taus = [100, 1000, 10000]
-    worst_margin = -np.inf
-    worst_ratio = 1.0
-    for n in (3, 5, 7, 9, 11, 13, 15, 17):
-        for p in (0.2, 0.5):
-            cfg = _cfg(n, p, "up")
-            snaps = time_averaged_snapshots(cfg, taus)
-            uniform = np.full(n, 1.0 / n)
-            for tau, avg in zip(taus, snaps):
-                deviation = float(np.abs(avg - 1.0 / n).max())
-                margin = deviation - uniform_deviation_bound(tau, n, p)
-                worst_margin = max(worst_margin, margin)
-                assert margin <= 1e-9
-            scaled_lo = total_variation(snaps[1], uniform) * taus[1]
-            scaled_hi = total_variation(snaps[2], uniform) * taus[2]
-            ratio = scaled_lo / scaled_hi
-            assert 0.5 <= ratio <= 2.0
-            worst_ratio = max(worst_ratio, max(ratio, 1.0 / ratio))
-    _report("averaged-deviation-bound", True,
-            f"max (deviation - bound) {worst_margin:.3e}; "
-            f"worst TV*tau ratio {worst_ratio:.3f} in [0.5, 2]")
-
-
-def test_acceptance_averaged_uniformity():
-    epsilon = 1e-2
-    slowest = 0
-    for n in (4, 5, 8, 9):
-        for p in (0.2, 0.6):
-            horizon = default_horizon(n, epsilon)
-            crossing = averaged_time_below(_cfg(n, p), epsilon, horizon)
-            assert crossing is not None, f"no crossing for N={n}, p={p}"
-            slowest = max(slowest, crossing)
-    _report("averaged-uniformity", True,
-            f"all configs under 1e-2 by tau <= {slowest} (within default horizons)")
+            f"max deviation of the density-matrix path from its limit {worst:.3e} "
+            f"at t* for (N, p) = (3, 0.5), (4, 0.5) (tol 1e-6)")
 
 
 def test_acceptance_verify_determinism(tmp_path, capsys):
     first, second = tmp_path / "r1.json", tmp_path / "r2.json"
     for path in (first, second):
-        code = main(["verify", "--quick", "--output", str(path)])
-        assert code == 0
+        assert cli.main(["verify", "--quick", "--output", str(path)]) == 0
     capsys.readouterr()
-    identical = first.read_bytes() == second.read_bytes()
-    _report("verify-determinism", identical,
+    _report("verify-determinism", first.read_bytes() == second.read_bytes(),
             "two verify runs produced byte-identical reports")
+
+
+def _shift_first_entry(build):
+    def shifted(k, k_prime, config):
+        op = build(k, k_prime, config)
+        matrix = op.matrix.copy()
+        matrix[0, 0] += 1e-9
+        return dataclasses.replace(op, matrix=matrix)
+    return shifted
+
+
+def _misplace_unit_eigenvalue(eigenvalues):
+    def misplaced(superop):
+        report = eigenvalues(superop)
+        return dataclasses.replace(report, has_unit_eigenvalue=not report.has_unit_eigenvalue)
+    return misplaced
+
+
+def _spectrum_summary_placement_ok(tmp_path):
+    summary = tmp_path / "summary.json"
+    code = cli.main(["spectrum", "--nodes", "6", "--decoherence", "0.5",
+                     "--output", str(tmp_path / "spectrum.csv"), "--summary", str(summary)])
+    assert code == cli.NUMERICAL_ERROR
+    return json.loads(summary.read_text())["persistent_eigenvalue_placement_ok"]
+
+
+_MUTANTS = {
+    "closedform": (verify, "superop_closed_form", _shift_first_entry),
+    "oracle": (verify, "fourier_trajectory", lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
+    "mixbound": (verify, "uniform_deviation_bound", lambda fn: lambda *a: 0.0 * fn(*a)),
+    "spectrum": (verify, "eigenvalues", _misplace_unit_eigenvalue),
+    "spectrum-summary": (cli, "eigenvalues", _misplace_unit_eigenvalue),
+}
+
+
+@pytest.mark.parametrize("criterion", _MUTANTS)
+def test_acceptance_criterion_fails_on_a_broken_input(monkeypatch, tmp_path, criterion):
+    module, attr, mutate = _MUTANTS[criterion]
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    if criterion == "spectrum-summary":
+        passed = _spectrum_summary_placement_ok(tmp_path)
+    else:
+        passed = getattr(verify, f"check_{criterion}")(verify.PROFILES["quick"])["passed"]
+    assert passed is False

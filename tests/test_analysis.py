@@ -16,6 +16,7 @@ from cyclewalk import (
 )
 from cyclewalk.analysis import (
     averaged_time_below,
+    bound_unavailable_reasons,
     default_horizon,
     steps_to_uniform,
     time_averaged_snapshots,
@@ -188,6 +189,15 @@ def test_bound_rejects_unsupported_inputs():
         uniform_deviation_bound(0, 9, 0.5)
     with pytest.raises(ValueError):
         uniform_deviation_bound_integral(100, 8, 0.5)
+
+
+def test_bound_unavailable_reasons():
+    assert bound_unavailable_reasons(_cfg(9, 0.2)) == []
+    assert bound_unavailable_reasons(_cfg(8, 0.2)) == ["even cycle length"]
+    assert bound_unavailable_reasons(_cfg(9, 0.0)) == ["zero decoherence rate"]
+    assert bound_unavailable_reasons(_cfg(9, 0.2, "down")) == ["initial coin is not 'up'"]
+    assert bound_unavailable_reasons(_cfg(8, 0.0, "balanced")) == [
+        "even cycle length", "zero decoherence rate", "initial coin is not 'up'"]
 
 
 def test_bound_integral_estimate_tracks_sum():

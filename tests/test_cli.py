@@ -7,6 +7,7 @@ import pytest
 
 from cyclewalk import classical_reference
 from cyclewalk.cli import _emit_json, _Pairs, main
+from cyclewalk.verify import run_checks
 
 
 def _run(capsys, *argv):
@@ -228,6 +229,11 @@ def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify", "--check", "nonsense")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_empty_selection_is_rejected():
+    with pytest.raises(ValueError, match="no checks selected"):
+        run_checks(names=[])
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

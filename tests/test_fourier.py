@@ -71,7 +71,7 @@ def test_matrix_action_matches_kraus_conjugation():
     op = superop_definitional(2, 6, cfg)
     for _ in range(20):
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        via_matrix = pauli_compose(op.apply(pauli_decompose(operand)))
+        via_matrix = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
         direct = _conjugate_once(2, 6, cfg, operand)
         assert np.abs(via_matrix - direct).max() <= 1e-12
 
@@ -82,7 +82,7 @@ def test_coherent_diagonal_pair_preserves_inner_product():
     op = superop_definitional(3, 3, cfg)
     for _ in range(20):
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        image = pauli_compose(op.apply(pauli_decompose(operand)))
+        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
         assert abs(np.vdot(image, image).real - np.vdot(operand, operand).real) <= 1e-12
 
 
@@ -107,7 +107,7 @@ def test_frobenius_contraction_and_norm_identity():
         p = float(rng.uniform(0, 1))
         op = superop_definitional(k, kp, _cfg(n, p))
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        image = pauli_compose(op.apply(pauli_decompose(operand)))
+        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
         before = np.vdot(operand, operand).real
         after = np.vdot(image, image).real
         assert after <= before + 1e-12
@@ -121,7 +121,7 @@ def test_contraction_is_strict_once_rate_is_positive():
     before = np.vdot(operand, operand).real
     for p, strict in ((0.0, False), (0.4, True)):
         op = superop_definitional(1, 4, _cfg(6, p))
-        image = pauli_compose(op.apply(pauli_decompose(operand)))
+        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
         after = np.vdot(image, image).real
         if strict:
             assert after < before - 1e-6

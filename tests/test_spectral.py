@@ -6,6 +6,7 @@ from cyclewalk import (
     char_poly,
     eigenvalues,
     spectral_gap,
+    superop_closed_form,
     superop_definitional,
 )
 from cyclewalk.spectral import (
@@ -151,10 +152,13 @@ def test_spectral_gap_degenerate_at_zero_rate():
 
 
 def test_spectral_gap_construction_independent():
-    a = spectral_gap(_cfg(9, 0.2), method="definitional")
-    b = spectral_gap(_cfg(9, 0.2), method="closed-form")
-    assert a.value > 0.0
-    assert abs(a.value - b.value) <= 1e-10
+    cfg = _cfg(9, 0.2)
+    gap = spectral_gap(cfg)
+    closed_form_radius = max(
+        np.abs(np.linalg.eigvals(superop_closed_form(k, kp, cfg).matrix)).max()
+        for k in range(9) for kp in range(9) if classify_pair(k, kp, 9) == CLASS_GENERIC)
+    assert gap.value > 0.0
+    assert abs(gap.value - (1.0 - closed_form_radius)) <= 1e-10
 
 
 def test_quartic_requires_monic_coefficients():
