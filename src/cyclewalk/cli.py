@@ -25,8 +25,7 @@ from .analysis import (
 )
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, coin_state
 from .evolution import direct_trajectory, fourier_trajectory, position_marginal
-from .fourier import superop_definitional
-from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, eigenvalues
+from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, pair_spectra
 from .verify import CHECK_NAMES, run_checks
 
 USAGE_ERROR = 2
@@ -188,7 +187,7 @@ def cmd_simulate(args) -> int:
                                for rho in direct_trajectory(config, steps)])
     lines = ["t,x,p,method"]
     for t in range(steps + 1):
-        row_sum = trajectory[t].sum()
+        row_sum = float(trajectory[t].sum())
         if not abs(row_sum - 1.0) <= 1e-10:
             raise NumericalCheckError(
                 f"probabilities at t={t} sum to {row_sum!r}, not 1")
@@ -220,19 +219,18 @@ def cmd_spectrum(args) -> int:
     max_radius_all = 0.0
     max_radius_generic = 0.0
     placement_ok = True
-    for k in range(n):
-        for kp in range(n):
-            report = eigenvalues(superop_definitional(k, kp, config))
-            counts[report.classification] += 1
-            max_radius_all = max(max_radius_all, report.spectral_radius)
-            if report.classification == CLASS_GENERIC:
-                max_radius_generic = max(max_radius_generic, report.spectral_radius)
-            if 0.0 < p < 1.0 and not report.placement_ok:
-                placement_ok = False
-            eig = report.eigenvalues
-            parts = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in eig)
-            lines.append(f"{k},{kp},{report.classification},"
-                         f"{_fmt(report.spectral_radius)},{parts}")
+    for q, report in enumerate(pair_spectra(config)):
+        k, kp = divmod(q, n)
+        counts[report.classification] += 1
+        max_radius_all = max(max_radius_all, report.spectral_radius)
+        if report.classification == CLASS_GENERIC:
+            max_radius_generic = max(max_radius_generic, report.spectral_radius)
+        if 0.0 < p < 1.0 and not report.placement_ok:
+            placement_ok = False
+        eig = report.eigenvalues
+        parts = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in eig)
+        lines.append(f"{k},{kp},{report.classification},"
+                     f"{_fmt(report.spectral_radius)},{parts}")
     radius_ok = max_radius_all <= 1.0 + 1e-10
     gap_ok = p == 0.0 or max_radius_generic < 1.0
     summary = {
@@ -401,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the named property checks")
     ver.add_argument("--quick", action="store_true",
-                     help="reduced sizes (seconds instead of minutes)")
+                     help="reduced sizes: about 1 s instead of about 5.5 s "
+                          "on a 2-core VM")
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "
                           f"one of: {', '.join(CHECK_NAMES)}")

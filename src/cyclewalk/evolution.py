@@ -56,7 +56,7 @@ class PositionDistribution:
         if p.min() < -1e-12:
             raise NumericalCheckError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-10:
-            raise NumericalCheckError(f"probabilities sum to {p.sum()!r}, not 1")
+            raise NumericalCheckError(f"probabilities sum to {float(p.sum())!r}, not 1")
         if self.kind not in ("instantaneous", "time-averaged"):
             raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "probs", p)
@@ -81,7 +81,7 @@ class DensityOperator:
             raise NumericalCheckError(f"density operator not Hermitian: {herm:.3e}")
         tr = np.trace(m)
         if abs(tr - 1.0) > trace_tol:
-            raise NumericalCheckError(f"density operator trace {tr!r}, not 1")
+            raise NumericalCheckError(f"density operator trace {complex(tr)!r}, not 1")
         min_eig = float(np.linalg.eigvalsh(m).min())
         if min_eig < -psd_tol:
             raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")

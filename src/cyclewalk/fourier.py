@@ -5,11 +5,14 @@ For each momentum pair (k, k') the one-step action on coin operators is
     L_{k,k'}(B) = sum_n C_k A_n B A_n^dag C_{k'}^dag,
 
 a linear (not trace-preserving, unless k = k') map represented here as a 4x4
-complex matrix in the Pauli basis.  Two constructions are provided: the
-definitional one, built column by column from the Kraus conjugation above,
-and a closed form in terms of cos/sin of 2 pi (k' +- k)/N.  The definitional
-construction is the source of truth; the closed form exists to cross-check it
-and to make the spectral structure readable.
+complex matrix in the Pauli basis.  Two constructions are provided: a closed
+form in terms of cos/sin of 2 pi (k' +- k)/N, and the definitional one, built
+column by column from the Kraus conjugation above.  The engine evolves the
+closed form, built for all N^2 pairs at once by :func:`all_pair_matrices`;
+the definitional construction is the oracle that the ``closedform`` verify
+check compares it against.  The closed form also keeps the persistent
+structure exact: on diagonal pairs the first row is exactly (1, 0, 0, 0),
+so the trace of every diagonal pair stays exactly 1 for all t.
 """
 
 from __future__ import annotations
@@ -98,27 +101,37 @@ def superop_definitional(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
                    rate=p, c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
 
 
-def superop_closed_form(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
-    """Closed-form matrix of L_{k,k'}; regression check for the definitional
-    construction.  With q = 1 - p:
+def _closed_form_matrices(rate: float, c_plus, s_plus, c_minus, s_minus) -> np.ndarray:
+    """Closed-form pair matrices for broadcastable arrays of phase cosines
+    and sines; shape angles.shape + (4, 4).  With q = 1 - p:
 
         [ c-    i q s-   0       0  ]
         [ 0     0        q s+    c+ ]
         [ 0     0       -q c+    s+ ]
         [ i s-  q c-     0       0  ]
     """
+    q = 1.0 - rate
+    matrix = np.zeros(np.shape(c_plus) + (4, 4), dtype=np.complex128)
+    matrix[..., 0, 0] = c_minus
+    matrix[..., 0, 1] = 1j * q * s_minus
+    matrix[..., 1, 2] = q * s_plus
+    matrix[..., 1, 3] = c_plus
+    matrix[..., 2, 2] = -q * c_plus
+    matrix[..., 2, 3] = s_plus
+    matrix[..., 3, 0] = 1j * s_minus
+    matrix[..., 3, 1] = q * c_minus
+    return matrix
+
+
+def superop_closed_form(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
+    """Closed-form matrix of L_{k,k'}, entry for entry the one that
+    :func:`all_pair_matrices` stores for the pair."""
     _check_indices(k, k_prime, config)
     n, p = config.n_nodes, config.decoherence_rate
-    q = 1.0 - p
     cp, sp, cm, sm = _pair_angles(k, k_prime, n)
-    matrix = np.array([
-        [cm, 1j * q * sm, 0.0, 0.0],
-        [0.0, 0.0, q * sp, cp],
-        [0.0, 0.0, -q * cp, sp],
-        [1j * sm, q * cm, 0.0, 0.0],
-    ], dtype=np.complex128)
-    return SuperOp(matrix=matrix, k=int(k), k_prime=int(k_prime), n_nodes=n,
-                   rate=p, c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
+    return SuperOp(matrix=_closed_form_matrices(p, cp, sp, cm, sm), k=int(k),
+                   k_prime=int(k_prime), n_nodes=n, rate=p,
+                   c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
 
 
 def trace_term(superop: SuperOp, initial: PauliVector, t: int) -> complex:
@@ -141,21 +154,17 @@ def trace_term(superop: SuperOp, initial: PauliVector, t: int) -> complex:
 
 
 def all_pair_matrices(config: WalkConfig):
-    """Stack of all N^2 pair matrices plus the (k - k') mod N index per pair.
+    """Stack of all N^2 closed-form pair matrices plus the (k - k') mod N
+    index per pair, built in one vectorised pass.
 
     Returns (matrices, d_index): matrices has shape (N^2, 4, 4) with pair
     (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N drives the
     phase grouping in the distribution reconstruction.
     """
     n = config.n_nodes
-    matrices = np.empty((n * n, 4, 4), dtype=np.complex128)
-    d_index = np.empty(n * n, dtype=np.int64)
-    for k in range(n):
-        for k_prime in range(n):
-            q = k * n + k_prime
-            matrices[q] = superop_definitional(k, k_prime, config).matrix
-            d_index[q] = (k - k_prime) % n
-    return matrices, d_index
+    k, k_prime = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    matrices = _closed_form_matrices(config.decoherence_rate, *_pair_angles(k, k_prime, n))
+    return matrices, (k - k_prime) % n
 
 
 def phase_table(n_nodes: int) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import NumericalCheckError, WalkConfig
-from .fourier import SuperOp, superop_definitional
+from .fourier import SuperOp, all_pair_matrices
 
 __all__ = [
     "Quartic",
@@ -24,6 +24,7 @@ __all__ = [
     "GapResult",
     "char_poly",
     "eigenvalues",
+    "pair_spectra",
     "spectral_gap",
     "classify_pair",
     "multiset_match_distance",
@@ -116,24 +117,44 @@ def char_poly(superop: SuperOp) -> Quartic:
     ]))
 
 
+def _eigvals(matrices: np.ndarray, where) -> np.ndarray:
+    """Eigenvalues of a (pairs, 4, 4) stack; where() names the stack in the
+    error raised if the solver fails."""
+    try:
+        return np.linalg.eigvals(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalCheckError(f"eigensolver failed on {where()}: {exc}") from exc
+
+
+def _reports(eig: np.ndarray, pairs, n_nodes: int) -> list:
+    """SpectrumReports for a (pairs, 4) eigenvalue stack, flags taken in one
+    vectorised pass; pairs lists the (k, k') of each row."""
+    radius = np.abs(eig).max(axis=1)
+    unit = np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL
+    minus_one = np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL
+    return [
+        SpectrumReport(eigenvalues=eig[q], spectral_radius=float(radius[q]),
+                       has_unit_eigenvalue=bool(unit[q]), has_minus_one=bool(minus_one[q]),
+                       classification=classify_pair(k, k_prime, n_nodes))
+        for q, (k, k_prime) in enumerate(pairs)
+    ]
+
+
 def eigenvalues(superop: SuperOp) -> SpectrumReport:
     """Eigenvalues of the 4x4 pair matrix with the persistent-eigenvalue
     flags and the structural pair classification."""
-    try:
-        eig = np.linalg.eigvals(superop.matrix)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalCheckError(
-            f"eigensolver failed on pair (k={superop.k}, k'={superop.k_prime}): "
-            f"{exc}; matrix={superop.matrix!r}"
-        ) from exc
-    radius = float(np.abs(eig).max())
-    return SpectrumReport(
-        eigenvalues=eig,
-        spectral_radius=radius,
-        has_unit_eigenvalue=bool(np.abs(eig - 1.0).min() < UNIT_MODULUS_TOL),
-        has_minus_one=bool(np.abs(eig + 1.0).min() < UNIT_MODULUS_TOL),
-        classification=classify_pair(superop.k, superop.k_prime, superop.n_nodes),
-    )
+    eig = _eigvals(superop.matrix[None], lambda: (
+        f"pair (k={superop.k}, k'={superop.k_prime}); matrix={superop.matrix!r}"))
+    return _reports(eig, [(superop.k, superop.k_prime)], superop.n_nodes)[0]
+
+
+def pair_spectra(config: WalkConfig) -> list:
+    """SpectrumReport of every pair matrix of :func:`all_pair_matrices`, in
+    its row order (pair (k, k') at k*N + k'), from one batched eigensolve."""
+    n = config.n_nodes
+    matrices, _ = all_pair_matrices(config)
+    eig = _eigvals(matrices, lambda: f"the pair stack (N={n}, p={config.decoherence_rate})")
+    return _reports(eig, [divmod(q, n) for q in range(n * n)], n)
 
 
 def spectral_gap(config: WalkConfig) -> GapResult:
@@ -144,14 +165,8 @@ def spectral_gap(config: WalkConfig) -> GapResult:
     controls the geometric convergence rate of the position distribution.
     Positive for 0 < p <= 1; zero with the degenerate flag at p = 0.
     """
-    n = config.n_nodes
-    radius = 0.0
-    for k in range(n):
-        for k_prime in range(n):
-            if classify_pair(k, k_prime, n) != CLASS_GENERIC:
-                continue
-            report = eigenvalues(superop_definitional(k, k_prime, config))
-            radius = max(radius, report.spectral_radius)
+    radius = max((r.spectral_radius for r in pair_spectra(config)
+                  if r.classification == CLASS_GENERIC), default=0.0)
     gap = 1.0 - radius
     degenerate = config.decoherence_rate == 0.0
     if degenerate:

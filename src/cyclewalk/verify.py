@@ -181,7 +181,7 @@ def check_spectrum(profile: VerifyProfile):
 
 def check_contraction(profile: VerifyProfile):
     rng = np.random.default_rng(11)
-    worst = 0.0
+    worst = -np.inf
     count = 0
     ok = True
     for _ in range(40):

@@ -66,11 +66,16 @@ def _shift_first_entry(build):
     return shifted
 
 
+def _misplace(report):
+    return dataclasses.replace(report, has_unit_eigenvalue=not report.has_unit_eigenvalue)
+
+
 def _misplace_unit_eigenvalue(eigenvalues):
-    def misplaced(superop):
-        report = eigenvalues(superop)
-        return dataclasses.replace(report, has_unit_eigenvalue=not report.has_unit_eigenvalue)
-    return misplaced
+    return lambda superop: _misplace(eigenvalues(superop))
+
+
+def _misplace_unit_eigenvalues(pair_spectra):
+    return lambda config: [_misplace(report) for report in pair_spectra(config)]
 
 
 def _spectrum_summary_placement_ok(tmp_path):
@@ -86,7 +91,7 @@ _MUTANTS = {
     "oracle": (verify, "fourier_trajectory", lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
     "mixbound": (verify, "uniform_deviation_bound", lambda fn: lambda *a: 0.0 * fn(*a)),
     "spectrum": (verify, "eigenvalues", _misplace_unit_eigenvalue),
-    "spectrum-summary": (cli, "eigenvalues", _misplace_unit_eigenvalue),
+    "spectrum-summary": (cli, "pair_spectra", _misplace_unit_eigenvalues),
 }
 
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cyclewalk import classical_reference
+from cyclewalk import cli
 from cyclewalk.cli import _emit_json, _Pairs, main
 from cyclewalk.verify import run_checks
 
@@ -77,6 +78,20 @@ def test_simulate_direct_full_dephasing_matches_chain(tmp_path, capsys):
     for row in rows:
         expect = classical_reference(5, int(row["t"])).probs[int(row["x"])]
         assert abs(float(row["p"]) - expect) <= 1e-12
+
+
+def test_simulate_row_sum_guard_prints_a_plain_float(monkeypatch, capsys):
+    def off_by_1e_9(config, steps):
+        traj = np.full((steps + 1, config.n_nodes), 1.0 / config.n_nodes)
+        traj[-1, 0] += 1e-9
+        return traj
+
+    monkeypatch.setattr(cli, "fourier_trajectory", off_by_1e_9)
+    code, _, err = _run(capsys, "simulate", "--nodes", "4", "--decoherence", "0.5",
+                        "--steps", "3")
+    assert code == 3
+    assert "probabilities at t=3 sum to 1.000000001" in err
+    assert "np.float64" not in err
 
 
 def test_simulate_zero_steps_single_mass_row(capsys):
@@ -229,6 +244,12 @@ def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify", "--check", "nonsense")
     assert code == 2
     assert "unknown checks" in err
+
+
+def test_verify_contraction_reports_its_worst_margin():
+    # every case contracts strictly, so the worst |LB|^2 - |B|^2 is negative
+    (check,) = run_checks(names=["contraction"], profile="quick")["checks"]
+    assert check["passed"] and check["measure"] < 0.0
 
 
 def test_verify_empty_selection_is_rejected():

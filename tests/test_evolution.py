@@ -134,10 +134,16 @@ def test_imaginary_residue_guard():
         _check_imag(1e-6)
 
 
+def test_momentum_path_probability_sums_do_not_drift():
+    # diagonal pairs keep trace exactly 1, so long runs stay normalized
+    traj = fourier_trajectory(_cfg(9, 0.2), 400000)
+    assert np.abs(traj.sum(axis=1) - 1.0).max() <= 1e-12
+
+
 def test_position_distribution_validation():
-    with pytest.raises(NumericalCheckError):
+    with pytest.raises(NumericalCheckError, match=r"sum to 1\.1, not 1$"):
         PositionDistribution(probs=np.array([0.5, 0.6]))
-    with pytest.raises(NumericalCheckError):
+    with pytest.raises(NumericalCheckError, match=r"^negative probability -1\.000e-01$"):
         PositionDistribution(probs=np.array([1.1, -0.1]))
     with pytest.raises(ValueError):
         PositionDistribution(probs=np.array([1.0]), kind="unknown")

@@ -205,3 +205,23 @@ def test_all_pair_matrices_layout():
             q = k * 4 + kp
             assert np.abs(matrices[q] - superop_definitional(k, kp, cfg).matrix).max() <= 1e-15
             assert d_index[q] == (k - kp) % 4
+
+
+def test_all_pair_matrices_equal_closed_form_exactly():
+    for n in (2, 5, 8, 13):
+        for p in (0.0, 0.2, 0.37, 0.5, 1.0):
+            cfg = _cfg(n, p)
+            matrices, _ = all_pair_matrices(cfg)
+            for k in range(n):
+                for kp in range(n):
+                    assert np.array_equal(matrices[k * n + kp],
+                                          superop_closed_form(k, kp, cfg).matrix)
+
+
+def test_all_pair_matrices_diagonal_pairs_keep_trace_row_exactly():
+    # row 0 of a diagonal pair is e0^T exactly, so its trace is exactly 1 at every t
+    for n in (5, 8, 9):
+        for p in (0.2, 0.5):
+            matrices, _ = all_pair_matrices(_cfg(n, p))
+            for k in range(n):
+                assert np.array_equal(matrices[k * n + k, 0], [1.0, 0.0, 0.0, 0.0])

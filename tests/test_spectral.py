@@ -16,6 +16,7 @@ from cyclewalk.spectral import (
     Quartic,
     classify_pair,
     multiset_match_distance,
+    pair_spectra,
 )
 
 
@@ -154,11 +155,27 @@ def test_spectral_gap_degenerate_at_zero_rate():
 def test_spectral_gap_construction_independent():
     cfg = _cfg(9, 0.2)
     gap = spectral_gap(cfg)
-    closed_form_radius = max(
-        np.abs(np.linalg.eigvals(superop_closed_form(k, kp, cfg).matrix)).max()
+    definitional_radius = max(
+        np.abs(np.linalg.eigvals(superop_definitional(k, kp, cfg).matrix)).max()
         for k in range(9) for kp in range(9) if classify_pair(k, kp, 9) == CLASS_GENERIC)
     assert gap.value > 0.0
-    assert abs(gap.value - (1.0 - closed_form_radius)) <= 1e-10
+    assert abs(gap.value - (1.0 - definitional_radius)) <= 1e-10
+
+
+def test_pair_spectra_match_per_pair_reports_exactly():
+    for n, p in ((2, 0.5), (6, 0.3), (7, 0.0), (8, 1.0)):
+        cfg = _cfg(n, p)
+        reports = pair_spectra(cfg)
+        assert len(reports) == n * n
+        for k in range(n):
+            for kp in range(n):
+                batched = reports[k * n + kp]
+                single = eigenvalues(superop_closed_form(k, kp, cfg))
+                assert np.array_equal(batched.eigenvalues, single.eigenvalues)
+                assert batched.spectral_radius == single.spectral_radius
+                assert batched.has_unit_eigenvalue == single.has_unit_eigenvalue
+                assert batched.has_minus_one == single.has_minus_one
+                assert batched.classification == single.classification
 
 
 def test_quartic_requires_monic_coefficients():
