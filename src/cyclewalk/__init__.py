@@ -7,8 +7,6 @@ and mixing-time analysis, with a CLI front end (``cyclewalk --help``).
 __version__ = "0.1.0"
 
 from .core import (
-    CoinMatrix,
-    KrausFamily,
     NumericalCheckError,
     PauliVector,
     WalkConfig,
@@ -18,9 +16,8 @@ from .core import (
     pauli_compose,
     pauli_decompose,
 )
-from .fourier import SuperOp, superop_closed_form, superop_definitional, trace_term
+from .fourier import SuperOp, superop_closed_form, superop_definitional
 from .spectral import (
-    GapResult,
     Quartic,
     SpectrumReport,
     char_poly,
@@ -31,13 +28,10 @@ from .evolution import (
     DensityOperator,
     PositionDistribution,
     classical_reference,
-    distribution_fourier,
-    evolve_direct,
     fourier_trajectory,
     position_marginal,
 )
 from .analysis import (
-    LimitSpec,
     MixingReport,
     limiting_distribution,
     mixing_time_averaged,
@@ -45,14 +39,11 @@ from .analysis import (
     time_averaged,
     total_variation,
     uniform_deviation_bound,
-    uniform_deviation_bound_integral,
     verify_geometric_sum,
 )
 
 __all__ = [
     "__version__",
-    "CoinMatrix",
-    "KrausFamily",
     "NumericalCheckError",
     "PauliVector",
     "WalkConfig",
@@ -64,8 +55,6 @@ __all__ = [
     "SuperOp",
     "superop_closed_form",
     "superop_definitional",
-    "trace_term",
-    "GapResult",
     "Quartic",
     "SpectrumReport",
     "char_poly",
@@ -74,11 +63,8 @@ __all__ = [
     "DensityOperator",
     "PositionDistribution",
     "classical_reference",
-    "distribution_fourier",
-    "evolve_direct",
     "fourier_trajectory",
     "position_marginal",
-    "LimitSpec",
     "MixingReport",
     "limiting_distribution",
     "mixing_time_averaged",
@@ -86,6 +72,5 @@ __all__ = [
     "time_averaged",
     "total_variation",
     "uniform_deviation_bound",
-    "uniform_deviation_bound_integral",
     "verify_geometric_sum",
 ]

@@ -121,13 +121,13 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
     """Total-variation trace against a target distribution.
 
     mode=MODE_AVERAGED: tv[i] = TV(mean of P(.,0..i), target0), i.e. the
-    running Cesaro average at tau = i+1, for tau = 1..horizon.  Also returns
-    the final average.
+    running Cesaro average at tau = i+1, for tau = 1..horizon.
 
     mode=MODE_INSTANTANEOUS: tv[i] = TV(P(., i+1), target) for t = 1..horizon,
     where the target alternates with the parity of t (target0 for even t).
 
     stop_below > 0 truncates the scan at the first value below the threshold.
+    Returns (tv, largest imaginary residue).
     """
     if target1 is None:
         target1 = target0
@@ -162,9 +162,7 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
             cum = sums[len(values) - 1]
         if stopped or filled == horizon:
             break
-    if averaged:
-        cum = cum / filled
-    return tv[:filled], cum, max_imag
+    return tv[:filled], max_imag
 
 
 def averaged_snapshots(matrices, v0, d_index, phase, taus):

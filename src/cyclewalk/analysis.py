@@ -2,10 +2,11 @@
 Cesaro deviation bound.
 
 Total variation follows the convention sum_x |P(x) - Q(x)| with no 1/2
-prefactor, so values run from 0 to 2.  The mixing time of a TV trace is the
-least tau after which the trace stays below epsilon through the end of the
-scanned horizon; the unbounded quantifier is certified only over that finite
-horizon and the horizon is recorded alongside the result.
+prefactor, so values run from 0 to 2.  The mixing time of a TV trace is
+the largest scanned tau with TV(tau) >= epsilon, so TV < epsilon at every
+later scanned tau; it is 1 when no scanned tau reaches epsilon, and None (not
+converged) when that tau is the horizon.  "From then on" is thus certified
+only up to the scanned horizon, which is recorded with the result.
 """
 
 from __future__ import annotations
@@ -22,54 +23,23 @@ from .fourier import SuperOp
 from .spectral import spectral_gap
 
 __all__ = [
-    "LimitSpec",
     "MixingReport",
     "time_averaged",
     "time_averaged_snapshots",
     "total_variation",
     "limiting_distribution",
-    "averaged_limit",
     "default_horizon",
     "mixing_time_averaged",
     "mixing_time_instantaneous",
     "averaged_time_below",
     "bound_unavailable_reasons",
     "uniform_deviation_bound",
-    "uniform_deviation_bound_integral",
     "verify_geometric_sum",
     "steps_to_uniform",
 ]
 
-KIND_UNIFORM_ALL = "uniform_all"
-KIND_PARITY = "parity_alternating"
-KIND_AVERAGED_UNIFORM = "time_averaged_uniform"
-
 #: Hard cap on automatically chosen scan horizons.
 MAX_HORIZON = 1_000_000
-
-
-@dataclass(frozen=True)
-class LimitSpec:
-    """Shape of a limiting distribution: uniform 1/N everywhere, or (even N,
-    instantaneous) 2/N on the nodes whose parity matches the step count."""
-
-    kind: str
-    n_nodes: int
-    value_on_support: float
-    support_parity: int | None = None
-
-    def __post_init__(self):
-        if self.kind not in (KIND_UNIFORM_ALL, KIND_PARITY, KIND_AVERAGED_UNIFORM):
-            raise ValueError(f"unknown limit kind {self.kind!r}")
-        if self.kind == KIND_PARITY and self.support_parity not in (0, 1):
-            raise ValueError("parity_alternating limit needs support_parity 0 or 1")
-
-    def as_array(self) -> np.ndarray:
-        if self.kind == KIND_PARITY:
-            probs = np.zeros(self.n_nodes)
-            probs[self.support_parity::2] = self.value_on_support
-            return probs
-        return np.full(self.n_nodes, self.value_on_support)
 
 
 @dataclass(frozen=True, eq=False)
@@ -77,9 +47,10 @@ class MixingReport:
     """Result of one TV scan.
 
     tv_trace[i] is the total variation at tau = i + 1 (averaged target) or at
-    t = i + 1 (instantaneous target).  converged means the trace stayed below
-    epsilon from some point through the scanned horizon; mixing_time is the
-    least such point, by scanning for the last epsilon crossing.
+    t = i + 1 (instantaneous target).  mixing_time is the largest scanned tau
+    with TV(tau) >= epsilon, so TV < epsilon at every later scanned tau; it
+    is 1 when no scanned tau reaches epsilon.  When that tau is the horizon,
+    mixing_time is None and converged is False, else converged is True.
     """
 
     epsilon: float
@@ -108,7 +79,17 @@ def total_variation(p, q) -> float:
     return float(np.abs(pa - qa).sum())
 
 
-def limiting_distribution(config: WalkConfig, t_parity: str) -> LimitSpec | None:
+def _limit(n_nodes: int, parity: int) -> np.ndarray:
+    """1/N on every node (odd N), or 2/N on the nodes of the given parity
+    (even N)."""
+    if n_nodes % 2 == 1:
+        return np.full(n_nodes, 1.0 / n_nodes)
+    probs = np.zeros(n_nodes)
+    probs[parity::2] = 2.0 / n_nodes
+    return probs
+
+
+def limiting_distribution(config: WalkConfig, t_parity: str) -> np.ndarray | None:
     """Long-time limit of the instantaneous distribution, or None at p = 0
     (no decoherence, no limit).
 
@@ -120,21 +101,7 @@ def limiting_distribution(config: WalkConfig, t_parity: str) -> LimitSpec | None
         raise ValueError(f"t_parity must be 'even' or 'odd', got {t_parity!r}")
     if config.decoherence_rate == 0.0:
         return None
-    n = config.n_nodes
-    if n % 2 == 1:
-        return LimitSpec(kind=KIND_UNIFORM_ALL, n_nodes=n, value_on_support=1.0 / n)
-    return LimitSpec(
-        kind=KIND_PARITY,
-        n_nodes=n,
-        value_on_support=2.0 / n,
-        support_parity=0 if t_parity == "even" else 1,
-    )
-
-
-def averaged_limit(n_nodes: int) -> LimitSpec:
-    """Limit of the Cesaro-averaged distribution: uniform for every parity."""
-    return LimitSpec(kind=KIND_AVERAGED_UNIFORM, n_nodes=int(n_nodes),
-                     value_on_support=1.0 / n_nodes)
+    return _limit(config.n_nodes, 0 if t_parity == "even" else 1)
 
 
 def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
@@ -142,7 +109,7 @@ def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     avg = time_averaged_snapshots(config, [int(tau)])[0]
-    return PositionDistribution(probs=avg, time=(0, int(tau)), kind="time-averaged")
+    return PositionDistribution(probs=avg)
 
 
 def time_averaged_snapshots(config: WalkConfig, taus) -> np.ndarray:
@@ -175,7 +142,12 @@ def _scan_horizon(n_nodes: int, epsilon: float, horizon: int | None) -> int:
 
 
 def _mixing_from_trace(tv: np.ndarray, epsilon: float, horizon: int):
-    """Least tau with the whole suffix below epsilon; 1 when no crossing."""
+    """(mixing_time, converged) for tv[i] = TV(tau = i + 1).
+
+    mixing_time is the largest scanned tau with TV(tau) >= epsilon, so every
+    later scanned tau has TV < epsilon; it is 1 when no scanned tau reaches
+    epsilon.  When that tau is the horizon, the result is (None, False).
+    """
     above = np.nonzero(tv >= epsilon)[0]
     if len(above) == 0:
         return 1, True
@@ -187,7 +159,7 @@ def _mixing_from_trace(tv: np.ndarray, epsilon: float, horizon: int):
 
 def _scan(config, epsilon, horizon, target0, target1, mode):
     matrices, v0, d_index, phase = _fourier_state(config)
-    tv, _avg, max_imag = _kernels.tv_scan(
+    tv, max_imag = _kernels.tv_scan(
         matrices, v0, d_index, phase, horizon, target0, target1, mode=mode)
     _check_imag(max_imag)
     return tv
@@ -203,7 +175,7 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     raised.
     """
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
-    target = averaged_limit(config.n_nodes).as_array()
+    target = np.full(config.n_nodes, 1.0 / config.n_nodes)
     tv = _scan(config, epsilon, horizon, target, target, _kernels.MODE_AVERAGED)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
     bound = None
@@ -225,13 +197,7 @@ def mixing_time_instantaneous(config: WalkConfig, epsilon: float,
     """
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     n = config.n_nodes
-    if n % 2 == 1:
-        target0 = target1 = np.full(n, 1.0 / n)
-    else:
-        even_limit = LimitSpec(KIND_PARITY, n, 2.0 / n, support_parity=0)
-        odd_limit = LimitSpec(KIND_PARITY, n, 2.0 / n, support_parity=1)
-        target0, target1 = even_limit.as_array(), odd_limit.as_array()
-    tv = _scan(config, epsilon, horizon, target0, target1,
+    tv = _scan(config, epsilon, horizon, _limit(n, 0), _limit(n, 1),
                _kernels.MODE_INSTANTANEOUS)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
     return MixingReport(epsilon=float(epsilon), mixing_time=mixing_time,
@@ -244,9 +210,9 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
     epsilon, or None if that never happens within the horizon.  Stops the
     scan at the crossing, unlike the full mixing-time scan."""
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
-    target = averaged_limit(config.n_nodes).as_array()
+    target = np.full(config.n_nodes, 1.0 / config.n_nodes)
     matrices, v0, d_index, phase = _fourier_state(config)
-    tv, _avg, max_imag = _kernels.tv_scan(
+    tv, max_imag = _kernels.tv_scan(
         matrices, v0, d_index, phase, horizon, target, target,
         mode=_kernels.MODE_AVERAGED, stop_below=float(epsilon))
     _check_imag(max_imag)
@@ -288,30 +254,6 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
     return 8.0 / (p * p * tau * n_nodes * n_nodes) * total
 
 
-def uniform_deviation_bound_integral(tau: int, n_nodes: int, p: float) -> float:
-    """Integral estimate of :func:`uniform_deviation_bound`: the sum is read
-    as a Riemann sum of u / (1 - cos 2 pi u) and integrated, giving
-
-        (4 / (tau p^2 pi^2)) * [-x cot x + ln sin x]  from pi/N to (N-1)pi/N.
-
-    Useful to see the O(N / tau) scaling; it underestimates the exact sum by
-    a bounded factor.
-    """
-    if n_nodes % 2 == 0:
-        raise ValueError("bound is only available for odd cycle lengths")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"decoherence rate must lie in (0, 1], got {p}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
-
-    def antiderivative(x):
-        return -x / np.tan(x) + np.log(np.sin(x))
-
-    lo = np.pi / n_nodes
-    hi = (n_nodes - 1) * np.pi / n_nodes
-    return 4.0 / (tau * p * p * np.pi ** 2) * (antiderivative(hi) - antiderivative(lo))
-
-
 def verify_geometric_sum(superop: SuperOp, tau: int) -> float:
     """Max entrywise deviation between sum_{t<tau} L^t and the resolvent form
     (I - L)^{-1} (I - L^tau).
@@ -340,8 +282,7 @@ def steps_to_uniform(config: WalkConfig, tol: float = 1e-6) -> int:
     its limit.  Requires p > 0."""
     if config.decoherence_rate == 0.0:
         raise ValueError("no decay at p = 0; the distribution keeps oscillating")
-    gap = spectral_gap(config)
-    radius = 1.0 - gap.value
+    radius = 1.0 - spectral_gap(config)
     if radius <= 0.0:
         return 1
     n = config.n_nodes

@@ -151,10 +151,6 @@ def _write_manifest(path, command: str, settings: dict, outputs: list):
     _write_text(path, _emit_json(manifest) + "\n")
 
 
-def _settings_echo(resolved: dict) -> dict:
-    return dict(resolved)
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -195,8 +191,7 @@ def cmd_simulate(args) -> int:
             lines.append(f"{t},{x},{_fmt(trajectory[t, x])},{resolved['method']}")
     _write_text(resolved["output"], "\n".join(lines) + "\n")
     if args.manifest:
-        _write_manifest(args.manifest, "simulate", _settings_echo(resolved),
-                        [resolved["output"]])
+        _write_manifest(args.manifest, "simulate", resolved, [resolved["output"]])
     return 0
 
 
@@ -255,7 +250,7 @@ def cmd_spectrum(args) -> int:
         sys.stderr.write(summary_text)
     if args.manifest:
         outputs = [resolved["output"]] + ([resolved["summary"]] if resolved["summary"] else [])
-        _write_manifest(args.manifest, "spectrum", _settings_echo(resolved), outputs)
+        _write_manifest(args.manifest, "spectrum", resolved, outputs)
     if not (radius_ok and gap_ok and ((not 0.0 < p < 1.0) or placement_ok)):
         raise NumericalCheckError("spectrum summary assertions failed; see summary")
     return 0
@@ -311,8 +306,7 @@ def cmd_mixing(args) -> int:
     }
     _write_text(resolved["output"], _emit_json(payload) + "\n")
     if args.manifest:
-        _write_manifest(args.manifest, "mixing", _settings_echo(resolved),
-                        [resolved["output"]])
+        _write_manifest(args.manifest, "mixing", resolved, [resolved["output"]])
     return 0
 
 

@@ -23,8 +23,6 @@ __all__ = [
     "NumericalCheckError",
     "WalkConfig",
     "PauliVector",
-    "KrausFamily",
-    "CoinMatrix",
     "coin_state",
     "build_kraus_family",
     "hadamard_coin_momentum",
@@ -79,7 +77,6 @@ class WalkConfig:
     n_nodes: int
     decoherence_rate: float
     initial_coin: np.ndarray = field(default_factory=lambda: COIN_STATES["up"].copy())
-    launch_position: int = 0
 
     def __post_init__(self):
         if int(self.n_nodes) != self.n_nodes or self.n_nodes < 2:
@@ -93,8 +90,6 @@ class WalkConfig:
             raise ValueError(f"initial_coin must have shape (2,), got {coin.shape}")
         if not abs(np.linalg.norm(coin) - 1.0) <= 1e-12:
             raise ValueError("initial_coin must be normalized to within 1e-12")
-        if self.launch_position != 0:
-            raise ValueError("launch_position is fixed at node 0")
         object.__setattr__(self, "n_nodes", int(self.n_nodes))
         object.__setattr__(self, "decoherence_rate", float(self.decoherence_rate))
         object.__setattr__(self, "initial_coin", coin)
@@ -124,9 +119,8 @@ class PauliVector:
         return 2.0 * self.coeffs[0]
 
 
-@dataclass(frozen=True, eq=False)
-class KrausFamily:
-    """The three coin-measurement operators at rate p:
+def build_kraus_family(p: float) -> np.ndarray:
+    """The three coin-measurement operators at rate p, stacked as (3, 2, 2):
 
         A0 = sqrt(1-p) sigma_0,
         A1 = (sqrt(p)/2)(sigma_0 + sigma_z),
@@ -135,49 +129,20 @@ class KrausFamily:
     They satisfy sum_n A_n^dag A_n = I, so the induced map on coin operators
     is a unital channel: with probability p per step the coin is measured in
     its computational basis, with probability 1-p it is left untouched.
-    """
-
-    operators: np.ndarray
-    rate: float
-
-    def unitality_defect(self) -> float:
-        """Max entrywise deviation of sum_n A_n^dag A_n from the identity."""
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for op in self.operators:
-            acc += op.conj().T @ op
-        return float(np.abs(acc - SIGMA_0).max())
-
-
-@dataclass(frozen=True, eq=False)
-class CoinMatrix:
-    """A 2x2 unitary coin, optionally dressed with the momentum phases picked
-    up under the conditional shift."""
-
-    entries: np.ndarray
-    momentum: int | None = None
-    n_nodes: int | None = None
-
-    def unitarity_defect(self) -> float:
-        return float(np.abs(self.entries.conj().T @ self.entries - SIGMA_0).max())
-
-
-def build_kraus_family(p: float) -> KrausFamily:
-    """Build the coin-measurement Kraus family at decoherence rate p.
 
     Raises ValueError if p is outside [0, 1].
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"decoherence rate must lie in [0, 1], got {p}")
-    ops = np.stack([
+    return np.stack([
         np.sqrt(1.0 - p) * SIGMA_0,
         (np.sqrt(p) / 2.0) * (SIGMA_0 + SIGMA_Z),
         (np.sqrt(p) / 2.0) * (SIGMA_0 - SIGMA_Z),
     ])
-    return KrausFamily(operators=ops, rate=float(p))
 
 
-def hadamard_coin_momentum(k: int, n_nodes: int) -> CoinMatrix:
-    """Hadamard coin dressed with the momentum-k shift phases.
+def hadamard_coin_momentum(k: int, n_nodes: int) -> np.ndarray:
+    """Hadamard coin dressed with the momentum-k shift phases, as a 2x2 array.
 
     For the cycle of length N the conditional shift acts on momentum state k
     as the diagonal phase diag(e^{-2 pi i k/N}, e^{2 pi i k/N}), so the
@@ -196,7 +161,7 @@ def hadamard_coin_momentum(k: int, n_nodes: int) -> CoinMatrix:
         raise ValueError(f"momentum index must satisfy 0 <= k < {n_nodes}, got {k}")
     w = np.exp(-2j * np.pi * k / n_nodes)
     phases = np.array([[w, 0], [0, np.conj(w)]], dtype=np.complex128)
-    return CoinMatrix(entries=phases @ _HADAMARD, momentum=int(k), n_nodes=int(n_nodes))
+    return phases @ _HADAMARD
 
 
 def pauli_decompose(m: np.ndarray) -> PauliVector:

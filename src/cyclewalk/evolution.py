@@ -28,10 +28,8 @@ __all__ = [
     "DensityOperator",
     "PositionDistribution",
     "walk_unitary",
-    "evolve_direct",
     "direct_trajectory",
     "position_marginal",
-    "distribution_fourier",
     "fourier_trajectory",
     "classical_reference",
 ]
@@ -46,8 +44,6 @@ class PositionDistribution:
     window); entries must be non-negative up to roundoff and sum to 1."""
 
     probs: np.ndarray
-    time: int | tuple[int, int] | None = None
-    kind: str = "instantaneous"
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -57,13 +53,8 @@ class PositionDistribution:
             raise NumericalCheckError(f"negative probability {p.min():.3e}")
         if abs(p.sum() - 1.0) > 1e-10:
             raise NumericalCheckError(f"probabilities sum to {float(p.sum())!r}, not 1")
-        if self.kind not in ("instantaneous", "time-averaged"):
-            raise ValueError(f"unknown kind {self.kind!r}")
         object.__setattr__(self, "probs", p)
         self.probs.setflags(write=False)
-
-    def __len__(self) -> int:
-        return len(self.probs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,16 +65,17 @@ class DensityOperator:
     matrix: np.ndarray
     n_nodes: int
 
-    def validate(self, hermitian_tol=1e-11, trace_tol=1e-11, psd_tol=1e-9):
+    def validate(self):
+        """Hermitian and unit trace to 1e-11, PSD to -1e-9."""
         m = self.matrix
         herm = np.abs(m - m.conj().T).max()
-        if herm > hermitian_tol:
+        if herm > 1e-11:
             raise NumericalCheckError(f"density operator not Hermitian: {herm:.3e}")
         tr = np.trace(m)
-        if abs(tr - 1.0) > trace_tol:
+        if abs(tr - 1.0) > 1e-11:
             raise NumericalCheckError(f"density operator trace {complex(tr)!r}, not 1")
         min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -psd_tol:
+        if min_eig < -1e-9:
             raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")
         return self
 
@@ -113,7 +105,7 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
     unitary = walk_unitary(n)
     unitary_dag = unitary.conj().T
     kraus_full = [np.kron(np.eye(n), a)
-                  for a in build_kraus_family(config.decoherence_rate).operators]
+                  for a in build_kraus_family(config.decoherence_rate)]
     rho = _initial_density(config)
     state = DensityOperator(matrix=rho, n_nodes=n)
     if check:
@@ -130,18 +122,11 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
         yield state
 
 
-def evolve_direct(config: WalkConfig, t: int, check: bool = True) -> DensityOperator:
-    """Density operator after t steps of the decohered walk (the oracle path)."""
-    for state in direct_trajectory(config, t, check=check):
-        pass
-    return state
-
-
 def position_marginal(rho: DensityOperator) -> PositionDistribution:
     """P(x) = tr of the coin block at node x."""
     diag = np.real(np.diagonal(rho.matrix))
     probs = diag[0::2] + diag[1::2]
-    return PositionDistribution(probs=probs, kind="instantaneous")
+    return PositionDistribution(probs=probs)
 
 
 def _fourier_state(config: WalkConfig):
@@ -170,12 +155,6 @@ def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
     return traj
 
 
-def distribution_fourier(config: WalkConfig, t: int) -> PositionDistribution:
-    """P(., t) evaluated through the momentum-pair trace sum."""
-    traj = fourier_trajectory(config, t)
-    return PositionDistribution(probs=traj[int(t)], time=int(t))
-
-
 def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     """t steps of the classical +-1 chain (probability 1/2 each) from node 0;
     the p = 1 walk's position marginal must match this exactly."""
@@ -187,7 +166,7 @@ def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     probs[0] = 1.0
     for _ in range(int(t)):
         probs = _classical_step(probs)
-    return PositionDistribution(probs=probs, time=int(t))
+    return PositionDistribution(probs=probs)
 
 
 def _classical_step(probs: np.ndarray) -> np.ndarray:

@@ -23,7 +23,6 @@ import numpy as np
 
 from .core import (
     PAULIS,
-    PauliVector,
     WalkConfig,
     build_kraus_family,
     hadamard_coin_momentum,
@@ -34,7 +33,6 @@ __all__ = [
     "SuperOp",
     "superop_definitional",
     "superop_closed_form",
-    "trace_term",
     "all_pair_matrices",
     "phase_table",
 ]
@@ -55,14 +53,6 @@ class SuperOp:
     s_plus: float
     c_minus: float
     s_minus: float
-
-    @property
-    def is_diagonal_pair(self) -> bool:
-        return self.k == self.k_prime
-
-    @property
-    def is_antipodal_pair(self) -> bool:
-        return self.n_nodes % 2 == 0 and abs(self.k_prime - self.k) == self.n_nodes // 2
 
 
 def _pair_angles(k: int, k_prime: int, n_nodes: int):
@@ -87,9 +77,9 @@ def superop_definitional(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
     """
     _check_indices(k, k_prime, config)
     n, p = config.n_nodes, config.decoherence_rate
-    kraus = build_kraus_family(p).operators
-    ck = hadamard_coin_momentum(k, n).entries
-    ckp_dag = hadamard_coin_momentum(k_prime, n).entries.conj().T
+    kraus = build_kraus_family(p)
+    ck = hadamard_coin_momentum(k, n)
+    ckp_dag = hadamard_coin_momentum(k_prime, n).conj().T
     matrix = np.empty((4, 4), dtype=np.complex128)
     for j, sigma in enumerate(PAULIS):
         image = np.zeros((2, 2), dtype=np.complex128)
@@ -132,25 +122,6 @@ def superop_closed_form(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
     return SuperOp(matrix=_closed_form_matrices(p, cp, sp, cm, sm), k=int(k),
                    k_prime=int(k_prime), n_nodes=n, rate=p,
                    c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
-
-
-def trace_term(superop: SuperOp, initial: PauliVector, t: int) -> complex:
-    """tr(L_{k,k'}^t |psi><psi|) by t matrix-vector products.
-
-    The operand must represent a rank-1 projector, whose first Pauli
-    coefficient is exactly 1/2 (half its unit trace).
-    """
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if abs(initial.coeffs[0] - 0.5) > 1e-10:
-        raise ValueError(
-            "initial operand must be a projector with first Pauli coefficient 1/2, "
-            f"got {initial.coeffs[0]}"
-        )
-    v = initial.coeffs.copy()
-    for _ in range(int(t)):
-        v = superop.matrix @ v
-    return complex(2.0 * v[0])
 
 
 def all_pair_matrices(config: WalkConfig):

@@ -11,7 +11,6 @@ gap of the walk is taken over those non-persistent pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -21,13 +20,11 @@ from .fourier import SuperOp, all_pair_matrices
 __all__ = [
     "Quartic",
     "SpectrumReport",
-    "GapResult",
     "char_poly",
     "eigenvalues",
     "pair_spectra",
     "spectral_gap",
     "classify_pair",
-    "multiset_match_distance",
 ]
 
 #: |lambda| within this of 1 counts as unit modulus.
@@ -58,9 +55,6 @@ class Quartic:
     def derivative(self, lam):
         return np.polyval(np.polyder(self.coefficients), lam)
 
-    def roots(self) -> np.ndarray:
-        return np.roots(self.coefficients)
-
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -77,14 +71,6 @@ class SpectrumReport:
         other pairs carry unit-modulus eigenvalues too."""
         return (self.has_unit_eigenvalue == (self.classification == CLASS_DIAGONAL)
                 and self.has_minus_one == (self.classification == CLASS_ANTIPODAL))
-
-
-class GapResult(NamedTuple):
-    """Spectral gap value; degenerate means unit-modulus eigenvalues persist
-    on non-persistent pairs (p = 0), so there is no decay at all."""
-
-    value: float
-    degenerate: bool
 
 
 def classify_pair(k: int, k_prime: int, n_nodes: int) -> str:
@@ -128,7 +114,15 @@ def _eigvals(matrices: np.ndarray, where) -> np.ndarray:
 
 def _reports(eig: np.ndarray, pairs, n_nodes: int) -> list:
     """SpectrumReports for a (pairs, 4) eigenvalue stack, flags taken in one
-    vectorised pass; pairs lists the (k, k') of each row."""
+    vectorised pass; pairs lists the (k, k') of each row.
+
+    Each row is put in canonical order, by real part and then by imaginary
+    part, both keys rounded to 9 decimals (the values are not), so equal
+    spectra give equal rows whatever order the eigensolver returned.
+    """
+    # numpy orders complex numbers by real part, then imaginary part
+    order = eig.round(9).argsort(axis=-1, kind="stable")
+    eig = eig[np.arange(len(eig))[:, None], order]
     radius = np.abs(eig).max(axis=1)
     unit = np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL
     minus_one = np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL
@@ -157,36 +151,17 @@ def pair_spectra(config: WalkConfig) -> list:
     return _reports(eig, [divmod(q, n) for q in range(n * n)], n)
 
 
-def spectral_gap(config: WalkConfig) -> GapResult:
+def spectral_gap(config: WalkConfig) -> float:
     """1 minus the largest eigenvalue modulus over non-persistent pairs.
 
     Diagonal pairs (and antipodal pairs for even N) carry eigenvalues of
     modulus 1 forever and are excluded; the gap over the remaining pairs
     controls the geometric convergence rate of the position distribution.
-    Positive for 0 < p <= 1; zero with the degenerate flag at p = 0.
+    Positive for 0 < p <= 1.  At p = 0 unit-modulus eigenvalues persist on
+    the other pairs too, so there is no decay: the gap is 0.0, returned
+    without an eigensolve.
     """
-    radius = max((r.spectral_radius for r in pair_spectra(config)
-                  if r.classification == CLASS_GENERIC), default=0.0)
-    gap = 1.0 - radius
-    degenerate = config.decoherence_rate == 0.0
-    if degenerate:
-        gap = 0.0
-    return GapResult(value=gap, degenerate=degenerate)
-
-
-def multiset_match_distance(a, b) -> float:
-    """Largest pairwise distance under a greedy minimal-distance matching of
-    two equal-size complex multisets.  Used to compare eigenvalue sets with
-    quartic root sets without relying on ordering."""
-    a = list(np.asarray(a, dtype=np.complex128))
-    b = list(np.asarray(b, dtype=np.complex128))
-    if len(a) != len(b):
-        raise ValueError("multisets must have equal size")
-    worst = 0.0
-    while a:
-        dist = np.array([[abs(x - y) for y in b] for x in a])
-        i, j = np.unravel_index(np.argmin(dist), dist.shape)
-        worst = max(worst, float(dist[i, j]))
-        a.pop(int(i))
-        b.pop(int(j))
-    return worst
+    if config.decoherence_rate == 0.0:
+        return 0.0
+    return 1.0 - max((r.spectral_radius for r in pair_spectra(config)
+                      if r.classification == CLASS_GENERIC), default=0.0)

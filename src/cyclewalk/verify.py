@@ -115,7 +115,10 @@ def check_unitality(profile: VerifyProfile):
     worst = 0.0
     rates = np.linspace(0.0, 1.0, 101)
     for p in rates:
-        worst = max(worst, build_kraus_family(float(p)).unitality_defect())
+        acc = np.zeros((2, 2), dtype=np.complex128)
+        for op in build_kraus_family(float(p)):
+            acc += op.conj().T @ op
+        worst = max(worst, float(np.abs(acc - np.eye(2)).max()))
     return _result("unitality", worst <= 1e-14, len(rates), worst,
                    "sum A_n^dag A_n = I over 101 rates, tol 1e-14")
 

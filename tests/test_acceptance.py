@@ -41,7 +41,7 @@ def test_acceptance_instantaneous_limits():
         cfg = WalkConfig(n_nodes=n, decoherence_rate=p)
         t_star = steps_to_uniform(cfg, tol=1e-6)
         direct = position_marginal(list(direct_trajectory(cfg, t_star, check=False))[-1])
-        limit = limiting_distribution(cfg, "odd" if t_star % 2 else "even").as_array()
+        limit = limiting_distribution(cfg, "odd" if t_star % 2 else "even")
         worst = max(worst, float(np.abs(direct.probs - limit).max()))
     _report("instantaneous-limits", worst <= 1e-6,
             f"max deviation of the density-matrix path from its limit {worst:.3e} "

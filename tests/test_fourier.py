@@ -10,7 +10,6 @@ from cyclewalk import (
     pauli_decompose,
     superop_closed_form,
     superop_definitional,
-    trace_term,
 )
 from cyclewalk.fourier import all_pair_matrices
 
@@ -19,12 +18,32 @@ def _cfg(n, p):
     return WalkConfig(n_nodes=n, decoherence_rate=p)
 
 
+def trace_term(superop, initial, t):
+    """tr(L_{k,k'}^t |psi><psi|) by t matrix-vector products: the stepwise
+    reference for the per-pair traces.
+
+    The operand must represent a rank-1 projector, whose first Pauli
+    coefficient is exactly 1/2 (half its unit trace).
+    """
+    if t < 0:
+        raise ValueError(f"t must be non-negative, got {t}")
+    if abs(initial.coeffs[0] - 0.5) > 1e-10:
+        raise ValueError(
+            "initial operand must be a projector with first Pauli coefficient 1/2, "
+            f"got {initial.coeffs[0]}"
+        )
+    v = initial.coeffs.copy()
+    for _ in range(int(t)):
+        v = superop.matrix @ v
+    return complex(2.0 * v[0])
+
+
 def _conjugate_once(k, k_prime, config, operand):
     """Literal Kraus conjugation on a 2x2 matrix, independent of the Pauli
     representation."""
-    kraus = build_kraus_family(config.decoherence_rate).operators
-    ck = hadamard_coin_momentum(k, config.n_nodes).entries
-    ckp = hadamard_coin_momentum(k_prime, config.n_nodes).entries
+    kraus = build_kraus_family(config.decoherence_rate)
+    ck = hadamard_coin_momentum(k, config.n_nodes)
+    ckp = hadamard_coin_momentum(k_prime, config.n_nodes)
     out = np.zeros((2, 2), dtype=complex)
     for a in kraus:
         out += ck @ a @ operand @ a.conj().T @ ckp.conj().T

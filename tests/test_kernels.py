@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import cyclewalk._kernels as kernels
-from cyclewalk import WalkConfig, coin_state, pauli_decompose, superop_definitional, trace_term
+from cyclewalk import WalkConfig, coin_state, pauli_decompose, superop_definitional
 from cyclewalk.fourier import all_pair_matrices, phase_table
 
 
@@ -20,35 +20,42 @@ def test_trajectory_matches_naive_double_sum():
     traj, max_imag = kernels.distribution_trajectory(matrices, v0, d_index, phase, 10)
     assert max_imag <= 1e-12
     b = pauli_decompose(np.outer(cfg.initial_coin, cfg.initial_coin.conj()))
+    traces = {}
+    for k in range(4):
+        for kp in range(4):
+            m = superop_definitional(k, kp, cfg).matrix
+            v = b.coeffs.copy()
+            traces[k, kp] = []
+            for t in range(11):
+                traces[k, kp].append(2.0 * v[0])
+                v = m @ v
     for t in range(11):
         for x in range(4):
             acc = 0.0j
             for k in range(4):
                 for kp in range(4):
-                    op = superop_definitional(k, kp, cfg)
                     acc += (np.exp(2j * np.pi * x * (k - kp) / 4)
-                            * trace_term(op, b, t))
+                            * traces[k, kp][t])
             assert abs(traj[t, x] - acc.real / 16) <= 1e-12
 
 
 def test_tv_scan_averaged_matches_trajectory_average():
     _, matrices, v0, d_index, phase = _inputs(5, 0.4)
     target = np.full(5, 0.2)
-    tv, avg, max_imag = kernels.tv_scan(matrices, v0, d_index, phase, 50, target)
+    tv, max_imag = kernels.tv_scan(matrices, v0, d_index, phase, 50, target)
     assert max_imag <= 1e-12
     traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 49)
     for tau in (1, 7, 50):
         expect = np.abs(traj[:tau].mean(axis=0) - target).sum()
         assert abs(tv[tau - 1] - expect) <= 1e-12
-    assert np.abs(avg - traj.mean(axis=0)).max() <= 1e-12
 
 
 def test_tv_scan_instantaneous_parity_targets():
     _, matrices, v0, d_index, phase = _inputs(6, 0.5)
     even = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     odd = np.array([0, 1 / 3, 0, 1 / 3, 0, 1 / 3])
-    tv, _, _ = kernels.tv_scan(matrices, v0, d_index, phase, 40, even, odd,
-                               mode=kernels.MODE_INSTANTANEOUS)
+    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 40, even, odd,
+                            mode=kernels.MODE_INSTANTANEOUS)
     traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 40)
     for t in range(1, 41):
         target = even if t % 2 == 0 else odd
@@ -58,8 +65,8 @@ def test_tv_scan_instantaneous_parity_targets():
 def test_tv_scan_early_stop_truncates():
     _, matrices, v0, d_index, phase = _inputs(4, 0.6)
     target = np.full(4, 0.25)
-    tv, _, _ = kernels.tv_scan(matrices, v0, d_index, phase, 5000, target,
-                               stop_below=0.05)
+    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 5000, target,
+                            stop_below=0.05)
     assert len(tv) < 5000
     assert tv[-1] < 0.05
     assert np.all(tv[:-1] >= 0.05)
@@ -134,10 +141,9 @@ def test_blocked_averaged_scan_matches_stepwise(n, block):
     target = np.full(n, 1.0 / n)
     reference = _stepwise(matrices, v0, d_index, n, 2 * block + 3)
     for horizon in sorted({1, block - 1, block, block + 1, 2 * block + 4} - {0}):
-        tv, avg, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target)
+        tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target)
         assert len(tv) == horizon
         assert np.abs(tv - _cesaro_tv(reference[:horizon], target)).max() <= TOL
-        assert np.abs(avg - reference[:horizon].mean(axis=0)).max() <= TOL
 
 
 def test_blocked_instantaneous_parity_across_block_boundary(block):
@@ -152,8 +158,8 @@ def test_blocked_instantaneous_parity_across_block_boundary(block):
     targets = np.where((np.arange(1, horizon + 1) % 2 == 0)[:, None], even, odd)
     expect = np.abs(reference[1:] - targets).sum(axis=1)
     for h in sorted({1, block - 1, block, block + 1, horizon} - {0}):
-        tv, _, _ = kernels.tv_scan(matrices, v0, d_index, phase, h, even, odd,
-                                   mode=kernels.MODE_INSTANTANEOUS)
+        tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, h, even, odd,
+                                mode=kernels.MODE_INSTANTANEOUS)
         assert np.abs(tv - expect[:h]).max() <= TOL
 
 
@@ -184,12 +190,10 @@ def test_blocked_scan_stops_inside_a_block(monkeypatch, mode, offset):
     wanted = 0 if offset == "first-step" else 3
     i = _first_record_low(expect, lambda i: (i + first_t) % 7 == wanted)
     threshold = 0.5 * (expect[i] + expect[:i].min())
-    tv, avg, _ = kernels.tv_scan(matrices, v0, d_index, phase, 400, target, target,
-                                 mode=mode, stop_below=threshold)
+    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 400, target, target,
+                            mode=mode, stop_below=threshold)
     assert len(tv) == i + 1
     assert np.abs(tv - expect[:i + 1]).max() <= TOL
-    if mode == kernels.MODE_AVERAGED:
-        assert np.abs(avg - reference[:i + 1].mean(axis=0)).max() <= TOL
 
 
 @pytest.mark.parametrize("n", [4, 5, 6])

@@ -1,0 +1,108 @@
+"""The public surface of the package, and the names the benchmark in
+``perfbench/`` looks up in it."""
+
+import importlib
+import importlib.util
+import inspect
+import pkgutil
+import sys
+from pathlib import Path
+
+import pytest
+
+import cyclewalk
+from cyclewalk import core, verify
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+PUBLIC = [
+    "__version__",
+    "NumericalCheckError",
+    "PauliVector",
+    "WalkConfig",
+    "build_kraus_family",
+    "coin_state",
+    "hadamard_coin_momentum",
+    "pauli_compose",
+    "pauli_decompose",
+    "SuperOp",
+    "superop_closed_form",
+    "superop_definitional",
+    "Quartic",
+    "SpectrumReport",
+    "char_poly",
+    "eigenvalues",
+    "spectral_gap",
+    "DensityOperator",
+    "PositionDistribution",
+    "classical_reference",
+    "fourier_trajectory",
+    "position_marginal",
+    "MixingReport",
+    "limiting_distribution",
+    "mixing_time_averaged",
+    "mixing_time_instantaneous",
+    "time_averaged",
+    "total_variation",
+    "uniform_deviation_bound",
+    "verify_geometric_sum",
+]
+
+
+def test_package_exports_exactly_the_public_names():
+    assert cyclewalk.__all__ == PUBLIC
+    for name in PUBLIC:
+        assert hasattr(cyclewalk, name), name
+
+
+def test_every_module_export_resolves():
+    modules = [importlib.import_module(f"cyclewalk.{info.name}")
+               for info in pkgutil.iter_modules(cyclewalk.__path__)]
+    exporting = [m for m in modules if hasattr(m, "__all__")]
+    assert core in exporting and verify in exporting
+    for module in exporting:
+        for name in module.__all__:
+            assert hasattr(module, name), f"{module.__name__}.{name}"
+    assert "KrausFamily" not in core.__all__
+    assert "CoinMatrix" not in core.__all__
+
+
+def _load(name, monkeypatch):
+    """Import perfbench/<name>.py as module ``name`` without writing bytecode
+    next to it; sys.modules is restored after the test."""
+    spec = importlib.util.spec_from_file_location(name, PERFBENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.fixture
+def perfbench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    checks = _load("checks", monkeypatch)
+    tracer = _load("tracer", monkeypatch)
+    return checks, tracer
+
+
+def test_benchmark_boundaries_are_plain_functions(perfbench):
+    _, tracer = perfbench
+    for layer, (module_name, names) in tracer.BOUNDARIES.items():
+        module = importlib.import_module(module_name)
+        for name in names:
+            assert inspect.isfunction(getattr(module, name, None)), \
+                f"{layer}: {module_name}.{name}"
+
+
+def test_benchmark_kernel_arguments_are_named_as_the_tracer_reads_them():
+    from cyclewalk import _kernels
+
+    for name, wanted in (("distribution_trajectory", {"matrices", "steps"}),
+                         ("tv_scan", {"matrices", "mode"}),
+                         ("averaged_snapshots", {"matrices", "taus"})):
+        assert wanted <= set(inspect.signature(getattr(_kernels, name)).parameters)
+
+
+def test_benchmark_verify_checks_match_the_package(perfbench):
+    checks, _ = perfbench
+    assert list(checks.VERIFY_CHECKS) == verify.CHECK_NAMES
