@@ -8,7 +8,6 @@ __version__ = "0.1.0"
 
 from .core import (
     NumericalCheckError,
-    PauliVector,
     WalkConfig,
     build_kraus_family,
     coin_state,
@@ -16,9 +15,8 @@ from .core import (
     pauli_compose,
     pauli_decompose,
 )
-from .fourier import SuperOp, superop_closed_form, superop_definitional
+from .fourier import superop_closed_form, superop_definitional
 from .spectral import (
-    Quartic,
     SpectrumReport,
     char_poly,
     eigenvalues,
@@ -45,17 +43,14 @@ from .analysis import (
 __all__ = [
     "__version__",
     "NumericalCheckError",
-    "PauliVector",
     "WalkConfig",
     "build_kraus_family",
     "coin_state",
     "hadamard_coin_momentum",
     "pauli_compose",
     "pauli_decompose",
-    "SuperOp",
     "superop_closed_form",
     "superop_definitional",
-    "Quartic",
     "SpectrumReport",
     "char_poly",
     "eigenvalues",

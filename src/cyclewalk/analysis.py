@@ -19,7 +19,6 @@ import numpy as np
 from . import _kernels
 from .core import WalkConfig
 from .evolution import PositionDistribution, _check_imag, _fourier_state
-from .fourier import SuperOp
 from .spectral import spectral_gap
 
 __all__ = [
@@ -223,13 +222,14 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
 
 def bound_unavailable_reasons(config: WalkConfig) -> list[str]:
     """Why :func:`uniform_deviation_bound` does not apply to this walk, in
-    words; empty exactly when it does (odd N, p > 0, launched from ``up``)."""
+    words; empty exactly when it does (odd N, p > 0, launched from ``up``
+    up to a global phase, i.e. |c_0| = 1 within 1e-12)."""
     reasons = []
     if config.n_nodes % 2 == 0:
         reasons.append("even cycle length")
     if config.decoherence_rate == 0.0:
         reasons.append("zero decoherence rate")
-    if not np.allclose(config.initial_coin, [1.0, 0.0], atol=1e-12):
+    if not abs(abs(config.initial_coin[0]) - 1.0) <= 1e-12:
         reasons.append("initial coin is not 'up'")
     return reasons
 
@@ -254,25 +254,27 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
     return 8.0 / (p * p * tau * n_nodes * n_nodes) * total
 
 
-def verify_geometric_sum(superop: SuperOp, tau: int) -> float:
+def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     """Max entrywise deviation between sum_{t<tau} L^t and the resolvent form
-    (I - L)^{-1} (I - L^tau).
+    (I - L)^{-1} (I - L^tau) for a 4x4 pair matrix L.
 
-    Only meaningful off the diagonal pairs: at k = k' the map has a fixed
-    point and I - L is singular.
+    Only meaningful where I - L is invertible: raises ValueError when its
+    condition number exceeds 1e12, as on the diagonal pairs k = k', whose
+    map has a fixed point.
     """
-    if superop.k == superop.k_prime:
-        raise ValueError("geometric-sum identity needs k != k' (I - L is singular)")
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    m = superop.matrix
+    eye = np.eye(4, dtype=np.complex128)
+    cond = np.linalg.cond(eye - matrix)
+    if not cond <= 1e12:
+        raise ValueError(f"geometric-sum identity needs I - L invertible, "
+                         f"cond(I - L) = {cond:.3e}")
     explicit = np.zeros((4, 4), dtype=np.complex128)
-    power = np.eye(4, dtype=np.complex128)
+    power = eye
     for _ in range(int(tau)):
         explicit += power
-        power = m @ power
-    eye = np.eye(4, dtype=np.complex128)
-    resolvent = np.linalg.solve(eye - m, eye - np.linalg.matrix_power(m, int(tau)))
+        power = matrix @ power
+    resolvent = np.linalg.solve(eye - matrix, eye - np.linalg.matrix_power(matrix, int(tau)))
     return float(np.abs(explicit - resolvent).max())
 
 

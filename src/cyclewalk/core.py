@@ -22,7 +22,6 @@ __all__ = [
     "PAULIS",
     "NumericalCheckError",
     "WalkConfig",
-    "PauliVector",
     "coin_state",
     "build_kraus_family",
     "hadamard_coin_momentum",
@@ -35,6 +34,7 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
+_PAULIS_DAG = np.stack([s.conj().T for s in PAULIS])
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -96,29 +96,6 @@ class WalkConfig:
         self.initial_coin.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class PauliVector:
-    """Coefficients (v0, vx, vy, vz) of a 2x2 operator M = sum_i v_i sigma_i.
-
-    The trace functional is linear in the first coordinate: tr(M) = 2 v0.
-    Coefficients are kept complex; they are all real exactly when M is
-    Hermitian.
-    """
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != (4,):
-            raise ValueError(f"PauliVector needs 4 coefficients, got shape {c.shape}")
-        object.__setattr__(self, "coeffs", c)
-        self.coeffs.setflags(write=False)
-
-    @property
-    def trace(self) -> complex:
-        return 2.0 * self.coeffs[0]
-
-
 def build_kraus_family(p: float) -> np.ndarray:
     """The three coin-measurement operators at rate p, stacked as (3, 2, 2):
 
@@ -141,8 +118,15 @@ def build_kraus_family(p: float) -> np.ndarray:
     ])
 
 
-def hadamard_coin_momentum(k: int, n_nodes: int) -> np.ndarray:
-    """Hadamard coin dressed with the momentum-k shift phases, as a 2x2 array.
+def _check_momenta(n_nodes: int, *indices):
+    if not all(np.all((0 <= k) & (k < n_nodes)) for k in indices):
+        raise ValueError(f"momentum indices must satisfy 0 <= k < {n_nodes}, got "
+                         + ", ".join(map(str, indices)))
+
+
+def hadamard_coin_momentum(k, n_nodes: int) -> np.ndarray:
+    """Hadamard coin dressed with the momentum-k shift phases, shape
+    k.shape + (2, 2) for an int or an int array k.
 
     For the cycle of length N the conditional shift acts on momentum state k
     as the diagonal phase diag(e^{-2 pi i k/N}, e^{2 pi i k/N}), so the
@@ -150,30 +134,27 @@ def hadamard_coin_momentum(k: int, n_nodes: int) -> np.ndarray:
 
         C_k = (1/sqrt 2) [[w, w], [1/w, -1/w]],  w = e^{-2 pi i k / N}.
 
-    Parameters
-    ----------
-    k : int
-        Momentum index, 0 <= k < n_nodes.
-    n_nodes : int
-        Cycle length N.
+    Raises ValueError unless 0 <= k < n_nodes.
     """
-    if not 0 <= k < n_nodes:
-        raise ValueError(f"momentum index must satisfy 0 <= k < {n_nodes}, got {k}")
-    w = np.exp(-2j * np.pi * k / n_nodes)
-    phases = np.array([[w, 0], [0, np.conj(w)]], dtype=np.complex128)
+    _check_momenta(n_nodes, k)
+    w = np.exp(1j * (-2.0 * np.pi * np.asarray(k) / n_nodes))
+    phases = np.zeros(w.shape + (2, 2), dtype=np.complex128)
+    phases[..., 0, 0] = w
+    phases[..., 1, 1] = np.conj(w)
     return phases @ _HADAMARD
 
 
-def pauli_decompose(m: np.ndarray) -> PauliVector:
-    """Expand a 2x2 complex matrix in the Pauli basis: v_i = tr(sigma_i m)/2."""
+def pauli_decompose(m) -> np.ndarray:
+    """Expand 2x2 complex matrices in the Pauli basis, v_i = tr(sigma_i m)/2:
+    shape (..., 2, 2) to (..., 4).  The trace functional is tr(m) = 2 v_0,
+    and the coefficients are all real exactly when m is Hermitian."""
     m = np.asarray(m, dtype=np.complex128)
-    if m.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
-    coeffs = np.array([0.5 * np.trace(s.conj().T @ m) for s in PAULIS])
-    return PauliVector(coeffs=coeffs)
+    if m.shape[-2:] != (2, 2):
+        raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
+    return 0.5 * np.trace(_PAULIS_DAG @ m[..., None, :, :], axis1=-2, axis2=-1)
 
 
-def pauli_compose(v: PauliVector | np.ndarray) -> np.ndarray:
-    """Inverse of :func:`pauli_decompose`: rebuild the 2x2 matrix."""
-    c = v.coeffs if isinstance(v, PauliVector) else np.asarray(v, dtype=np.complex128)
-    return c[0] * SIGMA_0 + c[1] * SIGMA_X + c[2] * SIGMA_Y + c[3] * SIGMA_Z
+def pauli_compose(v) -> np.ndarray:
+    """Inverse of :func:`pauli_decompose`: shape (..., 4) to (..., 2, 2)."""
+    c0, cx, cy, cz = np.moveaxis(np.asarray(v, dtype=np.complex128), -1, 0)[..., None, None]
+    return c0 * SIGMA_0 + cx * SIGMA_X + cy * SIGMA_Y + cz * SIGMA_Z

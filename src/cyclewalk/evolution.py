@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import NumericalCheckError, WalkConfig, build_kraus_family, pauli_decompose
+from .core import _HADAMARD, NumericalCheckError, WalkConfig, build_kraus_family, pauli_decompose
 from .fourier import all_pair_matrices, phase_table
 
 __all__ = [
@@ -63,7 +63,6 @@ class DensityOperator:
     node x owns the 2x2 coin block at rows/columns 2x, 2x+1."""
 
     matrix: np.ndarray
-    n_nodes: int
 
     def validate(self):
         """Hermitian and unit trace to 1e-11, PSD to -1e-9."""
@@ -83,12 +82,11 @@ class DensityOperator:
 def walk_unitary(n_nodes: int) -> np.ndarray:
     """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
     n = int(n_nodes)
-    hadamard = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
     shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     for x in range(n):
         shift[2 * ((x + 1) % n), 2 * x] = 1.0          # coin |1> steps forward
         shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # coin |-1> steps backward
-    return shift @ np.kron(np.eye(n), hadamard)
+    return shift @ np.kron(np.eye(n), _HADAMARD)
 
 
 def _initial_density(config: WalkConfig) -> np.ndarray:
@@ -107,7 +105,7 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
     kraus_full = [np.kron(np.eye(n), a)
                   for a in build_kraus_family(config.decoherence_rate)]
     rho = _initial_density(config)
-    state = DensityOperator(matrix=rho, n_nodes=n)
+    state = DensityOperator(matrix=rho)
     if check:
         state.validate()
     yield state
@@ -116,7 +114,7 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
         for op in kraus_full:
             mixed += op @ rho @ op.conj().T
         rho = unitary @ mixed @ unitary_dag
-        state = DensityOperator(matrix=rho, n_nodes=n)
+        state = DensityOperator(matrix=rho)
         if check:
             state.validate()
         yield state
@@ -132,7 +130,7 @@ def position_marginal(rho: DensityOperator) -> PositionDistribution:
 def _fourier_state(config: WalkConfig):
     matrices, d_index = all_pair_matrices(config)
     projector = np.outer(config.initial_coin, config.initial_coin.conj())
-    v0 = np.tile(pauli_decompose(projector).coeffs, (config.n_nodes ** 2, 1))
+    v0 = np.tile(pauli_decompose(projector), (config.n_nodes ** 2, 1))
     return matrices, v0, d_index, phase_table(config.n_nodes)
 
 

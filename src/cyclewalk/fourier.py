@@ -5,32 +5,32 @@ For each momentum pair (k, k') the one-step action on coin operators is
     L_{k,k'}(B) = sum_n C_k A_n B A_n^dag C_{k'}^dag,
 
 a linear (not trace-preserving, unless k = k') map represented here as a 4x4
-complex matrix in the Pauli basis.  Two constructions are provided: a closed
-form in terms of cos/sin of 2 pi (k' +- k)/N, and the definitional one, built
-column by column from the Kraus conjugation above.  The engine evolves the
+complex matrix in the Pauli basis.  Pair matrices are plain arrays: both
+constructions take ints or broadcastable int arrays k, k' and return
+shape + (4, 4), so one call builds a whole stack.  The closed form is written
+in cos/sin of 2 pi (k' +- k)/N; the definitional one applies the Kraus
+conjugation above to each Pauli basis element.  The engine evolves the
 closed form, built for all N^2 pairs at once by :func:`all_pair_matrices`;
-the definitional construction is the oracle that the ``closedform`` verify
-check compares it against.  The closed form also keeps the persistent
-structure exact: on diagonal pairs the first row is exactly (1, 0, 0, 0),
-so the trace of every diagonal pair stays exactly 1 for all t.
+the definitional construction is the oracle that the ``closedform`` and
+``spectrum`` verify checks inspect.  The closed form also keeps the
+persistent structure exact: on diagonal pairs the first row is exactly
+(1, 0, 0, 0), so the trace of every diagonal pair stays exactly 1 for all t.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     PAULIS,
     WalkConfig,
+    _check_momenta,
     build_kraus_family,
     hadamard_coin_momentum,
     pauli_decompose,
 )
 
 __all__ = [
-    "SuperOp",
     "superop_definitional",
     "superop_closed_form",
     "all_pair_matrices",
@@ -38,69 +38,42 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class SuperOp:
-    """4x4 Pauli-basis matrix of the pair superoperator, tagged with its
-    momentum indices, cycle length, decoherence rate and the phase cosines
-    c+- = cos(2 pi (k' +- k)/N), s+- = sin(2 pi (k' +- k)/N)."""
-
-    matrix: np.ndarray
-    k: int
-    k_prime: int
-    n_nodes: int
-    rate: float
-    c_plus: float
-    s_plus: float
-    c_minus: float
-    s_minus: float
-
-
-def _pair_angles(k: int, k_prime: int, n_nodes: int):
+def _pair_angles(k, k_prime, n_nodes: int):
+    """c+, s+, c-, s- = cos/sin of 2 pi (k' +- k)/N."""
     plus = 2.0 * np.pi * (k_prime + k) / n_nodes
     minus = 2.0 * np.pi * (k_prime - k) / n_nodes
     return np.cos(plus), np.sin(plus), np.cos(minus), np.sin(minus)
 
 
-def _check_indices(k: int, k_prime: int, config: WalkConfig):
-    n = config.n_nodes
-    if not (0 <= k < n and 0 <= k_prime < n):
-        raise ValueError(
-            f"momentum indices must satisfy 0 <= k, k' < {n}, got ({k}, {k_prime})"
-        )
-
-
-def superop_definitional(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
-    """Build L_{k,k'} column by column from the Kraus conjugation.
+def superop_definitional(k, k_prime, config: WalkConfig) -> np.ndarray:
+    """L_{k,k'} from the Kraus conjugation, shape broadcast(k, k').shape +
+    (4, 4).
 
     Column j holds the Pauli coefficients of
-    sum_n C_k A_n sigma_j A_n^dag C_{k'}^dag.
+    sum_n C_k A_n sigma_j A_n^dag C_{k'}^dag, each product taken left to
+    right and the terms summed over n.
     """
-    _check_indices(k, k_prime, config)
-    n, p = config.n_nodes, config.decoherence_rate
-    kraus = build_kraus_family(p)
-    ck = hadamard_coin_momentum(k, n)
-    ckp_dag = hadamard_coin_momentum(k_prime, n).conj().T
-    matrix = np.empty((4, 4), dtype=np.complex128)
-    for j, sigma in enumerate(PAULIS):
-        image = np.zeros((2, 2), dtype=np.complex128)
-        for a in kraus:
-            image += ck @ a @ sigma @ a.conj().T @ ckp_dag
-        matrix[:, j] = pauli_decompose(image).coeffs
-    cp, sp, cm, sm = _pair_angles(k, k_prime, n)
-    return SuperOp(matrix=matrix, k=int(k), k_prime=int(k_prime), n_nodes=n,
-                   rate=p, c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
+    n = config.n_nodes
+    kraus = build_kraus_family(config.decoherence_rate)[:, None]
+    ck = hadamard_coin_momentum(k, n)[..., None, None, :, :]
+    ckp_dag = hadamard_coin_momentum(k_prime, n).conj().swapaxes(-1, -2)[..., None, None, :, :]
+    images = (ck @ kraus @ np.stack(PAULIS) @ kraus.conj().swapaxes(-1, -2)
+              @ ckp_dag).sum(axis=-4)
+    return pauli_decompose(images).swapaxes(-1, -2)
 
 
-def _closed_form_matrices(rate: float, c_plus, s_plus, c_minus, s_minus) -> np.ndarray:
-    """Closed-form pair matrices for broadcastable arrays of phase cosines
-    and sines; shape angles.shape + (4, 4).  With q = 1 - p:
+def superop_closed_form(k, k_prime, config: WalkConfig) -> np.ndarray:
+    """Closed-form L_{k,k'}, shape broadcast(k, k').shape + (4, 4).  With
+    q = 1 - p, c+- = cos 2 pi (k' +- k)/N and s+- = sin 2 pi (k' +- k)/N:
 
         [ c-    i q s-   0       0  ]
         [ 0     0        q s+    c+ ]
         [ 0     0       -q c+    s+ ]
         [ i s-  q c-     0       0  ]
     """
-    q = 1.0 - rate
+    _check_momenta(config.n_nodes, k, k_prime)
+    c_plus, s_plus, c_minus, s_minus = _pair_angles(k, k_prime, config.n_nodes)
+    q = 1.0 - config.decoherence_rate
     matrix = np.zeros(np.shape(c_plus) + (4, 4), dtype=np.complex128)
     matrix[..., 0, 0] = c_minus
     matrix[..., 0, 1] = 1j * q * s_minus
@@ -113,17 +86,6 @@ def _closed_form_matrices(rate: float, c_plus, s_plus, c_minus, s_minus) -> np.n
     return matrix
 
 
-def superop_closed_form(k: int, k_prime: int, config: WalkConfig) -> SuperOp:
-    """Closed-form matrix of L_{k,k'}, entry for entry the one that
-    :func:`all_pair_matrices` stores for the pair."""
-    _check_indices(k, k_prime, config)
-    n, p = config.n_nodes, config.decoherence_rate
-    cp, sp, cm, sm = _pair_angles(k, k_prime, n)
-    return SuperOp(matrix=_closed_form_matrices(p, cp, sp, cm, sm), k=int(k),
-                   k_prime=int(k_prime), n_nodes=n, rate=p,
-                   c_plus=cp, s_plus=sp, c_minus=cm, s_minus=sm)
-
-
 def all_pair_matrices(config: WalkConfig):
     """Stack of all N^2 closed-form pair matrices plus the (k - k') mod N
     index per pair, built in one vectorised pass.
@@ -134,8 +96,7 @@ def all_pair_matrices(config: WalkConfig):
     """
     n = config.n_nodes
     k, k_prime = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    matrices = _closed_form_matrices(config.decoherence_rate, *_pair_angles(k, k_prime, n))
-    return matrices, (k - k_prime) % n
+    return superop_closed_form(k, k_prime, config), (k - k_prime) % n
 
 
 def phase_table(n_nodes: int) -> np.ndarray:

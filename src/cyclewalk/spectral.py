@@ -1,6 +1,11 @@
 """Spectra of the pair superoperators: characteristic quartic, eigenvalues
 and the persistent-eigenvalue classification.
 
+:func:`char_poly` broadcasts over momentum-index arrays like the pair
+constructions of :mod:`cyclewalk.fourier`; :func:`eigenvalues` takes a
+whole stack in the :func:`~cyclewalk.fourier.all_pair_matrices` layout
+(pair (k, k') at row k*N + k') and diagonalises it in one call.
+
 Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
 (exactly on diagonal pairs k = k') and -1 (exactly on antipodal pairs
@@ -14,15 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NumericalCheckError, WalkConfig
-from .fourier import SuperOp, all_pair_matrices
+from .core import NumericalCheckError, WalkConfig, _check_momenta
+from .fourier import _pair_angles, all_pair_matrices
 
 __all__ = [
-    "Quartic",
     "SpectrumReport",
     "char_poly",
     "eigenvalues",
-    "pair_spectra",
     "spectral_gap",
     "classify_pair",
 ]
@@ -33,27 +36,6 @@ UNIT_MODULUS_TOL = 1e-9
 CLASS_DIAGONAL = "diagonal-pair"
 CLASS_ANTIPODAL = "antipodal-pair"
 CLASS_GENERIC = "generic"
-
-
-@dataclass(frozen=True, eq=False)
-class Quartic:
-    """Monic quartic a4 l^4 + a3 l^3 + a2 l^2 + a1 l + a0, coefficients
-    stored highest degree first (a4 = 1)."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coefficients, dtype=np.float64)
-        if c.shape != (5,) or c[0] != 1.0:
-            raise ValueError("need 5 real coefficients with leading coefficient 1")
-        object.__setattr__(self, "coefficients", c)
-        self.coefficients.setflags(write=False)
-
-    def __call__(self, lam):
-        return np.polyval(self.coefficients, lam)
-
-    def derivative(self, lam):
-        return np.polyval(np.polyder(self.coefficients), lam)
 
 
 @dataclass(frozen=True, eq=False)
@@ -81,8 +63,9 @@ def classify_pair(k: int, k_prime: int, n_nodes: int) -> str:
     return CLASS_GENERIC
 
 
-def char_poly(superop: SuperOp) -> Quartic:
-    """Characteristic polynomial det(lambda I - L) in closed form.
+def char_poly(k, k_prime, config: WalkConfig) -> np.ndarray:
+    """Coefficients of det(lambda I - L_{k,k'}) in closed form, highest
+    degree first, shape broadcast(k, k').shape + (5,).
 
     With q = 1 - p, c+ = cos 2 pi (k'+k)/N and c- = cos 2 pi (k'-k)/N:
 
@@ -92,34 +75,30 @@ def char_poly(superop: SuperOp) -> Quartic:
     The constant term q^2 is the product of the eigenvalue moduli; it pins
     how much total contraction one step applies.
     """
-    q = 1.0 - superop.rate
-    cp, cm = superop.c_plus, superop.c_minus
-    return Quartic(coefficients=np.array([
-        1.0,
-        q * cp - cm,
-        -2.0 * q * cp * cm,
-        q * (cp - q * cm),
-        q * q,
-    ]))
+    _check_momenta(config.n_nodes, k, k_prime)
+    q = 1.0 - config.decoherence_rate
+    cp, _, cm, _ = _pair_angles(k, k_prime, config.n_nodes)
+    return np.stack(np.broadcast_arrays(
+        1.0, q * cp - cm, -2.0 * q * cp * cm, q * (cp - q * cm), q * q), axis=-1)
 
 
-def _eigvals(matrices: np.ndarray, where) -> np.ndarray:
-    """Eigenvalues of a (pairs, 4, 4) stack; where() names the stack in the
-    error raised if the solver fails."""
-    try:
-        return np.linalg.eigvals(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalCheckError(f"eigensolver failed on {where()}: {exc}") from exc
-
-
-def _reports(eig: np.ndarray, pairs, n_nodes: int) -> list:
-    """SpectrumReports for a (pairs, 4) eigenvalue stack, flags taken in one
-    vectorised pass; pairs lists the (k, k') of each row.
+def eigenvalues(matrices: np.ndarray, n_nodes: int) -> list:
+    """SpectrumReport of each pair of an (N^2, 4, 4) stack laid out as
+    :func:`~cyclewalk.fourier.all_pair_matrices` lays it out (pair (k, k')
+    at row k*N + k'), from one batched eigensolve, in row order.
 
     Each row is put in canonical order, by real part and then by imaginary
     part, both keys rounded to 9 decimals (the values are not), so equal
     spectra give equal rows whatever order the eigensolver returned.
     """
+    if matrices.shape != (n_nodes * n_nodes, 4, 4):
+        raise ValueError(f"expected an ({n_nodes * n_nodes}, 4, 4) pair stack, "
+                         f"got shape {matrices.shape}")
+    try:
+        eig = np.linalg.eigvals(matrices)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalCheckError(
+            f"eigensolver failed on the pair stack (N={n_nodes}): {exc}") from exc
     # numpy orders complex numbers by real part, then imaginary part
     order = eig.round(9).argsort(axis=-1, kind="stable")
     eig = eig[np.arange(len(eig))[:, None], order]
@@ -129,26 +108,9 @@ def _reports(eig: np.ndarray, pairs, n_nodes: int) -> list:
     return [
         SpectrumReport(eigenvalues=eig[q], spectral_radius=float(radius[q]),
                        has_unit_eigenvalue=bool(unit[q]), has_minus_one=bool(minus_one[q]),
-                       classification=classify_pair(k, k_prime, n_nodes))
-        for q, (k, k_prime) in enumerate(pairs)
+                       classification=classify_pair(*divmod(q, n_nodes), n_nodes))
+        for q in range(len(eig))
     ]
-
-
-def eigenvalues(superop: SuperOp) -> SpectrumReport:
-    """Eigenvalues of the 4x4 pair matrix with the persistent-eigenvalue
-    flags and the structural pair classification."""
-    eig = _eigvals(superop.matrix[None], lambda: (
-        f"pair (k={superop.k}, k'={superop.k_prime}); matrix={superop.matrix!r}"))
-    return _reports(eig, [(superop.k, superop.k_prime)], superop.n_nodes)[0]
-
-
-def pair_spectra(config: WalkConfig) -> list:
-    """SpectrumReport of every pair matrix of :func:`all_pair_matrices`, in
-    its row order (pair (k, k') at k*N + k'), from one batched eigensolve."""
-    n = config.n_nodes
-    matrices, _ = all_pair_matrices(config)
-    eig = _eigvals(matrices, lambda: f"the pair stack (N={n}, p={config.decoherence_rate})")
-    return _reports(eig, [divmod(q, n) for q in range(n * n)], n)
 
 
 def spectral_gap(config: WalkConfig) -> float:
@@ -163,5 +125,6 @@ def spectral_gap(config: WalkConfig) -> float:
     """
     if config.decoherence_rate == 0.0:
         return 0.0
-    return 1.0 - max((r.spectral_radius for r in pair_spectra(config)
+    reports = eigenvalues(all_pair_matrices(config)[0], config.n_nodes)
+    return 1.0 - max((r.spectral_radius for r in reports
                       if r.classification == CLASS_GENERIC), default=0.0)

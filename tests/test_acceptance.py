@@ -59,23 +59,17 @@ def test_acceptance_verify_determinism(tmp_path, capsys):
 
 def _shift_first_entry(build):
     def shifted(k, k_prime, config):
-        op = build(k, k_prime, config)
-        matrix = op.matrix.copy()
-        matrix[0, 0] += 1e-9
-        return dataclasses.replace(op, matrix=matrix)
+        matrix = build(k, k_prime, config).copy()
+        matrix[..., 0, 0] += 1e-9
+        return matrix
     return shifted
 
 
-def _misplace(report):
-    return dataclasses.replace(report, has_unit_eigenvalue=not report.has_unit_eigenvalue)
-
-
-def _misplace_unit_eigenvalue(eigenvalues):
-    return lambda superop: _misplace(eigenvalues(superop))
-
-
-def _misplace_unit_eigenvalues(pair_spectra):
-    return lambda config: [_misplace(report) for report in pair_spectra(config)]
+def _misplace_unit_eigenvalues(eigenvalues):
+    def misplaced(matrices, n_nodes):
+        return [dataclasses.replace(r, has_unit_eigenvalue=not r.has_unit_eigenvalue)
+                for r in eigenvalues(matrices, n_nodes)]
+    return misplaced
 
 
 def _spectrum_summary_placement_ok(tmp_path):
@@ -86,21 +80,27 @@ def _spectrum_summary_placement_ok(tmp_path):
     return json.loads(summary.read_text())["persistent_eigenvalue_placement_ok"]
 
 
+#: criterion -> (check it breaks, or None for the spectrum CLI summary;
+#: module and name of the input replaced; how the input is broken)
 _MUTANTS = {
-    "closedform": (verify, "superop_closed_form", _shift_first_entry),
-    "oracle": (verify, "fourier_trajectory", lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
-    "mixbound": (verify, "uniform_deviation_bound", lambda fn: lambda *a: 0.0 * fn(*a)),
-    "spectrum": (verify, "eigenvalues", _misplace_unit_eigenvalue),
-    "spectrum-summary": (cli, "pair_spectra", _misplace_unit_eigenvalues),
+    "closedform": ("closedform", verify, "superop_closed_form", _shift_first_entry),
+    "oracle": ("oracle", verify, "fourier_trajectory",
+               lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
+    "mixbound": ("mixbound", verify, "uniform_deviation_bound",
+                 lambda fn: lambda *a: 0.0 * fn(*a)),
+    "spectrum": ("spectrum", verify, "eigenvalues", _misplace_unit_eigenvalues),
+    "spectrum-oracle": ("spectrum", verify, "superop_definitional",
+                        lambda fn: lambda *a: 1.01 * fn(*a)),
+    "spectrum-summary": (None, cli, "eigenvalues", _misplace_unit_eigenvalues),
 }
 
 
 @pytest.mark.parametrize("criterion", _MUTANTS)
 def test_acceptance_criterion_fails_on_a_broken_input(monkeypatch, tmp_path, criterion):
-    module, attr, mutate = _MUTANTS[criterion]
+    check, module, attr, mutate = _MUTANTS[criterion]
     monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
-    if criterion == "spectrum-summary":
+    if check is None:
         passed = _spectrum_summary_placement_ok(tmp_path)
     else:
-        passed = getattr(verify, f"check_{criterion}")(verify.PROFILES["quick"])["passed"]
+        passed = getattr(verify, f"check_{check}")(verify.PROFILES["quick"])["passed"]
     assert passed is False

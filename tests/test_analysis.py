@@ -199,6 +199,20 @@ def test_bound_unavailable_reasons():
         "even cycle length", "zero decoherence rate", "initial coin is not 'up'"]
 
 
+def test_bound_applies_to_up_under_a_global_phase():
+    # i|1> and e^{i theta}|1> are the state |1>: same walk, same bound
+    for phase in (1j, -1.0, np.exp(0.7j)):
+        cfg = WalkConfig(n_nodes=9, decoherence_rate=0.2, initial_coin=[phase, 0.0])
+        assert bound_unavailable_reasons(cfg) == []
+        report = mixing_time_averaged(cfg, 0.05, horizon=2000)
+        up = mixing_time_averaged(_cfg(9, 0.2), 0.05, horizon=2000)
+        assert report.bound_value == up.bound_value is not None
+        assert np.abs(report.tv_trace - up.tv_trace).max() <= 1e-12
+    tilted = WalkConfig(n_nodes=9, decoherence_rate=0.2,
+                        initial_coin=[np.cos(1e-3), np.sin(1e-3)])
+    assert bound_unavailable_reasons(tilted) == ["initial coin is not 'up'"]
+
+
 def test_bound_dominates_measured_deviation():
     for n in (5, 9):
         for tau in (100, 1000):
@@ -217,8 +231,9 @@ def test_geometric_sum_identity():
 
 
 def test_geometric_sum_rejects_diagonal_pairs():
+    # I - L is singular on diagonal pairs (L fixes the identity)
     diag = superop_definitional(2, 2, _cfg(5, 0.4))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="invertible"):
         verify_geometric_sum(diag, 10)
     off = superop_definitional(1, 2, _cfg(5, 0.4))
     with pytest.raises(ValueError):

@@ -184,6 +184,19 @@ def test_mixing_bound_not_available_for_down_coin(tmp_path, capsys):
     assert json.loads(out.read_text())["bound"] is None
 
 
+def test_mixing_up_coin_under_a_global_phase_keeps_the_bound(tmp_path, capsys):
+    # 0,1,0,0 is i|1>, the 'up' state up to a global phase
+    outputs = {}
+    for coin in ("up", "0,1,0,0"):
+        outputs[coin] = tmp_path / f"mix-{coin}.json"
+        code, _, _ = _run(capsys, "mixing", "--nodes", "9", "--decoherence", "0.2",
+                          "--epsilon", "0.05", "--horizon", "2000", "--initial-coin", coin,
+                          "--bound", "require", "--output", str(outputs[coin]))
+        assert code == 0
+    assert outputs["0,1,0,0"].read_bytes() == outputs["up"].read_bytes()
+    assert json.loads(outputs["up"].read_text())["bound"] is not None
+
+
 def test_mixing_bound_required_on_even_cycle_is_usage_error(capsys):
     code, _, err = _run(capsys, "mixing", "--nodes", "8", "--decoherence", "0.5",
                         "--epsilon", "0.05", "--bound", "require")

@@ -72,11 +72,14 @@ def test_momentum_coin_quarter_turn():
 
 def test_momentum_coin_unitary_for_all_momenta():
     for n in range(2, 65):
+        stack = hadamard_coin_momentum(np.arange(n), n)
+        assert stack.shape == (n, 2, 2)
         for k in range(n):
-            assert _unitarity_defect(hadamard_coin_momentum(k, n)) <= 1e-13
+            assert np.array_equal(stack[k], hadamard_coin_momentum(k, n))
+            assert _unitarity_defect(stack[k]) <= 1e-13
 
 
-@pytest.mark.parametrize("k,n", [(-1, 4), (4, 4), (7, 5)])
+@pytest.mark.parametrize("k,n", [(-1, 4), (4, 4), (7, 5), (np.array([0, 5]), 5)])
 def test_momentum_coin_rejects_out_of_range_momentum(k, n):
     with pytest.raises(ValueError):
         hadamard_coin_momentum(k, n)
@@ -84,39 +87,46 @@ def test_momentum_coin_rejects_out_of_range_momentum(k, n):
 
 def test_pauli_roundtrip_on_random_matrices():
     rng = np.random.default_rng(1)
-    for _ in range(100):
-        m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        back = pauli_compose(pauli_decompose(m))
-        assert np.abs(back - m).max() <= 1e-13
+    stack = rng.normal(size=(100, 2, 2)) + 1j * rng.normal(size=(100, 2, 2))
+    coeffs = pauli_decompose(stack)
+    assert coeffs.shape == (100, 4)
+    assert np.abs(pauli_compose(coeffs) - stack).max() <= 1e-13
+    for m, row in zip(stack, coeffs):
+        assert np.array_equal(pauli_decompose(m), row)
+        assert np.abs(pauli_compose(pauli_decompose(m)) - m).max() <= 1e-13
+    grid = stack.reshape(5, 20, 2, 2)
+    assert np.array_equal(pauli_decompose(grid), coeffs.reshape(5, 20, 4))
 
 
 def test_pauli_roundtrip_on_random_coefficients():
     rng = np.random.default_rng(4)
-    from cyclewalk import PauliVector
-
-    for _ in range(50):
-        coeffs = rng.normal(size=4) + 1j * rng.normal(size=4)
-        vec = PauliVector(coeffs=coeffs)
-        back = pauli_decompose(pauli_compose(vec))
-        assert np.abs(back.coeffs - coeffs).max() <= 1e-14
+    stack = rng.normal(size=(50, 4)) + 1j * rng.normal(size=(50, 4))
+    matrices = pauli_compose(stack)
+    assert matrices.shape == (50, 2, 2)
+    assert np.abs(pauli_decompose(matrices) - stack).max() <= 1e-14
+    for coeffs, m in zip(stack, matrices):
+        assert np.array_equal(pauli_compose(coeffs), m)
+        assert np.abs(pauli_decompose(pauli_compose(coeffs)) - coeffs).max() <= 1e-14
+    with pytest.raises(ValueError):
+        pauli_decompose(np.zeros((2, 3)))
 
 
 def test_pauli_launch_projector_coefficients():
     up = coin_state("up")
-    vec = pauli_decompose(np.outer(up, up.conj()))
-    assert np.allclose(vec.coeffs, [0.5, 0.0, 0.0, 0.5], atol=1e-15)
+    assert np.allclose(pauli_decompose(np.outer(up, up.conj())), [0.5, 0.0, 0.0, 0.5],
+                       atol=1e-15)
 
 
 def test_pauli_basis_elements_decompose_to_unit_vectors():
-    assert np.allclose(pauli_decompose(SIGMA_0).coeffs, [1, 0, 0, 0], atol=1e-15)
-    assert np.allclose(pauli_decompose(SIGMA_X).coeffs, [0, 1, 0, 0], atol=1e-15)
+    assert np.allclose(pauli_decompose(SIGMA_0), [1, 0, 0, 0], atol=1e-15)
+    assert np.allclose(pauli_decompose(SIGMA_X), [0, 1, 0, 0], atol=1e-15)
 
 
 def test_pauli_trace_functional_matches_matrix_trace():
     rng = np.random.default_rng(2)
     for _ in range(30):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        assert abs(pauli_decompose(m).trace - np.trace(m)) <= 1e-13
+        assert abs(2.0 * pauli_decompose(m)[0] - np.trace(m)) <= 1e-13
 
 
 def test_pauli_hermitian_operators_have_real_coefficients():
@@ -124,13 +134,13 @@ def test_pauli_hermitian_operators_have_real_coefficients():
     for _ in range(30):
         m = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         herm = m + m.conj().T
-        coeffs = pauli_decompose(herm).coeffs
+        coeffs = pauli_decompose(herm)
         assert np.abs(coeffs.imag).max() <= 1e-12
 
 
 def test_pauli_y_coefficient_sign():
     # sigma_y itself must decompose to the third unit vector, not its negative
-    assert np.allclose(pauli_decompose(SIGMA_Y).coeffs, [0, 0, 1, 0], atol=1e-15)
+    assert np.allclose(pauli_decompose(SIGMA_Y), [0, 0, 1, 0], atol=1e-15)
 
 
 def test_walk_config_validates_inputs():

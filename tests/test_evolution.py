@@ -72,7 +72,7 @@ def test_density_invariants_hold_along_trajectory():
 
 def test_position_marginal_of_maximally_mixed_state():
     n = 7
-    rho = DensityOperator(matrix=np.eye(2 * n, dtype=complex) / (2 * n), n_nodes=n)
+    rho = DensityOperator(matrix=np.eye(2 * n, dtype=complex) / (2 * n))
     assert np.abs(position_marginal(rho).probs - 1.0 / n).max() <= 1e-14
 
 
@@ -152,6 +152,6 @@ def test_position_distribution_validation():
 
 
 def test_density_operator_validation():
-    bad = DensityOperator(matrix=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex), n_nodes=2)
+    bad = DensityOperator(matrix=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex))
     with pytest.raises(NumericalCheckError):
         bad.validate()

@@ -11,6 +11,7 @@ from cyclewalk import (
     superop_closed_form,
     superop_definitional,
 )
+from cyclewalk.core import PAULIS
 from cyclewalk.fourier import all_pair_matrices
 
 
@@ -18,24 +19,41 @@ def _cfg(n, p):
     return WalkConfig(n_nodes=n, decoherence_rate=p)
 
 
-def trace_term(superop, initial, t):
+def trace_term(matrix, initial, t):
     """tr(L_{k,k'}^t |psi><psi|) by t matrix-vector products: the stepwise
     reference for the per-pair traces.
 
-    The operand must represent a rank-1 projector, whose first Pauli
-    coefficient is exactly 1/2 (half its unit trace).
+    The operand must be the Pauli coefficients of a rank-1 projector, whose
+    first coefficient is exactly 1/2 (half its unit trace).
     """
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    if abs(initial.coeffs[0] - 0.5) > 1e-10:
+    if abs(initial[0] - 0.5) > 1e-10:
         raise ValueError(
             "initial operand must be a projector with first Pauli coefficient 1/2, "
-            f"got {initial.coeffs[0]}"
+            f"got {initial[0]}"
         )
-    v = initial.coeffs.copy()
+    v = initial.copy()
     for _ in range(int(t)):
-        v = superop.matrix @ v
+        v = matrix @ v
     return complex(2.0 * v[0])
+
+
+def _definitional_reference(k, k_prime, config):
+    """One pair matrix built column by column from the Kraus conjugation, one
+    Kraus term at a time: the per-pair construction that the batched
+    superop_definitional must reproduce bit for bit."""
+    n = config.n_nodes
+    kraus = build_kraus_family(config.decoherence_rate)
+    ck = hadamard_coin_momentum(k, n)
+    ckp_dag = hadamard_coin_momentum(k_prime, n).conj().T
+    matrix = np.empty((4, 4), dtype=np.complex128)
+    for j, sigma in enumerate(PAULIS):
+        image = np.zeros((2, 2), dtype=np.complex128)
+        for a in kraus:
+            image += ck @ a @ sigma @ a.conj().T @ ckp_dag
+        matrix[:, j] = pauli_decompose(image)
+    return matrix
 
 
 def _conjugate_once(k, k_prime, config, operand):
@@ -58,8 +76,8 @@ def test_closed_form_matches_definitional_construction():
         k, kp = int(rng.integers(n)), int(rng.integers(n))
         p = float(rng.uniform(0, 1))
         cfg = _cfg(n, p)
-        gap = np.abs(superop_definitional(k, kp, cfg).matrix
-                     - superop_closed_form(k, kp, cfg).matrix).max()
+        gap = np.abs(superop_definitional(k, kp, cfg)
+                     - superop_closed_form(k, kp, cfg)).max()
         worst = max(worst, float(gap))
     assert worst <= 1e-12
 
@@ -67,30 +85,29 @@ def test_closed_form_matches_definitional_construction():
 def test_closed_form_zero_momentum_block():
     # c+ = c- = 1 and s+ = s- = 0 leave the permutation-with-damping skeleton
     p = 0.3
-    op = superop_closed_form(0, 0, _cfg(6, p))
+    matrix = superop_closed_form(0, 0, _cfg(6, p))
     expect = np.array([
         [1, 0, 0, 0],
         [0, 0, 0, 1],
         [0, 0, p - 1, 0],
         [0, 1 - p, 0, 0],
     ], dtype=complex)
-    assert np.abs(op.matrix - expect).max() <= 1e-15
+    assert np.abs(matrix - expect).max() <= 1e-15
 
 
 def test_closed_form_full_dephasing_kills_damped_entries():
-    op = superop_closed_form(2, 5, _cfg(7, 1.0))
-    m = op.matrix
+    m = superop_closed_form(2, 5, _cfg(7, 1.0))
     assert m[0, 1] == 0 and m[1, 2] == 0 and m[2, 2] == 0 and m[3, 1] == 0
-    assert abs(m[0, 0] - op.c_minus) <= 1e-15
+    assert abs(m[0, 0] - np.cos(2 * np.pi * 3 / 7)) <= 1e-15
 
 
 def test_matrix_action_matches_kraus_conjugation():
     rng = np.random.default_rng(11)
     cfg = _cfg(9, 0.35)
-    op = superop_definitional(2, 6, cfg)
+    matrix = superop_definitional(2, 6, cfg)
     for _ in range(20):
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        via_matrix = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
+        via_matrix = pauli_compose(matrix @ pauli_decompose(operand))
         direct = _conjugate_once(2, 6, cfg, operand)
         assert np.abs(via_matrix - direct).max() <= 1e-12
 
@@ -98,23 +115,21 @@ def test_matrix_action_matches_kraus_conjugation():
 def test_coherent_diagonal_pair_preserves_inner_product():
     rng = np.random.default_rng(12)
     cfg = _cfg(7, 0.0)
-    op = superop_definitional(3, 3, cfg)
+    matrix = superop_definitional(3, 3, cfg)
     for _ in range(20):
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
+        image = pauli_compose(matrix @ pauli_decompose(operand))
         assert abs(np.vdot(image, image).real - np.vdot(operand, operand).real) <= 1e-12
 
 
 def test_diagonal_pair_has_unit_eigenvalue():
     for p in (0.1, 0.5, 0.9):
-        op = superop_definitional(0, 0, _cfg(5, p))
-        eig = np.linalg.eigvals(op.matrix)
+        eig = np.linalg.eigvals(superop_definitional(0, 0, _cfg(5, p)))
         assert np.abs(eig - 1.0).min() <= 1e-9
 
 
 def test_antipodal_pair_has_minus_one_eigenvalue():
-    op = superop_definitional(0, 2, _cfg(4, 0.3))
-    eig = np.linalg.eigvals(op.matrix)
+    eig = np.linalg.eigvals(superop_definitional(0, 2, _cfg(4, 0.3)))
     assert np.abs(eig + 1.0).min() <= 1e-9
 
 
@@ -124,9 +139,9 @@ def test_frobenius_contraction_and_norm_identity():
         n = int(rng.integers(2, 17))
         k, kp = int(rng.integers(n)), int(rng.integers(n))
         p = float(rng.uniform(0, 1))
-        op = superop_definitional(k, kp, _cfg(n, p))
+        matrix = superop_definitional(k, kp, _cfg(n, p))
         operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
+        image = pauli_compose(matrix @ pauli_decompose(operand))
         before = np.vdot(operand, operand).real
         after = np.vdot(image, image).real
         assert after <= before + 1e-12
@@ -139,19 +154,13 @@ def test_contraction_is_strict_once_rate_is_positive():
     operand = np.array([[0.2, 0.9], [-0.4j, 0.1]], dtype=complex)
     before = np.vdot(operand, operand).real
     for p, strict in ((0.0, False), (0.4, True)):
-        op = superop_definitional(1, 4, _cfg(6, p))
-        image = pauli_compose(op.matrix @ pauli_decompose(operand).coeffs)
+        matrix = superop_definitional(1, 4, _cfg(6, p))
+        image = pauli_compose(matrix @ pauli_decompose(operand))
         after = np.vdot(image, image).real
         if strict:
             assert after < before - 1e-6
         else:
             assert abs(after - before) <= 1e-12
-
-
-def test_angle_fields_are_consistent():
-    op = superop_definitional(2, 5, _cfg(9, 0.3))
-    assert abs(op.c_plus ** 2 + op.s_plus ** 2 - 1.0) <= 1e-14
-    assert abs(op.c_minus ** 2 + op.s_minus ** 2 - 1.0) <= 1e-14
 
 
 def test_trace_term_is_one_at_t_zero():
@@ -199,10 +208,8 @@ def test_trace_term_generic_pairs_decay():
 
 def test_trace_term_rejects_non_projector_operand():
     op = superop_definitional(1, 2, _cfg(5, 0.5))
-    from cyclewalk import PauliVector
-
     with pytest.raises(ValueError):
-        trace_term(op, PauliVector(coeffs=np.array([1.0, 0, 0, 0])), 3)
+        trace_term(op, np.array([1.0, 0, 0, 0], dtype=complex), 3)
     with pytest.raises(ValueError):
         trace_term(op, pauli_decompose(np.outer(coin_state("up"), coin_state("up").conj())), -1)
 
@@ -213,6 +220,10 @@ def test_index_validation():
         superop_definitional(5, 0, cfg)
     with pytest.raises(ValueError):
         superop_closed_form(0, -1, cfg)
+    with pytest.raises(ValueError):
+        superop_definitional(np.arange(5), np.arange(1, 6), cfg)
+    with pytest.raises(ValueError):
+        superop_closed_form(np.array([0, -1]), 0, cfg)
 
 
 def test_all_pair_matrices_layout():
@@ -222,7 +233,7 @@ def test_all_pair_matrices_layout():
     for k in range(4):
         for kp in range(4):
             q = k * 4 + kp
-            assert np.abs(matrices[q] - superop_definitional(k, kp, cfg).matrix).max() <= 1e-15
+            assert np.abs(matrices[q] - superop_definitional(k, kp, cfg)).max() <= 1e-15
             assert d_index[q] == (k - kp) % 4
 
 
@@ -234,7 +245,7 @@ def test_all_pair_matrices_equal_closed_form_exactly():
             for k in range(n):
                 for kp in range(n):
                     assert np.array_equal(matrices[k * n + kp],
-                                          superop_closed_form(k, kp, cfg).matrix)
+                                          superop_closed_form(k, kp, cfg))
 
 
 def test_all_pair_matrices_diagonal_pairs_keep_trace_row_exactly():
@@ -244,3 +255,36 @@ def test_all_pair_matrices_diagonal_pairs_keep_trace_row_exactly():
             matrices, _ = all_pair_matrices(_cfg(n, p))
             for k in range(n):
                 assert np.array_equal(matrices[k * n + k, 0], [1.0, 0.0, 0.0, 0.0])
+
+
+RATES = (0.0, 0.1, 0.3, 0.5, 0.9, 1.0)
+
+
+def test_batched_definitional_build_is_bit_identical_to_the_kraus_loop():
+    for n in range(2, 17):
+        k, kp = np.divmod(np.arange(n * n), n)
+        for p in RATES:
+            cfg = _cfg(n, p)
+            stack = superop_definitional(k, kp, cfg)
+            assert stack.shape == (n * n, 4, 4)
+            for q in range(n * n):
+                assert np.array_equal(stack[q], _definitional_reference(*divmod(q, n), cfg))
+
+
+def test_batched_builders_broadcast_index_arrays():
+    cfg = _cfg(7, 0.3)
+    k = np.arange(7)[:, None]
+    kp = np.arange(7)[None, :]
+    for build in (superop_definitional, superop_closed_form):
+        grid = build(k, kp, cfg)
+        assert grid.shape == (7, 7, 4, 4)
+        assert np.array_equal(grid.reshape(49, 4, 4), build(*np.divmod(np.arange(49), 7), cfg))
+        assert np.array_equal(build(k, 3, cfg)[:, 0], grid[:, 3])
+
+
+def test_batched_closed_form_is_bit_identical_to_all_pair_matrices():
+    for n in range(2, 17):
+        k, kp = np.divmod(np.arange(n * n), n)
+        for p in RATES:
+            cfg = _cfg(n, p)
+            assert np.array_equal(superop_closed_form(k, kp, cfg), all_pair_matrices(cfg)[0])

@@ -10,7 +10,7 @@ def _inputs(n, p, coin="up", ):
     cfg = WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
     matrices, d_index = all_pair_matrices(cfg)
     projector = np.outer(cfg.initial_coin, cfg.initial_coin.conj())
-    v0 = np.tile(pauli_decompose(projector).coeffs, (n * n, 1))
+    v0 = np.tile(pauli_decompose(projector), (n * n, 1))
     return cfg, matrices, v0, d_index, phase_table(n)
 
 
@@ -23,8 +23,8 @@ def test_trajectory_matches_naive_double_sum():
     traces = {}
     for k in range(4):
         for kp in range(4):
-            m = superop_definitional(k, kp, cfg).matrix
-            v = b.coeffs.copy()
+            m = superop_definitional(k, kp, cfg)
+            v = b.copy()
             traces[k, kp] = []
             for t in range(11):
                 traces[k, kp].append(2.0 * v[0])

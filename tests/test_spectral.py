@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -14,14 +12,8 @@ from cyclewalk import (
     superop_definitional,
 )
 from cyclewalk.core import PAULIS
-from cyclewalk.spectral import (
-    CLASS_ANTIPODAL,
-    CLASS_DIAGONAL,
-    CLASS_GENERIC,
-    Quartic,
-    classify_pair,
-    pair_spectra,
-)
+from cyclewalk.fourier import all_pair_matrices
+from cyclewalk.spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, classify_pair
 
 
 def _cfg(n, p):
@@ -46,63 +38,87 @@ def multiset_match_distance(a, b) -> float:
     return worst
 
 
-def _random_ops(count, seed, max_nodes=24):
+def _random_pairs(count, seed, max_nodes=24):
+    """(k, k', config) of random pairs at random sizes and rates."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(2, max_nodes + 1))
         k, kp = int(rng.integers(n)), int(rng.integers(n))
         p = float(rng.uniform(0, 1))
-        yield superop_definitional(k, kp, _cfg(n, p))
+        yield k, kp, _cfg(n, p)
+
+
+def _cosines(k, kp, n):
+    """c+ = cos 2 pi (k' + k)/N and c- = cos 2 pi (k' - k)/N."""
+    return np.cos(2 * np.pi * (kp + k) / n), np.cos(2 * np.pi * (kp - k) / n)
+
+
+def _definitional_reports(cfg):
+    """SpectrumReports of the whole definitional stack of cfg."""
+    n = cfg.n_nodes
+    return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), cfg), n)
 
 
 def test_char_poly_matches_determinant_samples():
-    for op in _random_ops(80, seed=20):
-        poly = char_poly(op)
+    for k, kp, cfg in _random_pairs(80, seed=20):
+        coeffs = char_poly(k, kp, cfg)
+        matrix = superop_definitional(k, kp, cfg)
         for lam in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            det = np.linalg.det(lam * np.eye(4) - op.matrix)
-            assert abs(det - poly(lam)) <= 1e-10
+            det = np.linalg.det(lam * np.eye(4) - matrix)
+            assert abs(det - np.polyval(coeffs, lam)) <= 1e-10
 
 
 def test_char_poly_constant_term_is_squared_survival():
-    for op in _random_ops(30, seed=21):
-        assert abs(char_poly(op).coefficients[4] - (1.0 - op.rate) ** 2) <= 1e-12
+    for k, kp, cfg in _random_pairs(30, seed=21):
+        assert abs(char_poly(k, kp, cfg)[4] - (1.0 - cfg.decoherence_rate) ** 2) <= 1e-12
 
 
 def test_char_poly_full_dephasing_collapses():
-    op = superop_definitional(1, 2, _cfg(5, 1.0))
-    poly = char_poly(op)
-    assert np.allclose(poly.coefficients, [1.0, -op.c_minus, 0.0, 0.0, 0.0], atol=1e-14)
-    roots = np.roots(poly.coefficients)
-    assert multiset_match_distance(roots, [op.c_minus, 0, 0, 0]) <= 1e-10
+    coeffs = char_poly(1, 2, _cfg(5, 1.0))
+    _, c_minus = _cosines(1, 2, 5)
+    assert np.allclose(coeffs, [1.0, -c_minus, 0.0, 0.0, 0.0], atol=1e-14)
+    roots = np.roots(coeffs)
+    assert multiset_match_distance(roots, [c_minus, 0, 0, 0]) <= 1e-10
 
 
 def test_char_poly_diagonal_pairs_have_root_at_one():
     for n, k, p in ((5, 2, 0.3), (8, 0, 0.7), (11, 10, 0.05)):
-        poly = char_poly(superop_definitional(k, k, _cfg(n, p)))
-        assert abs(poly(1.0)) <= 1e-12
+        assert abs(np.polyval(char_poly(k, k, _cfg(n, p)), 1.0)) <= 1e-12
 
 
 def test_char_poly_antipodal_pairs_have_simple_root_at_minus_one():
     for n, k, p in ((6, 1, 0.4), (8, 3, 0.25), (4, 0, 0.8)):
-        op = superop_definitional(k, (k + n // 2) % n, _cfg(n, p))
-        poly = char_poly(op)
-        assert abs(poly(-1.0)) <= 1e-12
-        assert abs(poly.derivative(-1.0) - ((1 - p) ** 2 - 1.0)) <= 1e-12
+        coeffs = char_poly(k, (k + n // 2) % n, _cfg(n, p))
+        assert abs(np.polyval(coeffs, -1.0)) <= 1e-12
+        assert abs(np.polyval(np.polyder(coeffs), -1.0) - ((1 - p) ** 2 - 1.0)) <= 1e-12
+
+
+def test_char_poly_broadcasts_over_index_arrays():
+    cfg = _cfg(9, 0.35)
+    k, kp = np.divmod(np.arange(81), 9)
+    stack = char_poly(k, kp, cfg)
+    assert stack.shape == (81, 5)
+    for q in range(81):
+        assert np.array_equal(stack[q], char_poly(*divmod(q, 9), cfg))
+    assert char_poly(np.arange(9)[:, None], np.arange(9), cfg).shape == (9, 9, 5)
+    with pytest.raises(ValueError):
+        char_poly(k, kp + 1, cfg)
 
 
 def test_boundary_value_factorizations():
     # f(1) = (1 - c-)(1 + 2 q c+ + q^2), f(-1) = (1 + c-)(1 - 2 q c+ + q^2)
-    for op in _random_ops(60, seed=22):
-        q = 1.0 - op.rate
-        poly = char_poly(op)
-        plus = (1.0 - op.c_minus) * (1.0 + 2.0 * q * op.c_plus + q * q)
-        minus = (1.0 + op.c_minus) * (1.0 - 2.0 * q * op.c_plus + q * q)
-        assert abs(poly(1.0) - plus) <= 1e-12
-        assert abs(poly(-1.0) - minus) <= 1e-12
+    for k, kp, cfg in _random_pairs(60, seed=22):
+        q = 1.0 - cfg.decoherence_rate
+        c_plus, c_minus = _cosines(k, kp, cfg.n_nodes)
+        coeffs = char_poly(k, kp, cfg)
+        plus = (1.0 - c_minus) * (1.0 + 2.0 * q * c_plus + q * q)
+        minus = (1.0 + c_minus) * (1.0 - 2.0 * q * c_plus + q * q)
+        assert abs(np.polyval(coeffs, 1.0) - plus) <= 1e-12
+        assert abs(np.polyval(coeffs, -1.0) - minus) <= 1e-12
 
 
 def test_eigenvalue_report_diagonal_pair():
-    report = eigenvalues(superop_definitional(3, 3, _cfg(7, 0.5)))
+    report = _definitional_reports(_cfg(7, 0.5))[3 * 7 + 3]
     assert report.classification == CLASS_DIAGONAL
     assert report.has_unit_eigenvalue
     assert not report.has_minus_one
@@ -110,55 +126,57 @@ def test_eigenvalue_report_diagonal_pair():
 
 
 def test_eigenvalue_report_antipodal_pair():
-    report = eigenvalues(superop_definitional(1, 4, _cfg(6, 0.5)))
+    report = _definitional_reports(_cfg(6, 0.5))[1 * 6 + 4]
     assert report.classification == CLASS_ANTIPODAL
     assert report.has_minus_one
     others = report.eigenvalues[np.abs(report.eigenvalues + 1.0) > 1e-9]
     assert np.all(np.abs(others) < 1.0)
 
 
+def test_eigenvalues_reject_a_stack_outside_the_pair_layout():
+    matrices, _ = all_pair_matrices(_cfg(4, 0.5))
+    with pytest.raises(ValueError):
+        eigenvalues(matrices[:-1], 4)
+    with pytest.raises(ValueError):
+        eigenvalues(matrices, 5)
+
+
 def test_odd_cycle_off_diagonal_pairs_contract_strictly():
-    cfg = _cfg(7, 0.3)
-    for k in range(7):
-        for kp in range(7):
-            if k == kp:
-                continue
-            report = eigenvalues(superop_definitional(k, kp, cfg))
-            assert report.classification == CLASS_GENERIC
-            assert report.spectral_radius < 1.0
+    for q, report in enumerate(_definitional_reports(_cfg(7, 0.3))):
+        if q % 8 == 0:  # diagonal pairs k = k' sit at rows k*N + k
+            continue
+        assert report.classification == CLASS_GENERIC
+        assert report.spectral_radius < 1.0
 
 
 def test_roots_agree_with_eigenvalues_as_multisets():
-    for op in _random_ops(60, seed=23):
-        roots = np.roots(char_poly(op).coefficients)
-        eig = eigenvalues(op).eigenvalues
+    for k, kp, cfg in _random_pairs(60, seed=23):
+        roots = np.roots(char_poly(k, kp, cfg))
+        eig = _definitional_reports(cfg)[k * cfg.n_nodes + kp].eigenvalues
         assert multiset_match_distance(roots, eig) <= 1e-8
 
 
 def test_classification_sweep_small_cycles():
     for n in range(3, 9):
         for p in (0.1, 0.5):
-            cfg = _cfg(n, p)
-            for k in range(n):
-                for kp in range(n):
-                    report = eigenvalues(superop_definitional(k, kp, cfg))
-                    assert report.spectral_radius <= 1.0 + 1e-10
-                    expected = classify_pair(k, kp, n)
-                    assert report.classification == expected
-                    assert report.has_unit_eigenvalue == (expected == CLASS_DIAGONAL)
-                    assert report.has_minus_one == (expected == CLASS_ANTIPODAL)
+            for q, report in enumerate(_definitional_reports(_cfg(n, p))):
+                assert report.spectral_radius <= 1.0 + 1e-10
+                expected = classify_pair(*divmod(q, n), n)
+                assert report.classification == expected
+                assert report.has_unit_eigenvalue == (expected == CLASS_DIAGONAL)
+                assert report.has_minus_one == (expected == CLASS_ANTIPODAL)
 
 
 def test_unit_modulus_eigenvalues_are_real_pm_one():
-    for op in _random_ops(120, seed=24, max_nodes=32):
-        report = eigenvalues(op)
-        assert report.spectral_radius <= 1.0 + 1e-10
-        if not 0.0 < op.rate < 1.0:
+    # every pair of each drawn (N, p), not only the drawn pair
+    for _, _, cfg in _random_pairs(120, seed=24, max_nodes=32):
+        reports = _definitional_reports(cfg)
+        assert max(r.spectral_radius for r in reports) <= 1.0 + 1e-10
+        if not 0.0 < cfg.decoherence_rate < 1.0:
             continue
-        eig = report.eigenvalues
+        eig = np.array([r.eigenvalues for r in reports])
         near_unit = eig[np.abs(np.abs(eig) - 1.0) < 1e-9]
-        for lam in near_unit:
-            assert min(abs(lam - 1.0), abs(lam + 1.0)) <= 1e-8
+        assert np.all(np.minimum(np.abs(near_unit - 1.0), np.abs(near_unit + 1.0)) <= 1e-8)
 
 
 def test_spectral_gap_full_dephasing_three_cycle():
@@ -170,7 +188,7 @@ def test_spectral_gap_full_dephasing_three_cycle():
 
 def test_spectral_gap_degenerate_at_zero_rate(monkeypatch):
     # no decay at p = 0: the gap is 0.0 and no eigensolve runs
-    monkeypatch.setattr("cyclewalk.spectral.pair_spectra", None)
+    monkeypatch.setattr("cyclewalk.spectral.eigenvalues", None)
     assert spectral_gap(_cfg(5, 0.0)) == 0.0
 
 
@@ -178,26 +196,29 @@ def test_spectral_gap_construction_independent():
     cfg = _cfg(9, 0.2)
     gap = spectral_gap(cfg)
     definitional_radius = max(
-        np.abs(np.linalg.eigvals(superop_definitional(k, kp, cfg).matrix)).max()
+        np.abs(np.linalg.eigvals(superop_definitional(k, kp, cfg))).max()
         for k in range(9) for kp in range(9) if classify_pair(k, kp, 9) == CLASS_GENERIC)
     assert gap > 0.0
     assert abs(gap - (1.0 - definitional_radius)) <= 1e-10
 
 
-def test_pair_spectra_match_per_pair_reports_exactly():
+def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
+    # one batched eigensolve gives each pair the eigenvalues a solve of that
+    # pair alone gives, put in canonical order
     for n, p in ((2, 0.5), (6, 0.3), (7, 0.0), (8, 1.0)):
         cfg = _cfg(n, p)
-        reports = pair_spectra(cfg)
+        reports = eigenvalues(all_pair_matrices(cfg)[0], n)
         assert len(reports) == n * n
         for k in range(n):
             for kp in range(n):
-                batched = reports[k * n + kp]
-                single = eigenvalues(superop_closed_form(k, kp, cfg))
-                assert np.array_equal(batched.eigenvalues, single.eigenvalues)
-                assert batched.spectral_radius == single.spectral_radius
-                assert batched.has_unit_eigenvalue == single.has_unit_eigenvalue
-                assert batched.has_minus_one == single.has_minus_one
-                assert batched.classification == single.classification
+                report = reports[k * n + kp]
+                single = np.linalg.eigvals(superop_closed_form(k, kp, cfg))
+                single = single[np.argsort(single.round(9), kind="stable")]
+                assert np.array_equal(report.eigenvalues, single)
+                assert report.spectral_radius == np.abs(single).max()
+                assert report.has_unit_eigenvalue == (np.abs(single - 1.0).min() < 1e-9)
+                assert report.has_minus_one == (np.abs(single + 1.0).min() < 1e-9)
+                assert report.classification == classify_pair(k, kp, n)
 
 
 def _definitional_stack(cfg):
@@ -220,29 +241,20 @@ def test_eigenvalue_rows_agree_between_constructions():
     # real part, then imaginary part) makes equal spectra equal rows.
     # Defective pairs at p = 0.5 split their double eigenvalue by ~1e-8.
     cfg = _cfg(5, 0.37)
-    for q, matrix in enumerate(_definitional_stack(cfg)):
-        assert np.abs(matrix - superop_definitional(*divmod(q, 5), cfg).matrix).max() <= 1e-15
+    assert np.abs(_definitional_stack(cfg)
+                  - superop_definitional(*np.divmod(np.arange(25), 5), cfg)).max() <= 1e-15
     for n in range(2, 17):
         for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
             cfg = _cfg(n, p)
             tol = 1e-7 if p == 0.5 else 1e-12
-            template = superop_closed_form(0, 0, cfg)
-            batched = np.array([r.eigenvalues for r in pair_spectra(cfg)])
-            single = np.array([
-                eigenvalues(dataclasses.replace(template, k=q // n, k_prime=q % n,
-                                                matrix=matrix)).eigenvalues
-                for q, matrix in enumerate(_definitional_stack(cfg))])
-            assert np.abs(batched - single).max() <= tol
-            keys = np.round(batched, 9)
+            closed = np.array([r.eigenvalues
+                               for r in eigenvalues(all_pair_matrices(cfg)[0], n)])
+            einsum = np.array([r.eigenvalues
+                               for r in eigenvalues(_definitional_stack(cfg), n)])
+            assert np.abs(closed - einsum).max() <= tol
+            keys = np.round(closed, 9)
             order = np.lexsort((keys.imag, keys.real), axis=1)
             assert np.array_equal(order, np.broadcast_to(np.arange(4), order.shape))
-
-
-def test_quartic_requires_monic_coefficients():
-    with pytest.raises(ValueError):
-        Quartic(coefficients=np.array([2.0, 0, 0, 0, 1.0]))
-    with pytest.raises(ValueError):
-        Quartic(coefficients=np.array([1.0, 0, 0, 0]))
 
 
 def test_multiset_match_distance_basics():

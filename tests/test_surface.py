@@ -18,17 +18,14 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 PUBLIC = [
     "__version__",
     "NumericalCheckError",
-    "PauliVector",
     "WalkConfig",
     "build_kraus_family",
     "coin_state",
     "hadamard_coin_momentum",
     "pauli_compose",
     "pauli_decompose",
-    "SuperOp",
     "superop_closed_form",
     "superop_definitional",
-    "Quartic",
     "SpectrumReport",
     "char_poly",
     "eigenvalues",
@@ -65,6 +62,18 @@ def test_every_module_export_resolves():
             assert hasattr(module, name), f"{module.__name__}.{name}"
     assert "KrausFamily" not in core.__all__
     assert "CoinMatrix" not in core.__all__
+
+
+def test_pair_wrapper_types_are_gone():
+    # pair matrices, Pauli coefficients and quartic coefficients are plain
+    # arrays, and spectral.eigenvalues is the one spectrum entry point
+    from cyclewalk import fourier, spectral
+
+    for module, name in ((cyclewalk, "SuperOp"), (fourier, "SuperOp"),
+                         (cyclewalk, "Quartic"), (spectral, "Quartic"),
+                         (cyclewalk, "PauliVector"), (core, "PauliVector"),
+                         (spectral, "pair_spectra")):
+        assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def _load(name, monkeypatch):
