@@ -23,7 +23,6 @@ from .spectral import (
     spectral_gap,
 )
 from .evolution import (
-    DensityOperator,
     PositionDistribution,
     classical_reference,
     fourier_trajectory,
@@ -55,7 +54,6 @@ __all__ = [
     "char_poly",
     "eigenvalues",
     "spectral_gap",
-    "DensityOperator",
     "PositionDistribution",
     "classical_reference",
     "fourier_trajectory",

@@ -125,9 +125,10 @@ def _check_epsilon(epsilon: float):
 
 
 def default_horizon(n_nodes: int, epsilon: float) -> int:
-    """Scan horizon ceil(20 N^2 / epsilon), capped at 10^6 steps."""
+    """Scan horizon ceil(20 N^2 / epsilon), capped at 10^6 steps before the
+    rounding, which would fail on the inf a tiny epsilon gives."""
     _check_epsilon(epsilon)
-    return min(math.ceil(20 * n_nodes * n_nodes / epsilon), MAX_HORIZON)
+    return math.ceil(min(20 * n_nodes * n_nodes / epsilon, MAX_HORIZON))
 
 
 def _scan_horizon(n_nodes: int, epsilon: float, horizon: int | None) -> int:

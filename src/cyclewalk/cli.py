@@ -26,7 +26,7 @@ from .analysis import (
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, coin_state
 from .evolution import direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import all_pair_matrices
-from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, eigenvalues
+from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, UNIT_DISK_TOL, eigenvalues
 from .verify import CHECK_NAMES, run_checks
 
 USAGE_ERROR = 2
@@ -209,33 +209,26 @@ def cmd_spectrum(args) -> int:
     config = WalkConfig(n_nodes=resolved["nodes"],
                         decoherence_rate=resolved["decoherence"])
     n, p = config.n_nodes, config.decoherence_rate
-    lines = ["k,k_prime,classification,spectral_radius,"
-             "eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im"]
-    counts = {CLASS_DIAGONAL: 0, CLASS_ANTIPODAL: 0, CLASS_GENERIC: 0}
-    max_radius_all = 0.0
-    max_radius_generic = 0.0
-    placement_ok = True
-    for q, report in enumerate(eigenvalues(all_pair_matrices(config)[0], n)):
-        k, kp = divmod(q, n)
-        counts[report.classification] += 1
-        max_radius_all = max(max_radius_all, report.spectral_radius)
-        if report.classification == CLASS_GENERIC:
-            max_radius_generic = max(max_radius_generic, report.spectral_radius)
-        if 0.0 < p < 1.0 and not report.placement_ok:
-            placement_ok = False
-        eig = report.eigenvalues
-        parts = ",".join(f"{_fmt(v.real)},{_fmt(v.imag)}" for v in eig)
-        lines.append(f"{k},{kp},{report.classification},"
-                     f"{_fmt(report.spectral_radius)},{parts}")
-    radius_ok = max_radius_all <= 1.0 + 1e-10
+    spectra = eigenvalues(all_pair_matrices(config)[0], n)
+    classes, radius = spectra.classification, spectra.spectral_radius
+    max_radius_all = float(radius.max())
+    max_radius_generic = float(radius.max(where=classes == CLASS_GENERIC, initial=0.0))
+    placement_ok = not 0.0 < p < 1.0 or bool(spectra.placement_ok.all())
+    # one row per pair: k, k', class, radius, then re, im of each eigenvalue
+    cells = np.empty((n * n, 12), dtype=object)
+    cells[:, 0], cells[:, 1] = np.divmod(np.arange(n * n), n)
+    cells[:, 2], cells[:, 3] = classes, radius
+    cells[:, 4:] = spectra.eigenvalues.view(np.float64)
+    rows = ("%d,%d,%s" + ",%.16e" * 9 + "\n") * (n * n) % tuple(cells.ravel().tolist())
+    radius_ok = max_radius_all <= 1.0 + UNIT_DISK_TOL
     gap_ok = p == 0.0 or max_radius_generic < 1.0
     summary = {
         "nodes": n,
         "decoherence": p,
         "pairs": n * n,
-        "count_diagonal": counts[CLASS_DIAGONAL],
-        "count_antipodal": counts[CLASS_ANTIPODAL],
-        "count_generic": counts[CLASS_GENERIC],
+        "count_diagonal": int((classes == CLASS_DIAGONAL).sum()),
+        "count_antipodal": int((classes == CLASS_ANTIPODAL).sum()),
+        "count_generic": int((classes == CLASS_GENERIC).sum()),
         "max_radius": max_radius_all,
         "max_radius_generic": max_radius_generic,
         "radius_within_unit_disk": radius_ok,
@@ -243,7 +236,8 @@ def cmd_spectrum(args) -> int:
         "persistent_eigenvalue_placement_checked": bool(0.0 < p < 1.0),
         "persistent_eigenvalue_placement_ok": placement_ok,
     }
-    _write_text(resolved["output"], "\n".join(lines) + "\n")
+    _write_text(resolved["output"], "k,k_prime,classification,spectral_radius,"
+                "eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im\n" + rows)
     summary_text = _emit_json(summary) + "\n"
     if resolved["summary"]:
         _write_text(resolved["summary"], summary_text)
@@ -252,7 +246,7 @@ def cmd_spectrum(args) -> int:
     if args.manifest:
         outputs = [resolved["output"]] + ([resolved["summary"]] if resolved["summary"] else [])
         _write_manifest(args.manifest, "spectrum", resolved, outputs)
-    if not (radius_ok and gap_ok and ((not 0.0 < p < 1.0) or placement_ok)):
+    if not (radius_ok and gap_ok and placement_ok):
         raise NumericalCheckError("spectrum summary assertions failed; see summary")
     return 0
 

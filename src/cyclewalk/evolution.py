@@ -25,7 +25,6 @@ from .core import _HADAMARD, NumericalCheckError, WalkConfig, build_kraus_family
 from .fourier import all_pair_matrices, phase_table
 
 __all__ = [
-    "DensityOperator",
     "PositionDistribution",
     "walk_unitary",
     "direct_trajectory",
@@ -57,26 +56,17 @@ class PositionDistribution:
         self.probs.setflags(write=False)
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Walker (x) tensor coin state as a dense 2N x 2N matrix, position-major:
-    node x owns the 2x2 coin block at rows/columns 2x, 2x+1."""
-
-    matrix: np.ndarray
-
-    def validate(self):
-        """Hermitian and unit trace to 1e-11, PSD to -1e-9."""
-        m = self.matrix
-        herm = np.abs(m - m.conj().T).max()
-        if herm > 1e-11:
-            raise NumericalCheckError(f"density operator not Hermitian: {herm:.3e}")
-        tr = np.trace(m)
-        if abs(tr - 1.0) > 1e-11:
-            raise NumericalCheckError(f"density operator trace {complex(tr)!r}, not 1")
-        min_eig = float(np.linalg.eigvalsh(m).min())
-        if min_eig < -1e-9:
-            raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")
-        return self
+def _check_density(rho: np.ndarray):
+    """Hermitian and unit trace to 1e-11, PSD to -1e-9."""
+    herm = np.abs(rho - rho.conj().T).max()
+    if herm > 1e-11:
+        raise NumericalCheckError(f"density operator not Hermitian: {herm:.3e}")
+    tr = np.trace(rho)
+    if abs(tr - 1.0) > 1e-11:
+        raise NumericalCheckError(f"density operator trace {complex(tr)!r}, not 1")
+    min_eig = float(np.linalg.eigvalsh(rho).min())
+    if min_eig < -1e-9:
+        raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")
 
 
 def walk_unitary(n_nodes: int) -> np.ndarray:
@@ -96,7 +86,9 @@ def _initial_density(config: WalkConfig) -> np.ndarray:
 
 
 def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
-    """Yield DensityOperator states rho(0), rho(1), ..., rho(t)."""
+    """Yield the density matrices rho(0), rho(1), ..., rho(t) of the walker
+    (x) coin state: dense 2N x 2N arrays, position-major, so node x owns the
+    2x2 coin block at rows/columns 2x, 2x+1.  check=True validates each."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     n = config.n_nodes
@@ -105,24 +97,20 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
     kraus_full = [np.kron(np.eye(n), a)
                   for a in build_kraus_family(config.decoherence_rate)]
     rho = _initial_density(config)
-    state = DensityOperator(matrix=rho)
-    if check:
-        state.validate()
-    yield state
-    for _ in range(int(t)):
-        mixed = np.zeros_like(rho)
-        for op in kraus_full:
-            mixed += op @ rho @ op.conj().T
-        rho = unitary @ mixed @ unitary_dag
-        state = DensityOperator(matrix=rho)
+    for step in range(int(t) + 1):
+        if step:
+            mixed = np.zeros_like(rho)
+            for op in kraus_full:
+                mixed += op @ rho @ op.conj().T
+            rho = unitary @ mixed @ unitary_dag
         if check:
-            state.validate()
-        yield state
+            _check_density(rho)
+        yield rho
 
 
-def position_marginal(rho: DensityOperator) -> PositionDistribution:
-    """P(x) = tr of the coin block at node x."""
-    diag = np.real(np.diagonal(rho.matrix))
+def position_marginal(rho: np.ndarray) -> PositionDistribution:
+    """P(x) = tr of the coin block at node x of a 2N x 2N density matrix."""
+    diag = np.real(np.diagonal(rho))
     probs = diag[0::2] + diag[1::2]
     return PositionDistribution(probs=probs)
 

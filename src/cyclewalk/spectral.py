@@ -1,10 +1,12 @@
 """Spectra of the pair superoperators: characteristic quartic, eigenvalues
 and the persistent-eigenvalue classification.
 
-:func:`char_poly` broadcasts over momentum-index arrays like the pair
-constructions of :mod:`cyclewalk.fourier`; :func:`eigenvalues` takes a
-whole stack in the :func:`~cyclewalk.fourier.all_pair_matrices` layout
-(pair (k, k') at row k*N + k') and diagonalises it in one call.
+:func:`char_poly` and :func:`classify_pair` broadcast over momentum-index
+arrays like the pair constructions of :mod:`cyclewalk.fourier`;
+:func:`eigenvalues` takes a whole stack in the
+:func:`~cyclewalk.fourier.all_pair_matrices` layout (pair (k, k') at row
+k*N + k'), diagonalises it in one call and returns one
+:class:`SpectrumReport` whose fields are arrays over the pairs.
 
 Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
@@ -32,6 +34,8 @@ __all__ = [
 
 #: |lambda| within this of 1 counts as unit modulus.
 UNIT_MODULUS_TOL = 1e-9
+#: A spectral radius up to this above 1 still counts as inside the unit disk.
+UNIT_DISK_TOL = 1e-10
 
 CLASS_DIAGONAL = "diagonal-pair"
 CLASS_ANTIPODAL = "antipodal-pair"
@@ -40,27 +44,30 @@ CLASS_GENERIC = "generic"
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
+    """Spectra of a stack of M pairs, entry q of each field for pair q:
+    ``eigenvalues`` has shape (M, 4), every other field shape (M,)."""
+
     eigenvalues: np.ndarray
-    spectral_radius: float
-    has_unit_eigenvalue: bool
-    has_minus_one: bool
-    classification: str
+    spectral_radius: np.ndarray
+    has_unit_eigenvalue: np.ndarray
+    has_minus_one: np.ndarray
+    classification: np.ndarray
 
     @property
-    def placement_ok(self) -> bool:
-        """Persistent eigenvalues sit where the pair class puts them: +1
-        exactly on diagonal pairs, -1 exactly on antipodal pairs.  At p = 0
-        other pairs carry unit-modulus eigenvalues too."""
-        return (self.has_unit_eigenvalue == (self.classification == CLASS_DIAGONAL)
-                and self.has_minus_one == (self.classification == CLASS_ANTIPODAL))
+    def placement_ok(self) -> np.ndarray:
+        """(M,) bool: persistent eigenvalues sit where the pair class puts
+        them, +1 exactly on diagonal pairs and -1 exactly on antipodal pairs.
+        At p = 0 other pairs carry unit-modulus eigenvalues too."""
+        return ((self.has_unit_eigenvalue == (self.classification == CLASS_DIAGONAL))
+                & (self.has_minus_one == (self.classification == CLASS_ANTIPODAL)))
 
 
-def classify_pair(k: int, k_prime: int, n_nodes: int) -> str:
-    if k == k_prime:
-        return CLASS_DIAGONAL
-    if n_nodes % 2 == 0 and abs(k_prime - k) == n_nodes // 2:
-        return CLASS_ANTIPODAL
-    return CLASS_GENERIC
+def classify_pair(k, k_prime, n_nodes: int):
+    """Class of pair (k, k'), broadcast over index arrays (a str for scalars)."""
+    k, k_prime = np.asarray(k), np.asarray(k_prime)
+    antipodal = (n_nodes % 2 == 0) & (np.abs(k_prime - k) == n_nodes // 2)
+    return np.where(k == k_prime, CLASS_DIAGONAL,
+                    np.where(antipodal, CLASS_ANTIPODAL, CLASS_GENERIC))[()]
 
 
 def char_poly(k, k_prime, config: WalkConfig) -> np.ndarray:
@@ -82,14 +89,15 @@ def char_poly(k, k_prime, config: WalkConfig) -> np.ndarray:
         1.0, q * cp - cm, -2.0 * q * cp * cm, q * (cp - q * cm), q * q), axis=-1)
 
 
-def eigenvalues(matrices: np.ndarray, n_nodes: int) -> list:
-    """SpectrumReport of each pair of an (N^2, 4, 4) stack laid out as
+def eigenvalues(matrices: np.ndarray, n_nodes: int) -> SpectrumReport:
+    """Spectra of an (N^2, 4, 4) stack laid out as
     :func:`~cyclewalk.fourier.all_pair_matrices` lays it out (pair (k, k')
-    at row k*N + k'), from one batched eigensolve, in row order.
+    at row k*N + k'), from one batched eigensolve, as one
+    :class:`SpectrumReport` with one entry per row.
 
-    Each row is put in canonical order, by real part and then by imaginary
-    part, both keys rounded to 9 decimals (the values are not), so equal
-    spectra give equal rows whatever order the eigensolver returned.
+    Each row of eigenvalues is put in canonical order, by real part and then
+    by imaginary part, both keys rounded to 9 decimals (the values are not),
+    so equal spectra give equal rows whatever order the eigensolver returned.
     """
     if matrices.shape != (n_nodes * n_nodes, 4, 4):
         raise ValueError(f"expected an ({n_nodes * n_nodes}, 4, 4) pair stack, "
@@ -102,15 +110,12 @@ def eigenvalues(matrices: np.ndarray, n_nodes: int) -> list:
     # numpy orders complex numbers by real part, then imaginary part
     order = eig.round(9).argsort(axis=-1, kind="stable")
     eig = eig[np.arange(len(eig))[:, None], order]
-    radius = np.abs(eig).max(axis=1)
-    unit = np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL
-    minus_one = np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL
-    return [
-        SpectrumReport(eigenvalues=eig[q], spectral_radius=float(radius[q]),
-                       has_unit_eigenvalue=bool(unit[q]), has_minus_one=bool(minus_one[q]),
-                       classification=classify_pair(*divmod(q, n_nodes), n_nodes))
-        for q in range(len(eig))
-    ]
+    return SpectrumReport(
+        eigenvalues=eig,
+        spectral_radius=np.abs(eig).max(axis=1),
+        has_unit_eigenvalue=np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL,
+        has_minus_one=np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL,
+        classification=classify_pair(*np.divmod(np.arange(len(eig)), n_nodes), n_nodes))
 
 
 def spectral_gap(config: WalkConfig) -> float:
@@ -125,6 +130,6 @@ def spectral_gap(config: WalkConfig) -> float:
     """
     if config.decoherence_rate == 0.0:
         return 0.0
-    reports = eigenvalues(all_pair_matrices(config)[0], config.n_nodes)
-    return 1.0 - max((r.spectral_radius for r in reports
-                      if r.classification == CLASS_GENERIC), default=0.0)
+    spectra = eigenvalues(all_pair_matrices(config)[0], config.n_nodes)
+    return 1.0 - float(spectra.spectral_radius.max(
+        where=spectra.classification == CLASS_GENERIC, initial=0.0))

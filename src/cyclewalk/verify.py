@@ -16,6 +16,7 @@ from . import __version__
 from .analysis import (
     averaged_time_below,
     default_horizon,
+    limiting_distribution,
     steps_to_uniform,
     time_averaged_snapshots,
     total_variation,
@@ -25,7 +26,7 @@ from .analysis import (
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
 from .evolution import _classical_step, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import superop_closed_form, superop_definitional
-from .spectral import char_poly, eigenvalues
+from .spectral import UNIT_DISK_TOL, char_poly, eigenvalues
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
 
@@ -161,21 +162,19 @@ def check_spectrum(profile: VerifyProfile):
         k, kp = np.divmod(np.arange(n * n), n)
         for p in (0.1, 0.3, 0.5, 0.9):
             cfg = _config(n, p)
-            reports = eigenvalues(superop_definitional(k, kp, cfg), n)
-            for rep, quartic in zip(reports, char_poly(k, kp, cfg)):
-                count += 1
-                worst = max(worst, rep.spectral_radius - 1.0)
-                if rep.spectral_radius > 1.0 + 1e-10:
-                    ok = False
-                near_unit = np.abs(np.abs(rep.eigenvalues) - 1.0) < 1e-9
-                for lam in rep.eigenvalues[near_unit]:
-                    if min(abs(lam - 1.0), abs(lam + 1.0)) > 1e-8:
-                        ok = False
-                if not rep.placement_ok:
-                    ok = False
-                if rep.has_minus_one:
-                    if abs(np.polyval(np.polyder(quartic), -1.0)) <= 1e-10:
-                        ok = False
+            spectra = eigenvalues(superop_definitional(k, kp, cfg), n)
+            eig = spectra.eigenvalues
+            # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
+            slope = char_poly(k, kp, cfg)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
+            stray_unit = ((np.abs(np.abs(eig) - 1.0) < 1e-9)
+                          & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
+            radius = float(spectra.spectral_radius.max())
+            count += n * n
+            worst = max(worst, radius - 1.0)
+            ok = ok and bool(radius <= 1.0 + UNIT_DISK_TOL
+                             and not stray_unit.any()
+                             and spectra.placement_ok.all()
+                             and not (spectra.has_minus_one & (np.abs(slope) <= 1e-10)).any())
     return _result("spectrum", ok, count, worst,
                    "unit disk, +-1 placement and multiplicity over all pairs; "
                    "measure = max(radius - 1)")
@@ -249,24 +248,16 @@ def check_classical(profile: VerifyProfile):
 def check_limits(profile: VerifyProfile):
     worst = 0.0
     count = 0
-    for n in profile.limit_odd:
+    for n in profile.limit_odd + profile.limit_even:
         for p in profile.limit_rates:
             cfg = _config(n, p)
             t_star = steps_to_uniform(cfg, tol=1e-6)
-            dist = fourier_trajectory(cfg, t_star)[t_star]
-            worst = max(worst, float(np.abs(dist - 1.0 / n).max()))
-            count += 1
-    for n in profile.limit_even:
-        for p in profile.limit_rates:
-            cfg = _config(n, p)
-            t_star = steps_to_uniform(cfg, tol=1e-6)
-            traj = fourier_trajectory(cfg, t_star + 1)
-            for t in (t_star, t_star + 1):
-                dist = traj[t]
-                support = dist[t % 2::2]
-                rest = dist[(t + 1) % 2::2]
-                worst = max(worst, float(np.abs(support - 2.0 / n).max()))
-                worst = max(worst, float(np.abs(rest).max()))
+            # even cycles alternate between two limits: check one of each
+            times = (t_star,) if n % 2 else (t_star, t_star + 1)
+            traj = fourier_trajectory(cfg, times[-1])
+            for t in times:
+                limit = limiting_distribution(cfg, "odd" if t % 2 else "even")
+                worst = max(worst, float(np.abs(traj[t] - limit).max()))
             count += 1
     return _result("limits", worst <= 1e-6, count, worst,
                    "instantaneous limits 1/N (odd) and parity 2/N (even) at "

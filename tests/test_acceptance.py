@@ -67,8 +67,8 @@ def _shift_first_entry(build):
 
 def _misplace_unit_eigenvalues(eigenvalues):
     def misplaced(matrices, n_nodes):
-        return [dataclasses.replace(r, has_unit_eigenvalue=not r.has_unit_eigenvalue)
-                for r in eigenvalues(matrices, n_nodes)]
+        r = eigenvalues(matrices, n_nodes)
+        return dataclasses.replace(r, has_unit_eigenvalue=~r.has_unit_eigenvalue)
     return misplaced
 
 

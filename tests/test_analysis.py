@@ -264,5 +264,6 @@ def test_steps_to_uniform_reaches_tolerance():
 def test_default_horizon_formula_and_cap():
     assert default_horizon(5, 0.01) == 50_000
     assert default_horizon(100, 1e-4) == 1_000_000
+    assert default_horizon(9, 1e-320) == 1_000_000  # 20 N^2 / epsilon is inf
     with pytest.raises(ValueError):
         default_horizon(5, 0.0)

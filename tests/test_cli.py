@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import classical_reference
+from cyclewalk import WalkConfig, classical_reference, eigenvalues
 from cyclewalk import cli
 from cyclewalk.cli import _emit_json, _Pairs, main
+from cyclewalk.fourier import all_pair_matrices
 from cyclewalk.verify import run_checks
 
 
@@ -155,6 +156,42 @@ def test_spectrum_odd_cycle_has_no_antipodal_pairs(tmp_path, capsys):
     assert sum(r["classification"] == "antipodal-pair" for r in rows) == 0
     summary = json.loads(err)
     assert summary["count_antipodal"] == 0
+
+
+def test_spectrum_two_cycle_has_no_generic_pairs(tmp_path, capsys):
+    # every pair of N = 2 is diagonal or antipodal: the generic maximum is
+    # taken over an empty set and reads 0.0
+    out, summary = tmp_path / "spec.csv", tmp_path / "spec.json"
+    code, _, _ = _run(capsys, "spectrum", "--nodes", "2", "--decoherence", "0.5",
+                      "--output", str(out), "--summary", str(summary))
+    assert code == 0
+    assert len(_rows(out.read_text())) == 4
+    report = json.loads(summary.read_text())
+    assert (report["count_diagonal"], report["count_antipodal"],
+            report["count_generic"]) == (2, 2, 0)
+    assert report["max_radius_generic"] == 0.0
+    assert report["generic_radius_below_one"] is True
+    assert report["persistent_eigenvalue_placement_ok"] is True
+
+
+def test_spectrum_rows_match_per_cell_formatting(tmp_path, capsys):
+    # the one-template rows carry the bytes a per-cell _fmt gives
+    n, p = 6, 0.37
+    out = tmp_path / "spec.csv"
+    code, _, _ = _run(capsys, "spectrum", "--nodes", str(n), "--decoherence", str(p),
+                      "--output", str(out))
+    assert code == 0
+    spectra = eigenvalues(all_pair_matrices(WalkConfig(n_nodes=n, decoherence_rate=p))[0], n)
+    lines = out.read_text().split("\n")
+    assert lines[0].startswith("k,k_prime,classification,spectral_radius,eig1_re")
+    assert lines[-1] == "" and len(lines) == n * n + 2
+    for q, line in enumerate(lines[1:-1]):
+        k, kp = divmod(q, n)
+        cells = [str(k), str(kp), spectra.classification[q],
+                 cli._fmt(spectra.spectral_radius[q])]
+        for v in spectra.eigenvalues[q]:
+            cells += [cli._fmt(v.real), cli._fmt(v.imag)]
+        assert line == ",".join(cells)
 
 
 def test_mixing_json_schema_and_bound(tmp_path, capsys):

@@ -10,8 +10,8 @@ from cyclewalk import (
     position_marginal,
 )
 from cyclewalk.evolution import (
-    DensityOperator,
     PositionDistribution,
+    _check_density,
     _check_imag,
     direct_trajectory,
     walk_unitary,
@@ -67,12 +67,13 @@ def test_full_dephasing_equals_classical_chain():
 def test_density_invariants_hold_along_trajectory():
     cfg = _cfg(6, 0.3, "balanced")
     for rho in direct_trajectory(cfg, 40, check=False):
-        rho.validate()  # hermitian, unit trace, PSD
+        assert rho.shape == (12, 12)
+        _check_density(rho)  # hermitian, unit trace, PSD
 
 
 def test_position_marginal_of_maximally_mixed_state():
     n = 7
-    rho = DensityOperator(matrix=np.eye(2 * n, dtype=complex) / (2 * n))
+    rho = np.eye(2 * n, dtype=complex) / (2 * n)
     assert np.abs(position_marginal(rho).probs - 1.0 / n).max() <= 1e-14
 
 
@@ -152,6 +153,10 @@ def test_position_distribution_validation():
 
 
 def test_density_operator_validation():
-    bad = DensityOperator(matrix=np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex))
-    with pytest.raises(NumericalCheckError):
-        bad.validate()
+    bad = np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex)
+    with pytest.raises(NumericalCheckError, match=r"^density operator not PSD: -4\.000e-01$"):
+        _check_density(bad)
+    with pytest.raises(NumericalCheckError, match="not Hermitian"):
+        _check_density(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+    with pytest.raises(NumericalCheckError, match="trace"):
+        _check_density(np.eye(2, dtype=complex))

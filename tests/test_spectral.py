@@ -53,8 +53,8 @@ def _cosines(k, kp, n):
     return np.cos(2 * np.pi * (kp + k) / n), np.cos(2 * np.pi * (kp - k) / n)
 
 
-def _definitional_reports(cfg):
-    """SpectrumReports of the whole definitional stack of cfg."""
+def _definitional_spectra(cfg):
+    """SpectrumReport of the whole definitional stack of cfg."""
     n = cfg.n_nodes
     return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), cfg), n)
 
@@ -118,18 +118,19 @@ def test_boundary_value_factorizations():
 
 
 def test_eigenvalue_report_diagonal_pair():
-    report = _definitional_reports(_cfg(7, 0.5))[3 * 7 + 3]
-    assert report.classification == CLASS_DIAGONAL
-    assert report.has_unit_eigenvalue
-    assert not report.has_minus_one
-    assert np.abs(report.eigenvalues - 1.0).min() <= 1e-9
+    spectra, q = _definitional_spectra(_cfg(7, 0.5)), 3 * 7 + 3
+    assert spectra.classification[q] == CLASS_DIAGONAL
+    assert spectra.has_unit_eigenvalue[q]
+    assert not spectra.has_minus_one[q]
+    assert np.abs(spectra.eigenvalues[q] - 1.0).min() <= 1e-9
 
 
 def test_eigenvalue_report_antipodal_pair():
-    report = _definitional_reports(_cfg(6, 0.5))[1 * 6 + 4]
-    assert report.classification == CLASS_ANTIPODAL
-    assert report.has_minus_one
-    others = report.eigenvalues[np.abs(report.eigenvalues + 1.0) > 1e-9]
+    spectra, q = _definitional_spectra(_cfg(6, 0.5)), 1 * 6 + 4
+    assert spectra.classification[q] == CLASS_ANTIPODAL
+    assert spectra.has_minus_one[q]
+    eig = spectra.eigenvalues[q]
+    others = eig[np.abs(eig + 1.0) > 1e-9]
     assert np.all(np.abs(others) < 1.0)
 
 
@@ -142,39 +143,41 @@ def test_eigenvalues_reject_a_stack_outside_the_pair_layout():
 
 
 def test_odd_cycle_off_diagonal_pairs_contract_strictly():
-    for q, report in enumerate(_definitional_reports(_cfg(7, 0.3))):
-        if q % 8 == 0:  # diagonal pairs k = k' sit at rows k*N + k
-            continue
-        assert report.classification == CLASS_GENERIC
-        assert report.spectral_radius < 1.0
+    spectra = _definitional_spectra(_cfg(7, 0.3))
+    off_diagonal = np.arange(49) % 8 != 0  # diagonal pairs k = k' sit at rows k*N + k
+    assert np.all(spectra.classification[off_diagonal] == CLASS_GENERIC)
+    assert np.all(spectra.spectral_radius[off_diagonal] < 1.0)
 
 
 def test_roots_agree_with_eigenvalues_as_multisets():
     for k, kp, cfg in _random_pairs(60, seed=23):
         roots = np.roots(char_poly(k, kp, cfg))
-        eig = _definitional_reports(cfg)[k * cfg.n_nodes + kp].eigenvalues
+        eig = _definitional_spectra(cfg).eigenvalues[k * cfg.n_nodes + kp]
         assert multiset_match_distance(roots, eig) <= 1e-8
 
 
 def test_classification_sweep_small_cycles():
     for n in range(3, 9):
         for p in (0.1, 0.5):
-            for q, report in enumerate(_definitional_reports(_cfg(n, p))):
-                assert report.spectral_radius <= 1.0 + 1e-10
-                expected = classify_pair(*divmod(q, n), n)
-                assert report.classification == expected
-                assert report.has_unit_eigenvalue == (expected == CLASS_DIAGONAL)
-                assert report.has_minus_one == (expected == CLASS_ANTIPODAL)
+            spectra = _definitional_spectra(_cfg(n, p))
+            assert spectra.spectral_radius.shape == (n * n,)
+            assert np.all(spectra.spectral_radius <= 1.0 + 1e-10)
+            expected = [classify_pair(*divmod(q, n), n) for q in range(n * n)]
+            assert spectra.classification.tolist() == expected
+            assert np.array_equal(spectra.has_unit_eigenvalue,
+                                  np.equal(expected, CLASS_DIAGONAL))
+            assert np.array_equal(spectra.has_minus_one, np.equal(expected, CLASS_ANTIPODAL))
+            assert spectra.placement_ok.shape == (n * n,) and spectra.placement_ok.all()
 
 
 def test_unit_modulus_eigenvalues_are_real_pm_one():
     # every pair of each drawn (N, p), not only the drawn pair
     for _, _, cfg in _random_pairs(120, seed=24, max_nodes=32):
-        reports = _definitional_reports(cfg)
-        assert max(r.spectral_radius for r in reports) <= 1.0 + 1e-10
+        spectra = _definitional_spectra(cfg)
+        assert spectra.spectral_radius.max() <= 1.0 + 1e-10
         if not 0.0 < cfg.decoherence_rate < 1.0:
             continue
-        eig = np.array([r.eigenvalues for r in reports])
+        eig = spectra.eigenvalues
         near_unit = eig[np.abs(np.abs(eig) - 1.0) < 1e-9]
         assert np.all(np.minimum(np.abs(near_unit - 1.0), np.abs(near_unit + 1.0)) <= 1e-8)
 
@@ -192,6 +195,24 @@ def test_spectral_gap_degenerate_at_zero_rate(monkeypatch):
     assert spectral_gap(_cfg(5, 0.0)) == 0.0
 
 
+def test_spectral_gap_without_generic_pairs():
+    # N = 2 has only diagonal and antipodal pairs: the masked max is empty
+    assert spectral_gap(_cfg(2, 0.5)) == 1.0
+
+
+def test_classify_pair_broadcasts_over_index_arrays():
+    k, kp = np.divmod(np.arange(64), 8)
+    classes = classify_pair(k, kp, 8)
+    assert classes.shape == (64,)
+    for q in range(64):
+        single = classify_pair(*divmod(q, 8), 8)
+        assert isinstance(single, str)
+        assert classes[q] == single
+    assert classify_pair(0, 4, 8) == CLASS_ANTIPODAL
+    assert classify_pair(0, 4, 9) == CLASS_GENERIC
+    assert classify_pair(np.arange(5)[:, None], np.arange(5), 5).shape == (5, 5)
+
+
 def test_spectral_gap_construction_independent():
     cfg = _cfg(9, 0.2)
     gap = spectral_gap(cfg)
@@ -207,18 +228,18 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
     # pair alone gives, put in canonical order
     for n, p in ((2, 0.5), (6, 0.3), (7, 0.0), (8, 1.0)):
         cfg = _cfg(n, p)
-        reports = eigenvalues(all_pair_matrices(cfg)[0], n)
-        assert len(reports) == n * n
+        spectra = eigenvalues(all_pair_matrices(cfg)[0], n)
+        assert spectra.eigenvalues.shape == (n * n, 4)
         for k in range(n):
             for kp in range(n):
-                report = reports[k * n + kp]
+                q = k * n + kp
                 single = np.linalg.eigvals(superop_closed_form(k, kp, cfg))
                 single = single[np.argsort(single.round(9), kind="stable")]
-                assert np.array_equal(report.eigenvalues, single)
-                assert report.spectral_radius == np.abs(single).max()
-                assert report.has_unit_eigenvalue == (np.abs(single - 1.0).min() < 1e-9)
-                assert report.has_minus_one == (np.abs(single + 1.0).min() < 1e-9)
-                assert report.classification == classify_pair(k, kp, n)
+                assert np.array_equal(spectra.eigenvalues[q], single)
+                assert spectra.spectral_radius[q] == np.abs(single).max()
+                assert spectra.has_unit_eigenvalue[q] == (np.abs(single - 1.0).min() < 1e-9)
+                assert spectra.has_minus_one[q] == (np.abs(single + 1.0).min() < 1e-9)
+                assert spectra.classification[q] == classify_pair(k, kp, n)
 
 
 def _definitional_stack(cfg):
@@ -247,10 +268,8 @@ def test_eigenvalue_rows_agree_between_constructions():
         for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
             cfg = _cfg(n, p)
             tol = 1e-7 if p == 0.5 else 1e-12
-            closed = np.array([r.eigenvalues
-                               for r in eigenvalues(all_pair_matrices(cfg)[0], n)])
-            einsum = np.array([r.eigenvalues
-                               for r in eigenvalues(_definitional_stack(cfg), n)])
+            closed = eigenvalues(all_pair_matrices(cfg)[0], n).eigenvalues
+            einsum = eigenvalues(_definitional_stack(cfg), n).eigenvalues
             assert np.abs(closed - einsum).max() <= tol
             keys = np.round(closed, 9)
             order = np.lexsort((keys.imag, keys.real), axis=1)

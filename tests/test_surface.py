@@ -30,7 +30,6 @@ PUBLIC = [
     "char_poly",
     "eigenvalues",
     "spectral_gap",
-    "DensityOperator",
     "PositionDistribution",
     "classical_reference",
     "fourier_trajectory",
@@ -65,14 +64,16 @@ def test_every_module_export_resolves():
 
 
 def test_pair_wrapper_types_are_gone():
-    # pair matrices, Pauli coefficients and quartic coefficients are plain
-    # arrays, and spectral.eigenvalues is the one spectrum entry point
-    from cyclewalk import fourier, spectral
+    # pair matrices, Pauli coefficients, quartic coefficients and density
+    # matrices are plain arrays, and spectral.eigenvalues is the one
+    # spectrum entry point
+    from cyclewalk import evolution, fourier, spectral
 
     for module, name in ((cyclewalk, "SuperOp"), (fourier, "SuperOp"),
                          (cyclewalk, "Quartic"), (spectral, "Quartic"),
                          (cyclewalk, "PauliVector"), (core, "PauliVector"),
-                         (spectral, "pair_spectra")):
+                         (spectral, "pair_spectra"),
+                         (cyclewalk, "DensityOperator"), (evolution, "DensityOperator")):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
