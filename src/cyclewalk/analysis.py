@@ -18,7 +18,7 @@ import numpy as np
 
 from . import _kernels
 from .core import WalkConfig
-from .evolution import PositionDistribution, _check_imag, _fourier_state
+from .evolution import PositionDistribution, _momentum_path
 from .spectral import spectral_gap
 
 __all__ = [
@@ -113,10 +113,7 @@ def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
 
 def time_averaged_snapshots(config: WalkConfig, taus) -> np.ndarray:
     """Cesaro averages at several window lengths in one pass over t."""
-    matrices, v0, d_index, phase = _fourier_state(config)
-    avgs, max_imag = _kernels.averaged_snapshots(matrices, v0, d_index, phase, taus)
-    _check_imag(max_imag)
-    return avgs
+    return _momentum_path(config, _kernels.averaged_snapshots, taus)
 
 
 def _check_epsilon(epsilon: float):
@@ -157,12 +154,9 @@ def _mixing_from_trace(tv: np.ndarray, epsilon: float, horizon: int):
     return last, True
 
 
-def _scan(config, epsilon, horizon, target0, target1, mode):
-    matrices, v0, d_index, phase = _fourier_state(config)
-    tv, max_imag = _kernels.tv_scan(
-        matrices, v0, d_index, phase, horizon, target0, target1, mode=mode)
-    _check_imag(max_imag)
-    return tv
+def _scan(config, horizon, target0, target1, mode, stop_below=0.0):
+    return _momentum_path(config, _kernels.tv_scan, horizon, target0, target1,
+                          mode=mode, stop_below=stop_below)
 
 
 def mixing_time_averaged(config: WalkConfig, epsilon: float,
@@ -176,7 +170,7 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     """
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     target = np.full(config.n_nodes, 1.0 / config.n_nodes)
-    tv = _scan(config, epsilon, horizon, target, target, _kernels.MODE_AVERAGED)
+    tv = _scan(config, horizon, target, target, _kernels.MODE_AVERAGED)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
     bound = None
     if mixing_time is not None and not bound_unavailable_reasons(config):
@@ -197,7 +191,7 @@ def mixing_time_instantaneous(config: WalkConfig, epsilon: float,
     """
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     n = config.n_nodes
-    tv = _scan(config, epsilon, horizon, _limit(n, 0), _limit(n, 1),
+    tv = _scan(config, horizon, _limit(n, 0), _limit(n, 1),
                _kernels.MODE_INSTANTANEOUS)
     mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
     return MixingReport(epsilon=float(epsilon), mixing_time=mixing_time,
@@ -211,11 +205,8 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
     scan at the crossing, unlike the full mixing-time scan."""
     horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
     target = np.full(config.n_nodes, 1.0 / config.n_nodes)
-    matrices, v0, d_index, phase = _fourier_state(config)
-    tv, max_imag = _kernels.tv_scan(
-        matrices, v0, d_index, phase, horizon, target, target,
-        mode=_kernels.MODE_AVERAGED, stop_below=float(epsilon))
-    _check_imag(max_imag)
+    tv = _scan(config, horizon, target, target, _kernels.MODE_AVERAGED,
+               stop_below=float(epsilon))
     if len(tv) and tv[-1] < epsilon:
         return int(len(tv))
     return None
@@ -224,12 +215,16 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
 def bound_unavailable_reasons(config: WalkConfig) -> list[str]:
     """Why :func:`uniform_deviation_bound` does not apply to this walk, in
     words; empty exactly when it does (odd N, p > 0, launched from ``up``
-    up to a global phase, i.e. |c_0| = 1 within 1e-12)."""
+    up to a global phase, i.e. |c_0| = 1 within 1e-12) and finite at
+    tau = 1, where it is largest."""
+    n, p = config.n_nodes, config.decoherence_rate
     reasons = []
-    if config.n_nodes % 2 == 0:
+    if n % 2 == 0:
         reasons.append("even cycle length")
-    if config.decoherence_rate == 0.0:
+    if p == 0.0:
         reasons.append("zero decoherence rate")
+    elif n % 2 == 1 and not math.isfinite(uniform_deviation_bound(1, n, p)):
+        reasons.append("decoherence rate too small for a finite bound")
     if not abs(abs(config.initial_coin[0]) - 1.0) <= 1e-12:
         reasons.append("initial coin is not 'up'")
     return reasons
@@ -242,7 +237,7 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
         B(tau, N) = 8 / (p^2 tau N^2) * sum_{j=1}^{N-1} j / (1 - cos(2 pi j/N))
 
     Scales as O(N / tau); summing over nodes gives the O(N^2 / epsilon)
-    mixing-time order.
+    mixing-time order.  It is inf where p^2 underflows to 0 (p < ~1e-162).
     """
     if n_nodes % 2 == 0:
         raise ValueError("bound is only available for odd cycle lengths")
@@ -252,7 +247,8 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
         raise ValueError(f"tau must be >= 1, got {tau}")
     j = np.arange(1, n_nodes)
     total = float(np.sum(j / (1.0 - np.cos(2.0 * np.pi * j / n_nodes))))
-    return 8.0 / (p * p * tau * n_nodes * n_nodes) * total
+    scale = p * p * tau * n_nodes * n_nodes
+    return 8.0 / scale * total if scale > 0.0 else math.inf
 
 
 def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:

@@ -24,7 +24,7 @@ from .analysis import (
     mixing_time_instantaneous,
 )
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, coin_state
-from .evolution import direct_trajectory, fourier_trajectory, position_marginal
+from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import all_pair_matrices
 from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, UNIT_DISK_TOL, eigenvalues
 from .verify import CHECK_NAMES, run_checks
@@ -38,16 +38,23 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
+def _rows(template: str, cells) -> str:
+    """Fill a row template, one field per cell, over an (M, k) cell array in
+    one ``%`` call; ``%.16e`` gives the bytes of :func:`_fmt`."""
+    cells = np.asarray(cells, dtype=object)
+    return template * len(cells) % tuple(cells.ravel().tolist())
+
+
 class _Pairs(list):
     """A list of [int, float] pairs, such as the mixing ``tv_trace``;
-    :func:`_emit_json` renders it with one template per entry, in the bytes
-    it would give a plain list of the same values."""
+    :func:`_emit_json` renders it through :func:`_rows`, in the bytes it
+    would give a plain list of the same values."""
 
 
 def _emit_pairs(pairs: _Pairs, indent: int) -> str:
     pad = "  " * (indent + 1)
-    entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}]"
-    return "[\n" + ",\n".join([entry % (t, v) for t, v in pairs]) + "\n" + "  " * indent + "]"
+    entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}],\n"
+    return "[\n" + _rows(entry, pairs)[:-2] + "\n" + "  " * indent + "]"
 
 
 def _emit_json(value, indent: int = 0) -> str:
@@ -182,15 +189,15 @@ def cmd_simulate(args) -> int:
     else:
         trajectory = np.stack([position_marginal(rho).probs
                                for rho in direct_trajectory(config, steps)])
-    lines = ["t,x,p,method"]
-    for t in range(steps + 1):
-        row_sum = float(trajectory[t].sum())
-        if not abs(row_sum - 1.0) <= 1e-10:
-            raise NumericalCheckError(
-                f"probabilities at t={t} sum to {row_sum!r}, not 1")
-        for x in range(config.n_nodes):
-            lines.append(f"{t},{x},{_fmt(trajectory[t, x])},{resolved['method']}")
-    _write_text(resolved["output"], "\n".join(lines) + "\n")
+    bad = np.flatnonzero(~(np.abs(trajectory.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
+    if len(bad):
+        raise NumericalCheckError(f"probabilities at t={bad[0]} sum to "
+                                  f"{float(trajectory[bad[0]].sum())!r}, not 1")
+    cells = np.empty((trajectory.size, 3), dtype=object)
+    cells[:, 0], cells[:, 1] = np.divmod(np.arange(trajectory.size), config.n_nodes)
+    cells[:, 2] = trajectory.ravel()
+    rows = _rows(f"%d,%d,%.16e,{resolved['method']}\n", cells)
+    _write_text(resolved["output"], "t,x,p,method\n" + rows)
     if args.manifest:
         _write_manifest(args.manifest, "simulate", resolved, [resolved["output"]])
     return 0
@@ -219,7 +226,7 @@ def cmd_spectrum(args) -> int:
     cells[:, 0], cells[:, 1] = np.divmod(np.arange(n * n), n)
     cells[:, 2], cells[:, 3] = classes, radius
     cells[:, 4:] = spectra.eigenvalues.view(np.float64)
-    rows = ("%d,%d,%s" + ",%.16e" * 9 + "\n") * (n * n) % tuple(cells.ravel().tolist())
+    rows = _rows("%d,%d,%s" + ",%.16e" * 9 + "\n", cells)
     radius_ok = max_radius_all <= 1.0 + UNIT_DISK_TOL
     gap_ok = p == 0.0 or max_radius_generic < 1.0
     summary = {

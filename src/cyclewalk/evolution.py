@@ -35,6 +35,8 @@ __all__ = [
 
 #: Imaginary residue above this in a reconstructed probability aborts the run.
 IMAG_RESIDUE_LIMIT = 1e-8
+#: A distribution whose probabilities sum further than this from 1 is rejected.
+PROB_SUM_TOL = 1e-10
 
 
 @dataclass(frozen=True, eq=False)
@@ -50,7 +52,7 @@ class PositionDistribution:
             raise ValueError("probs must be one-dimensional")
         if p.min() < -1e-12:
             raise NumericalCheckError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > 1e-10:
+        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
             raise NumericalCheckError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
         self.probs.setflags(write=False)
@@ -115,30 +117,25 @@ def position_marginal(rho: np.ndarray) -> PositionDistribution:
     return PositionDistribution(probs=probs)
 
 
-def _fourier_state(config: WalkConfig):
+def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
+    """Result of a ``_kernels`` reduction (passed as ``_kernels.<name>``, looked
+    up at call time) on this walk's pairs, once its imaginary residue passes."""
     matrices, d_index = all_pair_matrices(config)
     projector = np.outer(config.initial_coin, config.initial_coin.conj())
     v0 = np.tile(pauli_decompose(projector), (config.n_nodes ** 2, 1))
-    return matrices, v0, d_index, phase_table(config.n_nodes)
-
-
-def _check_imag(max_imag: float):
+    result, max_imag = kernel(matrices, v0, d_index, phase_table(config.n_nodes),
+                              *args, **kwargs)
     if max_imag > IMAG_RESIDUE_LIMIT:
-        raise NumericalCheckError(
-            f"imaginary residue {max_imag:.3e} in reconstructed distribution "
-            "(superoperator construction is inconsistent)"
-        )
+        raise NumericalCheckError(f"imaginary residue {max_imag:.3e} in reconstructed "
+                                  "distribution (superoperator construction is inconsistent)")
+    return result
 
 
 def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
     """P(x, t) for t = 0..t_max via the momentum path; shape (t_max+1, N)."""
     if t_max < 0:
         raise ValueError(f"t_max must be non-negative, got {t_max}")
-    matrices, v0, d_index, phase = _fourier_state(config)
-    traj, max_imag = _kernels.distribution_trajectory(
-        matrices, v0, d_index, phase, int(t_max))
-    _check_imag(max_imag)
-    return traj
+    return _momentum_path(config, _kernels.distribution_trajectory, int(t_max))
 
 
 def classical_reference(n_nodes: int, t: int) -> PositionDistribution:

@@ -26,14 +26,13 @@ from .analysis import (
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
 from .evolution import _classical_step, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import superop_closed_form, superop_definitional
-from .spectral import UNIT_DISK_TOL, char_poly, eigenvalues
+from .spectral import UNIT_DISK_TOL, UNIT_MODULUS_TOL, char_poly, eigenvalues
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
 
 
 @dataclass(frozen=True)
 class VerifyProfile:
-    name: str
     random_tuples: int
     spectrum_max_nodes: int
     oracle_max_nodes: int
@@ -53,7 +52,6 @@ class VerifyProfile:
 
 PROFILES = {
     "default": VerifyProfile(
-        name="default",
         random_tuples=200,
         spectrum_max_nodes=16,
         oracle_max_nodes=12,
@@ -71,7 +69,6 @@ PROFILES = {
         averaged_rates=(0.2, 0.6),
     ),
     "quick": VerifyProfile(
-        name="quick",
         random_tuples=60,
         spectrum_max_nodes=8,
         oracle_max_nodes=7,
@@ -166,7 +163,7 @@ def check_spectrum(profile: VerifyProfile):
             eig = spectra.eigenvalues
             # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
             slope = char_poly(k, kp, cfg)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
-            stray_unit = ((np.abs(np.abs(eig) - 1.0) < 1e-9)
+            stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)
                           & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
             radius = float(spectra.spectral_radius.max())
             count += n * n
@@ -350,6 +347,8 @@ CHECK_NAMES = [name for name, _ in _CHECKS]
 def run_checks(names=None, profile: str = "default") -> dict:
     """Run the selected checks, in the fixed order of CHECK_NAMES, and
     assemble the deterministic report."""
+    if profile not in PROFILES:
+        raise ValueError(f"unknown profile: {profile!r}; available: {list(PROFILES)}")
     prof = PROFILES[profile]
     selected = [(n, fn) for n, fn in _CHECKS if names is None or n in names]
     if names is not None:
@@ -363,7 +362,7 @@ def run_checks(names=None, profile: str = "default") -> dict:
     return {
         "tool": "cyclewalk",
         "version": __version__,
-        "profile": prof.name,
+        "profile": profile,
         "checks": results,
         "all_passed": all(r["passed"] for r in results),
     }

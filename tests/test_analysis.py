@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -197,6 +199,12 @@ def test_bound_unavailable_reasons():
     assert bound_unavailable_reasons(_cfg(9, 0.2, "down")) == ["initial coin is not 'up'"]
     assert bound_unavailable_reasons(_cfg(8, 0.0, "balanced")) == [
         "even cycle length", "zero decoherence rate", "initial coin is not 'up'"]
+    # p^2 underflows: to 0 at 1e-200, to a subnormal at 1e-160
+    for p in (1e-200, 1e-160):
+        assert uniform_deviation_bound(1, 9, p) == math.inf
+        assert bound_unavailable_reasons(_cfg(9, p)) == [
+            "decoherence rate too small for a finite bound"]
+    assert bound_unavailable_reasons(_cfg(8, 1e-200)) == ["even cycle length"]
 
 
 def test_bound_applies_to_up_under_a_global_phase():

@@ -5,9 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import WalkConfig, classical_reference, eigenvalues
+from cyclewalk import WalkConfig, classical_reference, coin_state, eigenvalues
 from cyclewalk import cli
 from cyclewalk.cli import _emit_json, _Pairs, main
+from cyclewalk.evolution import direct_trajectory, fourier_trajectory, position_marginal
 from cyclewalk.fourier import all_pair_matrices
 from cyclewalk.verify import run_checks
 
@@ -82,17 +83,43 @@ def test_simulate_direct_full_dephasing_matches_chain(tmp_path, capsys):
 
 
 def test_simulate_row_sum_guard_prints_a_plain_float(monkeypatch, capsys):
-    def off_by_1e_9(config, steps):
-        traj = np.full((steps + 1, config.n_nodes), 1.0 / config.n_nodes)
-        traj[-1, 0] += 1e-9
-        return traj
+    def broken(t, value):
+        def trajectory(config, steps):
+            traj = np.full((steps + 1, config.n_nodes), 1.0 / config.n_nodes)
+            traj[t, 0] += value
+            return traj
+        return trajectory
 
-    monkeypatch.setattr(cli, "fourier_trajectory", off_by_1e_9)
-    code, _, err = _run(capsys, "simulate", "--nodes", "4", "--decoherence", "0.5",
-                        "--steps", "3")
-    assert code == 3
-    assert "probabilities at t=3 sum to 1.000000001" in err
-    assert "np.float64" not in err
+    for t, value, message in ((-1, 1e-9, "at t=3 sum to 1.000000001"),
+                              (1, np.nan, "at t=1 sum to nan")):
+        monkeypatch.setattr(cli, "fourier_trajectory", broken(t, value))
+        code, _, err = _run(capsys, "simulate", "--nodes", "4", "--decoherence", "0.5",
+                            "--steps", "3")
+        assert code == 3
+        assert f"probabilities {message}, not 1" in err
+        assert "np." not in err
+
+
+@pytest.mark.parametrize("method", ["fourier", "direct"])
+def test_simulate_rows_match_per_cell_formatting(tmp_path, capsys, method):
+    # the one-template rows carry the bytes a per-cell _fmt gives
+    n, p, steps = 6, 0.37, 25
+    out = tmp_path / "sim.csv"
+    code, _, _ = _run(capsys, "simulate", "--nodes", str(n), "--decoherence", str(p),
+                      "--steps", str(steps), "--method", method,
+                      "--initial-coin", "balanced", "--output", str(out))
+    assert code == 0
+    config = WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state("balanced"))
+    if method == "fourier":
+        traj = fourier_trajectory(config, steps)
+    else:
+        traj = [position_marginal(rho).probs for rho in direct_trajectory(config, steps)]
+    lines = out.read_text().split("\n")
+    assert lines[0] == "t,x,p,method"
+    assert lines[-1] == "" and len(lines) == (steps + 1) * n + 2
+    for q, line in enumerate(lines[1:-1]):
+        t, x = divmod(q, n)
+        assert line == f"{t},{x},{cli._fmt(traj[t][x])},{method}"
 
 
 def test_simulate_zero_steps_single_mass_row(capsys):
@@ -241,6 +268,22 @@ def test_mixing_bound_required_on_even_cycle_is_usage_error(capsys):
     assert "even" in err
 
 
+def test_mixing_tiny_decoherence_rate_reports_no_bound(tmp_path, capsys):
+    # p^2 underflows (to 0 at 1e-200, to a subnormal at 1e-160), so the bound
+    # is not finite: the report has no bound and requiring one is refused
+    out = tmp_path / "mix.json"
+    for rate in ("1e-200", "1e-160"):
+        base = ("mixing", "--nodes", "9", "--decoherence", rate, "--epsilon", "0.5",
+                "--horizon", "200")
+        code, _, _ = _run(capsys, *base, "--output", str(out))
+        assert code == 0
+        assert json.loads(out.read_text())["bound"] is None
+        code, stdout, err = _run(capsys, *base, "--bound", "require")
+        assert code == 2
+        assert "decoherence rate too small for a finite bound" in err
+        assert stdout == ""
+
+
 def test_mixing_rejects_nonfinite_epsilon_and_nonpositive_stride(capsys):
     base = ("mixing", "--nodes", "5", "--decoherence", "0.3")
     for extra in (("--epsilon", "nan", "--horizon", "50"),
@@ -305,6 +348,12 @@ def test_verify_contraction_reports_its_worst_margin():
 def test_verify_empty_selection_is_rejected():
     with pytest.raises(ValueError, match="no checks selected"):
         run_checks(names=[])
+
+
+def test_verify_unknown_profile_is_rejected():
+    with pytest.raises(ValueError, match=r"unknown profile: 'bogus'; "
+                                         r"available: \['default', 'quick'\]"):
+        run_checks(profile="bogus")
 
 
 def test_config_file_with_flag_override(tmp_path, capsys):

@@ -12,7 +12,7 @@ from cyclewalk import (
 from cyclewalk.evolution import (
     PositionDistribution,
     _check_density,
-    _check_imag,
+    _momentum_path,
     direct_trajectory,
     walk_unitary,
 )
@@ -134,9 +134,12 @@ def test_negative_time_rejected():
 
 
 def test_imaginary_residue_guard():
-    _check_imag(1e-12)  # fine
-    with pytest.raises(NumericalCheckError):
-        _check_imag(1e-6)
+    def kernel(residue):
+        return lambda *args: ("result", residue)
+
+    assert _momentum_path(_cfg(4, 0.5), kernel(1e-12)) == "result"  # fine
+    with pytest.raises(NumericalCheckError, match="imaginary residue 1.000e-06"):
+        _momentum_path(_cfg(4, 0.5), kernel(1e-6))
 
 
 def test_momentum_path_probability_sums_do_not_drift():
