@@ -6,10 +6,13 @@ distributions through the cyclic phase sum.  It works in blocks of B steps:
 setup precomputes, per pair q, the rows e0^T L_q^j (j < B) and the power
 L_q^B, so one block costs one batched row-state contraction (the traces of B
 steps), one reshape-sum over the pairs grouped by momentum difference, one
-phase product and one L^B step, whatever B is.  The public kernels are
-reductions over that stream: the full trajectory, the total-variation scan
-behind the mixing times (up to 10^6 steps), and Cesaro averages at chosen
-window lengths.
+phase product and one L^B step, whatever B is.  The stream ends at the last
+step a caller asks for, and it alone cuts the last block there and tracks the
+largest imaginary residue.  :func:`_averages` turns it into the stream of
+Cesaro averages through one running sum.  The public kernels are folds over
+these streams: the full trajectory, the total-variation scan behind the
+mixing times (up to 10^6 steps), and Cesaro averages at chosen window
+lengths.
 """
 
 from __future__ import annotations
@@ -56,15 +59,14 @@ def _flush(a):
     return a
 
 
-def _evolve(matrices, v0, d_index, phase):
-    """Yield (P(., t..t+B-1) as a (B, N) array, largest |imaginary part| in
-    that block) for t = 0, B, 2B, ...
+def _evolve(matrices, v0, d_index, phase, steps):
+    """Yield (t, P(., t..t+b-1) as a (b, N) array, largest |imaginary part|
+    of every row yielded so far) for t = 0, B, 2B, ... <= steps.
 
-    B comes from :func:`_block_size` and the pair count alone.  The stream
-    never ends; consumers stop pulling once they have what they need, so up
-    to B-1 steps past the last one consumed are computed (and enter the
-    block's residue).  d_index must hold each momentum difference 0..N-1
-    exactly N times, as :func:`cyclewalk.fourier.all_pair_matrices` builds it.
+    B comes from :func:`_block_size` and the pair count alone; b = B except in
+    the last block, which is cut so that the rows end at t = steps.  d_index
+    must hold each momentum difference 0..N-1 exactly N times, as
+    :func:`cyclewalk.fourier.all_pair_matrices` builds it.
     """
     n = phase.shape[0]
     d_index = np.asarray(d_index)
@@ -81,13 +83,30 @@ def _evolve(matrices, v0, d_index, phase):
     for j in range(block):
         rows[:, j] = power[:, 0]
         power = _flush(np.matmul(power, matrices))
-    while True:
+    max_imag = 0.0
+    for t in range(0, steps + 1, block):
+        if t:
+            state = _flush(np.matmul(power, state[:, :, None])[:, :, 0])
         traces = np.matmul(rows, state[:, :, None])[:, :, 0]
         g = 2.0 * traces.reshape(n, n, block).sum(axis=1)
         # phase is symmetric, so g^T @ phase is (phase @ g)^T: rows are times
-        pc = (g.T @ phase) / float(n * n)
-        yield pc.real, float(np.abs(pc.imag).max())
-        state = _flush(np.matmul(power, state[:, :, None])[:, :, 0])
+        pc = ((g.T @ phase) / float(n * n))[:steps + 1 - t]
+        max_imag = max(max_imag, float(np.abs(pc.imag).max()))
+        yield t, pc.real, max_imag
+
+
+def _averages(blocks):
+    """The Cesaro stream of :func:`_evolve`'s blocks: yields (t, rows,
+    max_imag) where row j is the average of P(., 0..t+j).  The running sum
+    adds one row at a time in order, so it rounds as a step-by-step sum."""
+    total = 0.0
+    for t, dists, max_imag in blocks:
+        sums = np.empty((len(dists) + 1, dists.shape[1]))
+        sums[0] = total
+        sums[1:] = dists
+        np.cumsum(sums, axis=0, out=sums)
+        total = sums[-1]
+        yield t, sums[1:] / (np.arange(t, t + len(dists))[:, None] + 1), max_imag
 
 
 def distribution_trajectory(matrices, v0, d_index, phase, steps):
@@ -95,25 +114,9 @@ def distribution_trajectory(matrices, v0, d_index, phase, steps):
     imaginary residue seen in the reconstruction."""
     steps = int(steps)
     out = np.empty((steps + 1, phase.shape[0]))
-    max_imag = 0.0
-    t = 0
-    for dists, im in _evolve(matrices, v0, d_index, phase):
-        take = min(len(dists), steps + 1 - t)
-        out[t:t + take] = dists[:take]
-        max_imag = max(max_imag, im)
-        t += take
-        if t > steps:
-            break
+    for t, dists, max_imag in _evolve(matrices, v0, d_index, phase, steps):
+        out[t:t + len(dists)] = dists
     return out, max_imag
-
-
-def _running_sums(cum, dists):
-    """cum + P(0) + ... + P(j) for each row j of dists, added one row at a
-    time in order, so the sums round exactly as a step-by-step running sum."""
-    sums = np.empty((len(dists) + 1, len(cum)))
-    sums[0] = cum
-    sums[1:] = dists
-    return np.cumsum(sums, axis=0, out=sums)[1:]
 
 
 def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
@@ -121,48 +124,35 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
     """Total-variation trace against a target distribution.
 
     mode=MODE_AVERAGED: tv[i] = TV(mean of P(.,0..i), target0), i.e. the
-    running Cesaro average at tau = i+1, for tau = 1..horizon.
+    running Cesaro average at tau = i+1, for tau = 1..horizon; target1 is not
+    read.
 
     mode=MODE_INSTANTANEOUS: tv[i] = TV(P(., i+1), target) for t = 1..horizon,
     where the target alternates with the parity of t (target0 for even t).
 
-    stop_below > 0 truncates the scan at the first value below the threshold.
+    The scan ends after the first value below stop_below.
     Returns (tv, largest imaginary residue).
     """
-    if target1 is None:
-        target1 = target0
-    horizon, stop_below = int(horizon), float(stop_below)
-    averaged = int(mode) == MODE_AVERAGED
-    targets = np.stack([target0, target1])
-    tv = np.empty(horizon)
-    cum = np.zeros(phase.shape[0])
-    max_imag = 0.0
-    filled = 0
-    t = 0
-    for dists, im in _evolve(matrices, v0, d_index, phase):
-        max_imag = max(max_imag, im)
-        times = np.arange(t, t + len(dists))
-        t += len(dists)
-        if averaged:
-            sums = _running_sums(cum, dists[:horizon - filled])
-            values = np.abs(sums / (times[:len(sums), None] + 1) - target0).sum(axis=1)
-        else:
-            values = np.abs(dists - targets[times % 2]).sum(axis=1)
-            values = values[1:] if times[0] == 0 else values
-            values = values[:horizon - filled]
-        stopped = False
-        if stop_below > 0.0:
-            below = np.flatnonzero(values < stop_below)
-            if len(below):
-                values = values[:below[0] + 1]
-                stopped = True
-        tv[filled:filled + len(values)] = values
-        filled += len(values)
-        if averaged and len(values):
-            cum = sums[len(values) - 1]
-        if stopped or filled == horizon:
-            break
-    return tv[:filled], max_imag
+    horizon = int(horizon)
+    # tv[t] holds the value of the stream's row t; the trace starts at tv[first]
+    if int(mode) == MODE_AVERAGED:
+        # row t is the average at tau = t + 1
+        first, targets = 0, np.stack([target0, target0])
+        blocks = _averages(_evolve(matrices, v0, d_index, phase, horizon - 1))
+    else:
+        # row t is P(., t); t = 0 is computed but not scanned
+        first = 1
+        targets = np.stack([target0, target0 if target1 is None else target1])
+        blocks = _evolve(matrices, v0, d_index, phase, horizon)
+    tv = np.empty(first + horizon)
+    for t, dists, max_imag in blocks:
+        end = t + len(dists)
+        tv[t:end] = np.abs(dists - targets[np.arange(t, end) % 2]).sum(axis=1)
+        start = max(t, first)
+        below = np.flatnonzero(tv[start:end] < stop_below)
+        if len(below):
+            return tv[first:start + below[0] + 1], max_imag
+    return tv[first:], max_imag
 
 
 def averaged_snapshots(matrices, v0, d_index, phase, taus):
@@ -175,17 +165,9 @@ def averaged_snapshots(matrices, v0, d_index, phase, taus):
     if len(taus) == 0 or np.any(np.diff(taus) <= 0) or taus[0] < 1:
         raise ValueError("taus must be a sorted ascending sequence of positive ints")
     out = np.empty((len(taus), phase.shape[0]))
-    cum = np.zeros(phase.shape[0])
-    max_imag = 0.0
-    t = 0
-    for dists, im in _evolve(matrices, v0, d_index, phase):
-        max_imag = max(max_imag, im)
-        sums = _running_sums(cum, dists)
-        cum = sums[-1]
-        # taus ending in this block: tau - 1 in [t, t + len(dists))
-        hit = (taus > t) & (taus <= t + len(dists))
-        out[hit] = sums[taus[hit] - t - 1] / taus[hit, None]
-        t += len(dists)
-        if t >= taus[-1]:
-            break
+    blocks = _averages(_evolve(matrices, v0, d_index, phase, taus[-1] - 1))
+    for t, averages, max_imag in blocks:
+        # taus ending in this block: tau - 1 in [t, t + len(averages))
+        hit = (taus > t) & (taus <= t + len(averages))
+        out[hit] = averages[taus[hit] - t - 1]
     return out, max_imag

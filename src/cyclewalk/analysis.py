@@ -60,8 +60,11 @@ class MixingReport:
     bound_value: float | None = None
 
     def trace_pairs(self, stride: int = 1):
-        """(t, tv) pairs, optionally thinned; the final entry is always kept."""
-        stride = max(1, int(stride))
+        """(t, tv) pairs, every stride-th one (stride >= 1); the final entry
+        is always kept."""
+        stride = int(stride)
+        if stride < 1:
+            raise ValueError(f"stride must be >= 1, got {stride}")
         last = len(self.tv_trace)
         pairs = list(zip(range(1, last + 1, stride), self.tv_trace[::stride].tolist()))
         if pairs and pairs[-1][0] != last:

@@ -110,7 +110,7 @@ def _resolve(args, fields: dict):
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, (convert, default, required) in fields.items():
+    for key, (convert, default, required, _help) in fields.items():
         attr = key.replace("-", "_")
         value = getattr(args, attr)
         if value is None and key in file_values:
@@ -163,13 +163,15 @@ def _write_manifest(path, command: str, settings: dict, outputs: list):
 # subcommands
 # ---------------------------------------------------------------------------
 
+# each option: (convert, default, required, help text)
 SIMULATE_FIELDS = {
-    "nodes": (int, None, True),
-    "decoherence": (float, None, True),
-    "steps": (int, None, True),
-    "method": (str, "fourier", False),
-    "initial-coin": (str, "up", False),
-    "output": (str, "-", False),
+    "nodes": (int, None, True, "cycle length N"),
+    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
+    "steps": (int, None, True, "number of steps to evolve"),
+    "method": (str, "fourier", False,
+               "'fourier' (momentum path) or 'direct' (density matrix)"),
+    "initial-coin": (str, "up", False, "up | down | balanced | re,im,re,im"),
+    "output": (str, "-", False, "CSV destination ('-' for stdout)"),
 }
 
 
@@ -204,10 +206,10 @@ def cmd_simulate(args) -> int:
 
 
 SPECTRUM_FIELDS = {
-    "nodes": (int, None, True),
-    "decoherence": (float, None, True),
-    "output": (str, "-", False),
-    "summary": (str, "", False),
+    "nodes": (int, None, True, "cycle length N"),
+    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
+    "output": (str, "-", False, "CSV destination ('-' for stdout)"),
+    "summary": (str, "", False, "summary JSON destination (default: stderr)"),
 }
 
 
@@ -259,15 +261,15 @@ def cmd_spectrum(args) -> int:
 
 
 MIXING_FIELDS = {
-    "nodes": (int, None, True),
-    "decoherence": (float, None, True),
-    "epsilon": (float, None, True),
-    "target": (str, "averaged", False),
-    "horizon": (int, None, False),
-    "initial-coin": (str, "up", False),
-    "bound": (str, "auto", False),
-    "trace-stride": (int, 1, False),
-    "output": (str, "-", False),
+    "nodes": (int, None, True, "cycle length N"),
+    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
+    "epsilon": (float, None, True, "mixing threshold"),
+    "target": (str, "averaged", False, "'averaged' (Cesaro) or 'instantaneous'"),
+    "horizon": (int, None, False, "scan horizon (default: 20 N^2 / epsilon, capped at 1e6)"),
+    "initial-coin": (str, "up", False, "up | down | balanced | re,im,re,im"),
+    "bound": (str, "auto", False, "'auto' | 'require' | 'off' analytic deviation bound"),
+    "trace-stride": (int, 1, False, "thin the emitted tv trace to every K-th entry"),
+    "output": (str, "-", False, "JSON destination ('-' for stdout)"),
 }
 
 
@@ -313,7 +315,7 @@ def cmd_mixing(args) -> int:
 
 
 VERIFY_FIELDS = {
-    "output": (str, "-", False),
+    "output": (str, "-", False, "report JSON destination"),
 }
 
 
@@ -340,10 +342,10 @@ def _add_common(sub):
     sub.add_argument("--manifest", help="write a run manifest (JSON) to this path")
 
 
-def _add_fields(sub, fields: dict, helps: dict):
-    for key, (convert, default, _required) in fields.items():
+def _add_fields(sub, fields: dict):
+    for key, (convert, _default, _required, text) in fields.items():
         sub.add_argument(f"--{key}", type=convert, default=None,
-                         help=helps.get(key, ""), metavar=key.upper().replace("-", "_"))
+                         help=text, metavar=key.upper().replace("-", "_"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -356,40 +358,18 @@ def build_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     sim = commands.add_parser("simulate", help="evolve and write P(x,t) as CSV")
-    _add_fields(sim, SIMULATE_FIELDS, {
-        "nodes": "cycle length N",
-        "decoherence": "coin measurement rate p in [0,1]",
-        "steps": "number of steps to evolve",
-        "method": "'fourier' (momentum path) or 'direct' (density matrix)",
-        "initial-coin": "up | down | balanced | re,im,re,im",
-        "output": "CSV destination ('-' for stdout)",
-    })
+    _add_fields(sim, SIMULATE_FIELDS)
     _add_common(sim)
     sim.set_defaults(handler=cmd_simulate)
 
     spec = commands.add_parser("spectrum", help="per-pair eigenvalues as CSV "
                                                 "plus a summary JSON")
-    _add_fields(spec, SPECTRUM_FIELDS, {
-        "nodes": "cycle length N",
-        "decoherence": "coin measurement rate p in [0,1]",
-        "output": "CSV destination ('-' for stdout)",
-        "summary": "summary JSON destination (default: stderr)",
-    })
+    _add_fields(spec, SPECTRUM_FIELDS)
     _add_common(spec)
     spec.set_defaults(handler=cmd_spectrum)
 
     mix = commands.add_parser("mixing", help="TV scan and mixing time as JSON")
-    _add_fields(mix, MIXING_FIELDS, {
-        "nodes": "cycle length N",
-        "decoherence": "coin measurement rate p in [0,1]",
-        "epsilon": "mixing threshold",
-        "target": "'averaged' (Cesaro) or 'instantaneous'",
-        "horizon": "scan horizon (default: 20 N^2 / epsilon, capped at 1e6)",
-        "initial-coin": "up | down | balanced | re,im,re,im",
-        "bound": "'auto' | 'require' | 'off' analytic deviation bound",
-        "trace-stride": "thin the emitted tv trace to every K-th entry",
-        "output": "JSON destination ('-' for stdout)",
-    })
+    _add_fields(mix, MIXING_FIELDS)
     _add_common(mix)
     mix.set_defaults(handler=cmd_mixing)
 
@@ -400,7 +380,7 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "
                           f"one of: {', '.join(CHECK_NAMES)}")
-    _add_fields(ver, VERIFY_FIELDS, {"output": "report JSON destination"})
+    _add_fields(ver, VERIFY_FIELDS)
     _add_common(ver)
     ver.set_defaults(handler=cmd_verify)
     return parser

@@ -50,9 +50,11 @@ class PositionDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("probs must be one-dimensional")
-        if p.min() < -1e-12:
-            raise NumericalCheckError(f"negative probability {p.min():.3e}")
-        if abs(p.sum() - 1.0) > PROB_SUM_TOL:
+        # written as not (... <= ...) so that NaN fails them
+        if not -1e-12 <= p.min():
+            kind = "negative" if p.min() < 0 else "non-finite"
+            raise NumericalCheckError(f"{kind} probability {p.min():.3e}")
+        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
             raise NumericalCheckError(f"probabilities sum to {float(p.sum())!r}, not 1")
         object.__setattr__(self, "probs", p)
         self.probs.setflags(write=False)

@@ -124,6 +124,15 @@ def test_mixing_report_suffix_property():
     assert np.all(tail < 0.05)
 
 
+def test_trace_pairs_thins_and_rejects_nonpositive_stride():
+    report = mixing_time_averaged(_cfg(4, 0.6), 0.05, horizon=10)
+    assert report.trace_pairs() == list(zip(range(1, 11), report.tv_trace.tolist()))
+    assert [t for t, _ in report.trace_pairs(4)] == [1, 5, 9, 10]
+    for stride in (0, -3):
+        with pytest.raises(ValueError, match=r"^stride must be >= 1, got -?\d+$"):
+            report.trace_pairs(stride)
+
+
 def test_instantaneous_mixing_even_cycle_with_parity_target():
     report = mixing_time_instantaneous(_cfg(6, 0.5), 0.05, horizon=2000)
     assert report.converged

@@ -153,6 +153,10 @@ def test_position_distribution_validation():
         PositionDistribution(probs=np.array([0.5, 0.6]))
     with pytest.raises(NumericalCheckError, match=r"^negative probability -1\.000e-01$"):
         PositionDistribution(probs=np.array([1.1, -0.1]))
+    with pytest.raises(NumericalCheckError, match=r"^non-finite probability nan$"):
+        PositionDistribution(probs=np.array([np.nan, 0.5, 0.5]))
+    with pytest.raises(NumericalCheckError, match=r"sum to inf, not 1$"):
+        PositionDistribution(probs=np.array([np.inf, 0.0]))
 
 
 def test_density_operator_validation():

@@ -206,6 +206,43 @@ def test_blocked_snapshots_straddle_block_boundaries(n, block):
         assert np.abs(row - reference[:tau].mean(axis=0)).max() <= TOL
 
 
+def test_evolve_stream_is_cut_at_steps(block):
+    _, matrices, v0, d_index, phase = _inputs(5, 0.3, "balanced")
+    for steps in sorted({0, block - 1, block, block + 1, 2 * block + 3}):
+        blocks = list(kernels._evolve(matrices, v0, d_index, phase, steps))
+        assert [t for t, _, _ in blocks] == list(range(0, steps + 1, block))
+        assert [len(rows) for _, rows, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
+        assert sum(len(rows) for _, rows, _ in blocks) == steps + 1
+        residues = [max_imag for _, _, max_imag in blocks]
+        assert residues == sorted(residues)
+        assert residues[-1] <= 1e-12
+
+
+def test_averaged_scan_ignores_target1(block):
+    n = 6
+    _, matrices, v0, d_index, phase = _inputs(n, 0.4)
+    target = np.full(n, 1.0 / n)
+    other = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
+    horizon = 2 * block + 3
+    alone, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target)
+    paired, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target, other)
+    assert np.array_equal(alone, paired)
+
+
+@pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
+def test_scan_stops_at_its_first_scanned_value(mode, block):
+    # every TV is at most 2, so a threshold of 3 stops the scan at its first
+    # value: tau = 1, or t = 1 in the instantaneous mode, whose t = 0 row is
+    # computed but never scanned
+    n = 5
+    _, matrices, v0, d_index, phase = _inputs(n, 0.3)
+    target = np.full(n, 1.0 / n)
+    full, _ = kernels.tv_scan(matrices, v0, d_index, phase, 50, target, target, mode=mode)
+    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 50, target, target, mode=mode,
+                            stop_below=3.0)
+    assert np.array_equal(tv, full[:1])
+
+
 def test_block_size_rule():
     assert kernels._block_size(81) == kernels.MAX_BLOCK
     assert kernels._block_size(101 * 101) == 3
