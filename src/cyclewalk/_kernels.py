@@ -1,18 +1,28 @@
 """The momentum-path evolution engine and its three reductions.
 
-One private generator, :func:`_evolve`, evolves the N^2 Pauli 4-vectors (one
-per momentum pair) and folds the per-pair traces back into position
-distributions through the cyclic phase sum.  It works in blocks of B steps:
-setup precomputes, per pair q, the rows e0^T L_q^j (j < B) and the power
-L_q^B, so one block costs one batched row-state contraction (the traces of B
-steps), one reshape-sum over the pairs grouped by momentum difference, one
-phase product and one L^B step, whatever B is.  The stream ends at the last
-step a caller asks for, and it alone cuts the last block there and tracks the
-largest imaginary residue.  :func:`_averages` turns it into the stream of
-Cesaro averages through one running sum.  The public kernels are folds over
-these streams: the full trajectory, the total-variation scan behind the
-mixing times (up to 10^6 steps), and Cesaro averages at chosen window
-lengths.
+One private generator, :func:`_evolve`, evolves the Pauli 4-vectors of the
+momentum pairs and folds their traces back into position distributions
+through the cyclic phase sum.  P is real, so the trace sum g[N - d] of the
+pairs with momentum difference N - d is the conjugate of g[d]: only the
+(N//2 + 1)*N pairs with d = 0..N//2 are evolved, and the phase sum becomes
+one real product with a table of w_d cos and -w_d sin (w_d = 1 for d = 0 and
+d = N/2, 2 otherwise).  U = diag(1, i, -i, -i) makes every pair matrix real,
+R = U L U^-1, so the engine runs in real arithmetic on the re/im columns of
+the state U v.  Before the first step it computes the symmetry defect, the
+largest |L_{k',k} - conj L_{k,k'}|, |v0_{k',k} - conj v0_{k,k'}| (twice
+|imag v0| when every pair starts from the same v0) and |imag(U L U^-1)|,
+which is zero up to rounding whenever the reduction is exact.
+
+The engine works in blocks of B steps: setup precomputes, per pair, the
+rows e0^T R^j (j < B) and the power R^B, so one block costs one batched
+product per difference d (the traces of B steps, summed over the d-group),
+one table product and one R^B step, whatever B is.  The stream ends at the
+last step a caller asks for, and it alone cuts the last block there.
+:func:`_averages` turns it into the stream of Cesaro averages through one
+running sum.  The public kernels are folds over these streams: the full
+trajectory, the total-variation scan behind the mixing times (up to 10^6
+steps), and Cesaro averages at chosen window lengths.  Each returns its
+result with the symmetry defect.
 """
 
 from __future__ import annotations
@@ -42,81 +52,111 @@ FLUSH_TOL = 1e-280
 #: Largest number of steps per block: past it the per-block numpy overhead
 #: is already small next to the per-step work.
 MAX_BLOCK = 64
-#: Target size of the (pairs, B, 4) complex row buffer, at 64 bytes per pair
-#: and step; keeps large cycles cache-friendly (N=101 gets B=3).
-ROW_BUFFER_BYTES = 2 ** 21
+#: Target size of the buffer of precomputed rows, whose 4 real components
+#: take 32 bytes per evolved pair and step; keeps large cycles cache-friendly
+#: (N=101 evolves 5151 pairs and gets B=6).
+ROW_BUFFER_BYTES = 2 ** 20
+
+#: U = diag(1, i, -i, -i) makes every pair matrix real: R = U L U^-1.  U only
+#: multiplies entries by 1, -1 or +-i, which is exact.
+_REALIFY = np.array([1.0, 1j, -1j, -1j])
 
 
 def _block_size(pairs: int) -> int:
-    """Steps per block for a stack of this many pair matrices."""
-    return max(1, min(MAX_BLOCK, ROW_BUFFER_BYTES // (64 * pairs)))
+    """Steps per block for a stack of this many evolved pair matrices."""
+    return max(1, min(MAX_BLOCK, ROW_BUFFER_BYTES // (32 * pairs)))
 
 
 def _flush(a):
-    """Zero, in place, the entries whose real and imaginary parts are both
-    below FLUSH_TOL; returns a."""
-    a[(np.abs(a.real) < FLUSH_TOL) & (np.abs(a.imag) < FLUSH_TOL)] = 0.0
+    """Zero, in place, the entries of the real array a below FLUSH_TOL in
+    magnitude; returns a."""
+    a[np.abs(a) < FLUSH_TOL] = 0.0
     return a
 
 
 def _evolve(matrices, v0, d_index, phase, steps):
-    """Yield (t, P(., t..t+b-1) as a (b, N) array, largest |imaginary part|
-    of every row yielded so far) for t = 0, B, 2B, ... <= steps.
+    """Yield (t, P(., t..t+b-1) as a (b, N) array, symmetry defect) for
+    t = 0, B, 2B, ... <= steps.
 
-    B comes from :func:`_block_size` and the pair count alone; b = B except in
-    the last block, which is cut so that the rows end at t = steps.  d_index
-    must hold each momentum difference 0..N-1 exactly N times, as
-    :func:`cyclewalk.fourier.all_pair_matrices` builds it.
+    matrices and v0 hold pair (k, k') at row k*N + k', and d_index its
+    momentum difference (k - k') mod N, as
+    :func:`cyclewalk.fourier.all_pair_matrices` builds them.  P is real, so
+    the trace sum of difference N - d is the conjugate of that of d: only the
+    (N//2 + 1)*N pairs with d <= N//2 are evolved, in d-major order.  B comes
+    from :func:`_block_size` and that pair count alone; b = B except in the
+    last block, which is cut so that the rows end at t = steps.
+
+    The reduction is exact when L_{k',k} = conj L_{k,k'} and
+    v0_{k',k} = conj v0_{k,k'} (for one v0 on every pair: v0 is real); the
+    symmetry defect, computed once, is the largest deviation from either
+    identity and from a real U L U^-1.
     """
     n = phase.shape[0]
-    d_index = np.asarray(d_index)
-    if len(d_index) != n * n or np.any(np.bincount(d_index, minlength=n) != n):
-        raise ValueError("d_index must hold each momentum difference 0..N-1 exactly N times")
-    block = _block_size(len(d_index))
-    # d-major pair order, so grouping the traces by d is a reshape-sum
-    order = np.argsort(d_index, kind="stable")
-    matrices = matrices[order]
-    state = v0[order]
-    # rows[q, j] = e0^T L_q^j is the first row of L_q^j
-    rows = np.empty((len(order), block, 4), dtype=np.complex128)
-    power = np.broadcast_to(np.eye(4, dtype=np.complex128), matrices.shape).copy()
+    half = n // 2 + 1
+    k, k_prime = np.divmod(np.arange(n * n), n)
+    if not np.array_equal(d_index, (k - k_prime) % n):
+        raise ValueError("d_index must hold the momentum difference (k - k') mod N "
+                         "of pair (k, k') at row k*N + k'")
+    # the conjugate partner of pair (k, k') is (k', k)
+    partner = k_prime * n + k
+    # kept[d*N + k] = k*N + (k - d) mod N is the row of pair (k, k - d)
+    momenta = np.arange(n)
+    kept = (momenta * n + (momenta - np.arange(half)[:, None]) % n).ravel()
+    realified = matrices[kept] * (_REALIFY[:, None] / _REALIFY)
+    defect = float(max(np.abs(matrices[partner] - matrices.conj()).max(),
+                       np.abs(v0[partner] - v0.conj()).max(),
+                       np.abs(realified.imag).max()))
+    # group-major, then component-major, then k: R[d, i, j, k] and
+    # state[d, re/im, i, k] for pair (k, k - d)
+    realified = np.ascontiguousarray(
+        realified.real.reshape(half, n, 4, 4).transpose(0, 2, 3, 1))
+    u = (v0[kept] * _REALIFY).reshape(half, n, 4).transpose(0, 2, 1)
+    state = np.stack([u.real, u.imag], axis=1)
+    block = _block_size(len(kept))
+    # rows[d, (i, k), j] = (e0^T R^j)_i is the first row of R^j, and also of
+    # L^j U^-1, since U's first entry is 1
+    rows = np.empty((half, 4, n, block))
+    power = np.broadcast_to(np.eye(4)[:, :, None], realified.shape).copy()
     for j in range(block):
-        rows[:, j] = power[:, 0]
-        power = _flush(np.matmul(power, matrices))
-    max_imag = 0.0
+        rows[..., j] = power[:, 0]
+        power = _flush(np.einsum("dijk,djlk->dilk", power, realified))
+    rows = rows.reshape(half, 4 * n, block)
+    # P(x) = (1/N^2) sum_d w_d (cos(2 pi x d/N) re g[d] - sin(2 pi x d/N) im g[d]),
+    # with w_d = 2 for the d whose conjugate N - d is not evolved, 1 for the
+    # self-conjugate d = 0 and d = N/2; the rows of table run over (d, re/im)
+    weight = np.where(2 * np.arange(half) % n == 0, 1.0, 2.0)
+    table = np.stack([weight * phase[:, :half].real,
+                      -weight * phase[:, :half].imag], axis=-1).reshape(n, 2 * half).T
     for t in range(0, steps + 1, block):
         if t:
-            state = _flush(np.matmul(power, state[:, :, None])[:, :, 0])
-        traces = np.matmul(rows, state[:, :, None])[:, :, 0]
-        g = 2.0 * traces.reshape(n, n, block).sum(axis=1)
-        # phase is symmetric, so g^T @ phase is (phase @ g)^T: rows are times
-        pc = ((g.T @ phase) / float(n * n))[:steps + 1 - t]
-        max_imag = max(max_imag, float(np.abs(pc.imag).max()))
-        yield t, pc.real, max_imag
+            state = _flush(np.einsum("dijk,drjk->drik", power, state))
+        # one product per group d sums the traces of its N pairs
+        g = 2.0 * np.matmul(state.reshape(half, 2, 4 * n), rows).reshape(2 * half, block)
+        yield t, ((g.T @ table) / float(n * n))[:steps + 1 - t], defect
 
 
 def _averages(blocks):
     """The Cesaro stream of :func:`_evolve`'s blocks: yields (t, rows,
-    max_imag) where row j is the average of P(., 0..t+j).  The running sum
+    defect) where row j is the average of P(., 0..t+j).  The running sum
     adds one row at a time in order, so it rounds as a step-by-step sum."""
     total = 0.0
-    for t, dists, max_imag in blocks:
+    for t, dists, defect in blocks:
         sums = np.empty((len(dists) + 1, dists.shape[1]))
         sums[0] = total
         sums[1:] = dists
         np.cumsum(sums, axis=0, out=sums)
         total = sums[-1]
-        yield t, sums[1:] / (np.arange(t, t + len(dists))[:, None] + 1), max_imag
+        yield t, sums[1:] / (np.arange(t, t + len(dists))[:, None] + 1), defect
 
 
 def distribution_trajectory(matrices, v0, d_index, phase, steps):
-    """P(x, t) for t = 0..steps, shape (steps+1, N), plus the largest
-    imaginary residue seen in the reconstruction."""
+    """P(x, t) for t = 0..steps, shape (steps+1, N), plus the symmetry
+    defect."""
     steps = int(steps)
     out = np.empty((steps + 1, phase.shape[0]))
-    for t, dists, max_imag in _evolve(matrices, v0, d_index, phase, steps):
+    for t, dists, defect in _evolve(matrices, v0, d_index, phase, steps):
         out[t:t + len(dists)] = dists
-    return out, max_imag
+    return out, defect
 
 
 def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
@@ -131,7 +171,7 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
     where the target alternates with the parity of t (target0 for even t).
 
     The scan ends after the first value below stop_below.
-    Returns (tv, largest imaginary residue).
+    Returns (tv, symmetry defect).
     """
     horizon = int(horizon)
     # tv[t] holds the value of the stream's row t; the trace starts at tv[first]
@@ -145,29 +185,29 @@ def tv_scan(matrices, v0, d_index, phase, horizon, target0, target1=None,
         targets = np.stack([target0, target0 if target1 is None else target1])
         blocks = _evolve(matrices, v0, d_index, phase, horizon)
     tv = np.empty(first + horizon)
-    for t, dists, max_imag in blocks:
+    for t, dists, defect in blocks:
         end = t + len(dists)
         tv[t:end] = np.abs(dists - targets[np.arange(t, end) % 2]).sum(axis=1)
         start = max(t, first)
         below = np.flatnonzero(tv[start:end] < stop_below)
         if len(below):
-            return tv[first:start + below[0] + 1], max_imag
-    return tv[first:], max_imag
+            return tv[first:start + below[0] + 1], defect
+    return tv[first:], defect
 
 
 def averaged_snapshots(matrices, v0, d_index, phase, taus):
     """Cesaro averages (1/tau) sum_{t<tau} P(.,t) at each requested tau.
 
-    taus must be sorted ascending.  Returns (len(taus), N) plus the largest
-    imaginary residue.
+    taus must be sorted ascending.  Returns (len(taus), N) plus the symmetry
+    defect.
     """
     taus = np.asarray(taus, dtype=np.int64)
     if len(taus) == 0 or np.any(np.diff(taus) <= 0) or taus[0] < 1:
         raise ValueError("taus must be a sorted ascending sequence of positive ints")
     out = np.empty((len(taus), phase.shape[0]))
     blocks = _averages(_evolve(matrices, v0, d_index, phase, taus[-1] - 1))
-    for t, averages, max_imag in blocks:
+    for t, averages, defect in blocks:
         # taus ending in this block: tau - 1 in [t, t + len(averages))
         hit = (taus > t) & (taus <= t + len(averages))
         out[hit] = averages[taus[hit] - t - 1]
-    return out, max_imag
+    return out, defect

@@ -59,17 +59,24 @@ class MixingReport:
     converged: bool
     bound_value: float | None = None
 
-    def trace_pairs(self, stride: int = 1):
-        """(t, tv) pairs, every stride-th one (stride >= 1); the final entry
-        is always kept."""
+    def trace_cells(self, stride: int = 1) -> np.ndarray:
+        """(t, tv) pairs, every stride-th one (stride >= 1), as an (M, 2)
+        object array of ints and floats; the final entry is always kept."""
         stride = int(stride)
         if stride < 1:
             raise ValueError(f"stride must be >= 1, got {stride}")
         last = len(self.tv_trace)
-        pairs = list(zip(range(1, last + 1, stride), self.tv_trace[::stride].tolist()))
-        if pairs and pairs[-1][0] != last:
-            pairs.append((last, float(self.tv_trace[-1])))
-        return pairs
+        times = np.arange(1, last + 1, stride)
+        if len(times) and times[-1] != last:
+            times = np.append(times, last)
+        cells = np.empty((len(times), 2), dtype=object)
+        cells[:, 0] = times
+        cells[:, 1] = self.tv_trace[times - 1]
+        return cells
+
+    def trace_pairs(self, stride: int = 1):
+        """The rows of :meth:`trace_cells` as a list of (t, tv) tuples."""
+        return list(map(tuple, self.trace_cells(stride).tolist()))
 
 
 def total_variation(p, q) -> float:

@@ -45,22 +45,25 @@ def _rows(template: str, cells) -> str:
     return template * len(cells) % tuple(cells.ravel().tolist())
 
 
-class _Pairs(list):
-    """A list of [int, float] pairs, such as the mixing ``tv_trace``;
-    :func:`_emit_json` renders it through :func:`_rows`, in the bytes it
-    would give a plain list of the same values."""
+class _Pairs:
+    """[int, float] pairs, such as the mixing ``tv_trace``, held as an (M, 2)
+    object cell array; :func:`_emit_json` renders them through :func:`_rows`,
+    in the bytes it would give a plain list of the same values."""
+
+    def __init__(self, pairs=()):
+        self.cells = np.asarray(pairs, dtype=object).reshape(-1, 2)
 
 
-def _emit_pairs(pairs: _Pairs, indent: int) -> str:
+def _emit_pairs(cells, indent: int) -> str:
     pad = "  " * (indent + 1)
     entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}],\n"
-    return "[\n" + _rows(entry, pairs)[:-2] + "\n" + "  " * indent + "]"
+    return "[\n" + _rows(entry, cells)[:-2] + "\n" + "  " * indent + "]"
 
 
 def _emit_json(value, indent: int = 0) -> str:
     pad = "  " * indent
-    if isinstance(value, _Pairs) and value:
-        return _emit_pairs(value, indent)
+    if isinstance(value, _Pairs):
+        return _emit_pairs(value.cells, indent) if len(value.cells) else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -306,7 +309,7 @@ def cmd_mixing(args) -> int:
         "converged": report.converged,
         "mixing_time": report.mixing_time,
         "bound": bound,
-        "tv_trace": _Pairs(report.trace_pairs(resolved["trace-stride"])),
+        "tv_trace": _Pairs(report.trace_cells(resolved["trace-stride"])),
     }
     _write_text(resolved["output"], _emit_json(payload) + "\n")
     if args.manifest:

@@ -10,8 +10,14 @@ and serves as the oracle.  The momentum path evaluates
     P(x, t) = 1/N + (1/N^2) sum_{k != k'} e^{2 pi i x (k - k')/N}
               tr(L_{k,k'}^t |psi_0><psi_0|)
 
-through the batched kernels.  The two must agree to near machine precision;
-the test suite binds them together entrywise.
+through the batched kernels.  P is real, so the trace sum of difference
+d = k - k' and that of -d are conjugates: the kernels evolve only the pairs
+with d = 0..N//2 and weight each d by w_d = 2, or 1 for d = 0 and d = N/2.
+That rests on L_{k',k} = conj L_{k,k'} and a Hermitian initial coin
+operator; the kernels return the largest deviation from it, the symmetry
+defect, and a run whose defect exceeds SYMMETRY_DEFECT_LIMIT is aborted.
+The two paths must agree to near machine precision; the test suite binds
+them together entrywise.
 """
 
 from __future__ import annotations
@@ -33,8 +39,8 @@ __all__ = [
     "classical_reference",
 ]
 
-#: Imaginary residue above this in a reconstructed probability aborts the run.
-IMAG_RESIDUE_LIMIT = 1e-8
+#: A pair symmetry defect above this aborts a momentum-path run.
+SYMMETRY_DEFECT_LIMIT = 1e-8
 #: A distribution whose probabilities sum further than this from 1 is rejected.
 PROB_SUM_TOL = 1e-10
 
@@ -73,14 +79,19 @@ def _check_density(rho: np.ndarray):
         raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")
 
 
-def walk_unitary(n_nodes: int) -> np.ndarray:
-    """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
-    n = int(n_nodes)
+def _shift(n: int) -> np.ndarray:
+    """S |x>|j> = |x + j mod N>|j> on the 2N-dimensional state space."""
     shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
     for x in range(n):
         shift[2 * ((x + 1) % n), 2 * x] = 1.0          # coin |1> steps forward
         shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # coin |-1> steps backward
-    return shift @ np.kron(np.eye(n), _HADAMARD)
+    return shift
+
+
+def walk_unitary(n_nodes: int) -> np.ndarray:
+    """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
+    n = int(n_nodes)
+    return _shift(n) @ np.kron(np.eye(n), _HADAMARD)
 
 
 def _initial_density(config: WalkConfig) -> np.ndarray:
@@ -96,8 +107,11 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     n = config.n_nodes
-    unitary = walk_unitary(n)
-    unitary_dag = unitary.conj().T
+    # U = V / sqrt 2 with V = S (I tensor [[1, 1], [1, -1]]) of entries 0 and
+    # +-1, so U rho U^dag = (V rho V^dag) / 2 needs one exact halving and no
+    # rounded 1/sqrt 2, whose columns would lose 2.2e-16 of norm every step
+    scaled = _shift(n) @ np.kron(np.eye(n), [[1.0, 1.0], [1.0, -1.0]])
+    scaled_dag = scaled.conj().T
     kraus_full = [np.kron(np.eye(n), a)
                   for a in build_kraus_family(config.decoherence_rate)]
     rho = _initial_density(config)
@@ -106,7 +120,8 @@ def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
             mixed = np.zeros_like(rho)
             for op in kraus_full:
                 mixed += op @ rho @ op.conj().T
-            rho = unitary @ mixed @ unitary_dag
+            rho = scaled @ mixed @ scaled_dag
+            rho *= 0.5
         if check:
             _check_density(rho)
         yield rho
@@ -121,15 +136,15 @@ def position_marginal(rho: np.ndarray) -> PositionDistribution:
 
 def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
     """Result of a ``_kernels`` reduction (passed as ``_kernels.<name>``, looked
-    up at call time) on this walk's pairs, once its imaginary residue passes."""
+    up at call time) on this walk's pairs, once their symmetry defect passes."""
     matrices, d_index = all_pair_matrices(config)
     projector = np.outer(config.initial_coin, config.initial_coin.conj())
     v0 = np.tile(pauli_decompose(projector), (config.n_nodes ** 2, 1))
-    result, max_imag = kernel(matrices, v0, d_index, phase_table(config.n_nodes),
-                              *args, **kwargs)
-    if max_imag > IMAG_RESIDUE_LIMIT:
-        raise NumericalCheckError(f"imaginary residue {max_imag:.3e} in reconstructed "
-                                  "distribution (superoperator construction is inconsistent)")
+    result, defect = kernel(matrices, v0, d_index, phase_table(config.n_nodes),
+                            *args, **kwargs)
+    if defect > SYMMETRY_DEFECT_LIMIT:
+        raise NumericalCheckError(f"pair symmetry defect {defect:.3e} (superoperator "
+                                  "construction is inconsistent)")
     return result
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cyclewalk import _kernels, evolution
 from cyclewalk import (
     NumericalCheckError,
     WalkConfig,
@@ -9,6 +10,7 @@ from cyclewalk import (
     fourier_trajectory,
     position_marginal,
 )
+from cyclewalk.core import build_kraus_family, pauli_decompose
 from cyclewalk.evolution import (
     PositionDistribution,
     _check_density,
@@ -16,6 +18,7 @@ from cyclewalk.evolution import (
     direct_trajectory,
     walk_unitary,
 )
+from cyclewalk.fourier import all_pair_matrices
 
 
 def _cfg(n, p, coin="up"):
@@ -138,8 +141,63 @@ def test_imaginary_residue_guard():
         return lambda *args: ("result", residue)
 
     assert _momentum_path(_cfg(4, 0.5), kernel(1e-12)) == "result"  # fine
-    with pytest.raises(NumericalCheckError, match="imaginary residue 1.000e-06"):
+    with pytest.raises(NumericalCheckError, match="pair symmetry defect 1.000e-06"):
         _momentum_path(_cfg(4, 0.5), kernel(1e-6))
+
+
+@pytest.mark.parametrize("pair", [(1, 3), (3, 1)], ids=["not-evolved", "evolved"])
+@pytest.mark.parametrize("kind", ["real", "imaginary"])
+def test_symmetry_guard_catches_one_perturbed_pair(monkeypatch, pair, kind):
+    # (1, 3) has difference 3 > N//2 and is only read by the symmetry check;
+    # (3, 1) has difference 2 and is evolved
+    n = 5
+    cfg = _cfg(n, 0.3, "balanced")
+    assert _momentum_path(cfg, _kernels.distribution_trajectory, 3).shape == (4, n)
+
+    def perturbed(config):
+        matrices, d_index = all_pair_matrices(config)
+        k, k_prime = pair
+        matrices[k * n + k_prime, 1, 2] += 1e-6 if kind == "real" else 1e-6j
+        return matrices, d_index
+
+    monkeypatch.setattr(evolution, "all_pair_matrices", perturbed)
+    with pytest.raises(NumericalCheckError, match=r"pair symmetry defect 1\.000e-06"):
+        _momentum_path(cfg, _kernels.distribution_trajectory, 3)
+
+
+def test_symmetry_guard_catches_an_imaginary_initial_vector(monkeypatch):
+    # every pair starts from this v0, so v0 - conj v0 of the conjugate pair
+    # is twice its imaginary part
+    monkeypatch.setattr(evolution, "pauli_decompose",
+                        lambda m: pauli_decompose(m) + [0, 1e-6j, 0, 0])
+    with pytest.raises(NumericalCheckError, match=r"pair symmetry defect 2\.000e-06"):
+        _momentum_path(_cfg(5, 0.3), _kernels.distribution_trajectory, 3)
+
+
+def _unitary_kraus_step(rho, config):
+    """One step in the dense form rho -> U (sum_n A_n rho A_n^dag) U^dag."""
+    n = config.n_nodes
+    unitary = walk_unitary(n)
+    mixed = sum(np.kron(np.eye(n), a) @ rho @ np.kron(np.eye(n), a).conj().T
+                for a in build_kraus_family(config.decoherence_rate))
+    return unitary @ mixed @ unitary.conj().T
+
+
+@pytest.mark.parametrize("n, p, coin", [(2, 0.0, "up"), (5, 0.37, "balanced"),
+                                        (6, 1.0, "down")])
+def test_direct_step_matches_walk_unitary_and_kraus_form(n, p, coin):
+    cfg = _cfg(n, p, coin)
+    rhos = list(direct_trajectory(cfg, 12, check=False))
+    for before, after in zip(rhos, rhos[1:]):
+        assert np.abs(after - _unitary_kraus_step(before, cfg)).max() <= 1e-15
+
+
+def test_direct_path_probability_sums_do_not_drift():
+    # the 1/sqrt 2 Hadamard lost 6.2e-14 of probability over these 300 steps
+    cfg = _cfg(7, 0.37, "balanced")
+    worst = max(abs(position_marginal(rho).probs.sum() - 1.0)
+                for rho in direct_trajectory(cfg, 300, check=False))
+    assert worst <= 1e-14
 
 
 def test_momentum_path_probability_sums_do_not_drift():

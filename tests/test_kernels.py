@@ -243,9 +243,46 @@ def test_scan_stops_at_its_first_scanned_value(mode, block):
     assert np.array_equal(tv, full[:1])
 
 
+# ---------------------------------------------------------------------------
+# reduced real engine vs the full-pair complex reference
+# ---------------------------------------------------------------------------
+
+#: A complex coin with unequal weights, so no trace sum is real by accident.
+_CUSTOM_COIN = [0.6, 0.48 + 0.64j]
+
+
+@pytest.mark.parametrize("coin", ["up", "balanced", "custom"])
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_reduced_engine_matches_full_pair_reference(n, p, coin):
+    # even N has the self-conjugate difference d = N/2
+    _, matrices, v0, d_index, phase = _inputs(n, p, _CUSTOM_COIN if coin == "custom" else coin)
+    steps = kernels.MAX_BLOCK + 6
+    traj, defect = kernels.distribution_trajectory(matrices, v0, d_index, phase, steps)
+    assert defect <= 1e-15
+    assert np.abs(traj - _stepwise(matrices, v0, d_index, n, steps)).max() <= TOL
+
+
+def test_reduced_engine_matches_full_pair_reference_at_a_large_cycle():
+    n = 101
+    _, matrices, v0, d_index, phase = _inputs(n, 0.5, "balanced")
+    traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 40)
+    assert np.abs(traj - _stepwise(matrices, v0, d_index, n, 40)).max() <= TOL
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9, 101])
+def test_engine_evolves_only_the_independent_pairs(monkeypatch, n):
+    calls = []
+    monkeypatch.setattr(kernels, "_block_size", lambda pairs: calls.append(pairs) or 4)
+    _, matrices, v0, d_index, phase = _inputs(n, 0.3)
+    kernels.distribution_trajectory(matrices, v0, d_index, phase, 5)
+    assert calls == [(n // 2 + 1) * n]
+
+
 def test_block_size_rule():
     assert kernels._block_size(81) == kernels.MAX_BLOCK
     assert kernels._block_size(101 * 101) == 3
+    assert kernels._block_size(51 * 101) == 6   # the pairs evolved at N = 101
     assert kernels._block_size(10 ** 6) == 1
 
 
