@@ -263,20 +263,21 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
 
 def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     """Max entrywise deviation between sum_{t<tau} L^t and the resolvent form
-    (I - L)^{-1} (I - L^tau) for a 4x4 pair matrix L.
+    (I - L)^{-1} (I - L^tau) for a 4x4 pair matrix L, or the largest over a
+    (..., 4, 4) stack of them.
 
-    Only meaningful where I - L is invertible: raises ValueError when its
-    condition number exceeds 1e12, as on the diagonal pairs k = k', whose
-    map has a fixed point.
+    Only meaningful where I - L is invertible: raises ValueError when the
+    condition number of any I - L exceeds 1e12, as on the diagonal pairs
+    k = k', whose map has a fixed point.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     eye = np.eye(4, dtype=np.complex128)
     cond = np.linalg.cond(eye - matrix)
-    if not cond <= 1e12:
+    if not np.all(cond <= 1e12):
         raise ValueError(f"geometric-sum identity needs I - L invertible, "
-                         f"cond(I - L) = {cond:.3e}")
-    explicit = np.zeros((4, 4), dtype=np.complex128)
+                         f"cond(I - L) = {np.max(cond):.3e}")
+    explicit = np.zeros(np.shape(matrix), dtype=np.complex128)
     power = eye
     for _ in range(int(tau)):
         explicit += power

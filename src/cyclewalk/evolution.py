@@ -5,7 +5,15 @@ The direct path evolves the full 2N x 2N density operator
     rho(t+1) = sum_n U (I tensor A_n) rho(t) (I tensor A_n)^dag U^dag,
     U = S (I tensor H),  S |x>|j> = |x + j mod N>|j>,
 
-and serves as the oracle.  The momentum path evaluates
+and serves as the oracle.  It never forms these dense products: the Kraus
+sum is the dephasing that scales the coin off-diagonal entries by 1 - p,
+and U = V / sqrt 2 with V = S (I tensor [[1, 1], [1, -1]]), whose entries
+are 0 and +-1, so U rho U^dag is one row gather and one column gather of
+the form r[src] + sign r[src + 1] and an exact halving.  A step is O(N^2),
+and a stack of walks of one N advances together.  The dense form is kept
+in the test suite as the reference this step is bound to.
+
+The momentum path evaluates
 
     P(x, t) = 1/N + (1/N^2) sum_{k != k'} e^{2 pi i x (k - k')/N}
               tr(L_{k,k'}^t |psi_0><psi_0|)
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _HADAMARD, NumericalCheckError, WalkConfig, build_kraus_family, pauli_decompose
+from .core import _HADAMARD, NumericalCheckError, WalkConfig, pauli_decompose
 from .fourier import all_pair_matrices, phase_table
 
 __all__ = [
@@ -56,14 +64,24 @@ class PositionDistribution:
         p = np.asarray(self.probs, dtype=np.float64)
         if p.ndim != 1:
             raise ValueError("probs must be one-dimensional")
-        # written as not (... <= ...) so that NaN fails them
-        if not -1e-12 <= p.min():
-            kind = "negative" if p.min() < 0 else "non-finite"
-            raise NumericalCheckError(f"{kind} probability {p.min():.3e}")
-        if not abs(p.sum() - 1.0) <= PROB_SUM_TOL:
-            raise NumericalCheckError(f"probabilities sum to {float(p.sum())!r}, not 1")
+        _check_probabilities(p)
         object.__setattr__(self, "probs", p)
         self.probs.setflags(write=False)
+
+
+def _check_probabilities(probs: np.ndarray):
+    """Every distribution along the last axis non-negative to -1e-12 and
+    summing to 1 within PROB_SUM_TOL; raises NumericalCheckError on the worst
+    entry otherwise."""
+    low = probs.min()
+    # written as not (... <= ...) so that NaN fails them
+    if not -1e-12 <= low:
+        kind = "negative" if low < 0 else "non-finite"
+        raise NumericalCheckError(f"{kind} probability {low:.3e}")
+    defect = np.abs(probs.sum(axis=-1) - 1.0)
+    if not (defect <= PROB_SUM_TOL).all():
+        worst = probs.reshape(-1, probs.shape[-1])[np.argmax(defect)].sum()
+        raise NumericalCheckError(f"probabilities sum to {float(worst)!r}, not 1")
 
 
 def _check_density(rho: np.ndarray):
@@ -100,31 +118,44 @@ def _initial_density(config: WalkConfig) -> np.ndarray:
     return np.outer(vec, vec.conj())
 
 
+def _density_stack(configs, t: int):
+    """Yield the (C, 2N, 2N) stacks rho_c(0), rho_c(1), ..., rho_c(t) of C
+    walks that share one cycle length N."""
+    n = configs[0].n_nodes
+    x, coin = np.divmod(np.arange(2 * n), 2)
+    # (V r)[2x] = r[2(x-1)] + r[2(x-1)+1] and (V r)[2x+1] = r[2(x+1)] - r[2(x+1)+1]
+    src = 2 * ((x - 1 + 2 * coin) % n)
+    sign = 1.0 - 2.0 * coin
+    rates = np.array([config.decoherence_rate for config in configs])
+    mask = np.where(coin[:, None] == coin, 1.0, 1.0 - rates[:, None, None])
+    rho = np.stack([_initial_density(config) for config in configs])
+    yield rho
+    for _ in range(int(t)):
+        rho = _density_step(rho, mask, src, sign)
+        yield rho
+
+
+def _density_step(rho, mask, src, sign):
+    """rho -> V (D rho) V^dag / 2 on a (C, 2N, 2N) stack: the dephasing D
+    multiplies by mask, V is gathered from src and sign on both sides, and
+    the halving is exact, so no rounded 1/sqrt 2 loses norm each step."""
+    rho = rho * mask
+    rho = rho[:, src] + sign[:, None] * rho[:, src + 1]
+    rho = rho[:, :, src] + sign * rho[:, :, src + 1]
+    rho *= 0.5
+    return rho
+
+
 def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
     """Yield the density matrices rho(0), rho(1), ..., rho(t) of the walker
     (x) coin state: dense 2N x 2N arrays, position-major, so node x owns the
     2x2 coin block at rows/columns 2x, 2x+1.  check=True validates each."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
-    n = config.n_nodes
-    # U = V / sqrt 2 with V = S (I tensor [[1, 1], [1, -1]]) of entries 0 and
-    # +-1, so U rho U^dag = (V rho V^dag) / 2 needs one exact halving and no
-    # rounded 1/sqrt 2, whose columns would lose 2.2e-16 of norm every step
-    scaled = _shift(n) @ np.kron(np.eye(n), [[1.0, 1.0], [1.0, -1.0]])
-    scaled_dag = scaled.conj().T
-    kraus_full = [np.kron(np.eye(n), a)
-                  for a in build_kraus_family(config.decoherence_rate)]
-    rho = _initial_density(config)
-    for step in range(int(t) + 1):
-        if step:
-            mixed = np.zeros_like(rho)
-            for op in kraus_full:
-                mixed += op @ rho @ op.conj().T
-            rho = scaled @ mixed @ scaled_dag
-            rho *= 0.5
+    for rho in _density_stack([config], t):
         if check:
-            _check_density(rho)
-        yield rho
+            _check_density(rho[0])
+        yield rho[0]
 
 
 def position_marginal(rho: np.ndarray) -> PositionDistribution:
@@ -132,6 +163,17 @@ def position_marginal(rho: np.ndarray) -> PositionDistribution:
     diag = np.real(np.diagonal(rho))
     probs = diag[0::2] + diag[1::2]
     return PositionDistribution(probs=probs)
+
+
+def _density_marginals(configs, t: int) -> np.ndarray:
+    """P_c(x, t) for t = 0..t of C walks of one N from the direct path,
+    shape (C, t+1, N), validated as PositionDistribution validates one."""
+    diag = np.empty((len(configs), int(t) + 1, 2 * configs[0].n_nodes))
+    for step, rho in enumerate(_density_stack(configs, t)):
+        diag[:, step] = np.diagonal(rho, axis1=1, axis2=2).real
+    probs = diag[..., 0::2] + diag[..., 1::2]
+    _check_probabilities(probs)
+    return probs
 
 
 def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
@@ -170,5 +212,8 @@ def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
 
 
 def _classical_step(probs: np.ndarray) -> np.ndarray:
-    """One step of the classical +-1 chain."""
-    return 0.5 * np.roll(probs, 1) + 0.5 * np.roll(probs, -1)
+    """One step of the classical +-1 chain: half of each node's mass moves
+    forward, half backward (np.roll's result, without its per-call cost)."""
+    forward = np.concatenate((probs[-1:], probs[:-1]))
+    backward = np.concatenate((probs[1:], probs[:1]))
+    return 0.5 * forward + 0.5 * backward

@@ -24,7 +24,7 @@ from .analysis import (
     verify_geometric_sum,
 )
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
-from .evolution import _classical_step, direct_trajectory, fourier_trajectory, position_marginal
+from .evolution import _classical_step, _density_marginals, fourier_trajectory
 from .fourier import superop_closed_form, superop_definitional
 from .spectral import UNIT_DISK_TOL, UNIT_MODULUS_TOL, char_poly, eigenvalues
 
@@ -212,14 +212,11 @@ def check_oracle(profile: VerifyProfile):
     count = 0
     steps = profile.oracle_max_steps
     for n in range(3, profile.oracle_max_nodes + 1):
-        for p in (0.0, 0.1, 0.5, 1.0):
-            for coin in ("up", "balanced"):
-                cfg = _config(n, p, coin)
-                fourier = fourier_trajectory(cfg, steps)
-                for t, rho in enumerate(direct_trajectory(cfg, steps, check=False)):
-                    direct = position_marginal(rho).probs
-                    worst = max(worst, float(np.abs(fourier[t] - direct).max()))
-                count += 1
+        configs = [_config(n, p, coin) for p in (0.0, 0.1, 0.5, 1.0)
+                   for coin in ("up", "balanced")]
+        for cfg, direct in zip(configs, _density_marginals(configs, steps)):
+            worst = max(worst, float(np.abs(fourier_trajectory(cfg, steps) - direct).max()))
+            count += 1
     return _result("oracle", worst <= 1e-10, count, worst,
                    "momentum path vs density-matrix path, entrywise tol 1e-10")
 
@@ -229,14 +226,14 @@ def check_classical(profile: VerifyProfile):
     count = 0
     steps = profile.oracle_max_steps
     for n in range(2, profile.oracle_max_nodes + 1):
-        cfg = _config(n, 1.0)
+        (marginals,) = _density_marginals([_config(n, 1.0)], steps)
         # the chain is stepped alongside the walk, as classical_reference steps it
         reference = np.zeros(n)
         reference[0] = 1.0
-        for t, rho in enumerate(direct_trajectory(cfg, steps, check=False)):
+        for t, probs in enumerate(marginals):
             if t:
                 reference = _classical_step(reference)
-            worst = max(worst, float(np.abs(position_marginal(rho).probs - reference).max()))
+            worst = max(worst, float(np.abs(probs - reference).max()))
         count += 1
     return _result("classical", worst <= 1e-12, count, worst,
                    "p=1 marginals vs the +-1/2 chain, tol 1e-12")
@@ -263,8 +260,7 @@ def check_limits(profile: VerifyProfile):
 
 def check_geosum(profile: VerifyProfile):
     rng = np.random.default_rng(5)
-    worst = 0.0
-    count = 0
+    matrices = []
     for _ in range(profile.geosum_pairs):
         n = int(rng.integers(3, 17))
         k = int(rng.integers(n))
@@ -272,12 +268,11 @@ def check_geosum(profile: VerifyProfile):
         if kp == k:
             kp = (k + 1) % n
         p = float(rng.uniform(0.05, 1.0))
-        matrix = superop_definitional(k, kp, _config(n, p))
-        for tau in profile.geosum_taus:
-            worst = max(worst, verify_geometric_sum(matrix, tau))
-            count += 1
-    return _result("geosum", worst <= 1e-10, count, worst,
-                   "explicit power sum vs resolvent form, tol 1e-10")
+        matrices.append(superop_definitional(k, kp, _config(n, p)))
+    matrices = np.stack(matrices)
+    worst = max(verify_geometric_sum(matrices, tau) for tau in profile.geosum_taus)
+    return _result("geosum", worst <= 1e-10, len(matrices) * len(profile.geosum_taus),
+                   worst, "explicit power sum vs resolvent form, tol 1e-10")
 
 
 def check_mixbound(profile: VerifyProfile):

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclewalk import cli, verify
+from cyclewalk import cli, evolution, verify
 from cyclewalk.analysis import limiting_distribution, steps_to_uniform
 from cyclewalk.core import WalkConfig
 from cyclewalk.evolution import direct_trajectory, position_marginal
@@ -80,12 +80,29 @@ def _spectrum_summary_placement_ok(tmp_path):
     return json.loads(summary.read_text())["persistent_eigenvalue_placement_ok"]
 
 
+def _depolarise(step):
+    """The density step mixed with 1e-9 of the maximally mixed state: still
+    a valid state, but every marginal moves by up to about 1e-9."""
+    def depolarised(rho, *args):
+        size = rho.shape[-1]
+        return (1 - 1e-9) * step(rho, *args) + 1e-9 / size * np.eye(size)
+    return depolarised
+
+
+def _keep_coherence(step):
+    """The dephasing leaves at least 1e-4 of every coin coherence, so the
+    p = 1 marginals leave the classical chain, at second order (by 5e-9)."""
+    return lambda rho, mask, *args: step(rho, np.maximum(mask, 1e-4), *args)
+
+
 #: criterion -> (check it breaks, or None for the spectrum CLI summary;
 #: module and name of the input replaced; how the input is broken)
 _MUTANTS = {
     "closedform": ("closedform", verify, "superop_closed_form", _shift_first_entry),
     "oracle": ("oracle", verify, "fourier_trajectory",
                lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
+    "oracle-density": ("oracle", evolution, "_density_step", _depolarise),
+    "classical": ("classical", evolution, "_density_step", _keep_coherence),
     "mixbound": ("mixbound", verify, "uniform_deviation_bound",
                  lambda fn: lambda *a: 0.0 * fn(*a)),
     "spectrum": ("spectrum", verify, "eigenvalues", _misplace_unit_eigenvalues),

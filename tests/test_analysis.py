@@ -257,6 +257,26 @@ def test_geometric_sum_rejects_diagonal_pairs():
         verify_geometric_sum(off, 0)
 
 
+def _pair_stack(pairs):
+    return np.stack([superop_definitional(k, kp, _cfg(n, p)) for n, k, kp, p in pairs])
+
+
+@pytest.mark.parametrize("tau", [1, 10, 1000])
+def test_geometric_sum_stack_equals_per_matrix_calls(tau):
+    stack = _pair_stack([(7, 1, 3, 0.4), (5, 0, 2, 1.0), (12, 11, 4, 0.05),
+                         (3, 2, 0, 0.7), (16, 5, 13, 0.93), (9, 8, 1, 0.2)])
+    singles = [verify_geometric_sum(m, tau) for m in stack]
+    assert verify_geometric_sum(stack, tau) == max(singles)
+    assert verify_geometric_sum(stack.reshape(2, 3, 4, 4), tau) == max(singles)
+
+
+def test_geometric_sum_stack_rejects_any_diagonal_pair():
+    stack = _pair_stack([(7, 1, 3, 0.4), (5, 2, 2, 0.4), (9, 8, 1, 0.2)])
+    with pytest.raises(ValueError, match="invertible"):
+        verify_geometric_sum(stack, 10)
+    verify_geometric_sum(stack[[0, 2]], 10)
+
+
 def test_coherent_odd_cycle_average_still_flattens():
     # no decoherence, odd cycle: Cesaro average approaches uniform (no rate
     # asserted, just the anchor)

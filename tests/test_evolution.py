@@ -184,12 +184,36 @@ def _unitary_kraus_step(rho, config):
 
 
 @pytest.mark.parametrize("n, p, coin", [(2, 0.0, "up"), (5, 0.37, "balanced"),
-                                        (6, 1.0, "down")])
+                                        (6, 1.0, "down"), (12, 0.37, "balanced")])
 def test_direct_step_matches_walk_unitary_and_kraus_form(n, p, coin):
     cfg = _cfg(n, p, coin)
     rhos = list(direct_trajectory(cfg, 12, check=False))
     for before, after in zip(rhos, rhos[1:]):
         assert np.abs(after - _unitary_kraus_step(before, cfg)).max() <= 1e-15
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_density_stack_equals_single_configuration_runs(n):
+    custom = np.array([0.6 + 0.28j, -0.3 + 0.68j])
+    custom /= np.linalg.norm(custom)
+    configs = [_cfg(n, p, coin) for p in (0.0, 0.37, 1.0)
+               for coin in ("up", "balanced", custom)]
+    singles = [list(direct_trajectory(cfg, 25)) for cfg in configs]
+    for t, stack in enumerate(evolution._density_stack(configs, 25)):
+        for c, single in enumerate(singles):
+            assert np.array_equal(stack[c], single[t])
+    marginals = evolution._density_marginals(configs, 25)
+    assert marginals.shape == (len(configs), 26, n)
+    for c, single in enumerate(singles):
+        assert np.array_equal(marginals[c], [position_marginal(rho).probs for rho in single])
+
+
+def test_density_marginals_are_validated(monkeypatch):
+    # each step leaks 1% of the trace; the worst sum, 0.99^4 at t = 4, is reported
+    leak = lambda fn: lambda rho, *a: 0.99 * fn(rho, *a)  # noqa: E731
+    monkeypatch.setattr(evolution, "_density_step", leak(evolution._density_step))
+    with pytest.raises(NumericalCheckError, match=r"^probabilities sum to 0\.96059"):
+        evolution._density_marginals([_cfg(5, 0.3), _cfg(5, 0.6)], 4)
 
 
 def test_direct_path_probability_sums_do_not_drift():
