@@ -74,10 +74,6 @@ class MixingReport:
         cells[:, 1] = self.tv_trace[times - 1]
         return cells
 
-    def trace_pairs(self, stride: int = 1):
-        """The rows of :meth:`trace_cells` as a list of (t, tv) tuples."""
-        return list(map(tuple, self.trace_cells(stride).tolist()))
-
 
 def total_variation(p, q) -> float:
     """sum_x |p(x) - q(x)| over the cycle (no 1/2 prefactor)."""

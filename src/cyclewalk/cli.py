@@ -378,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the named property checks")
     ver.add_argument("--quick", action="store_true",
-                     help="reduced sizes: about 0.6 s instead of about 2.5 s "
+                     help="reduced sizes: about 0.5 s instead of about 1.1 s "
                           "on a 2-core VM")
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "

@@ -22,8 +22,10 @@ through the batched kernels.  P is real, so the trace sum of difference
 d = k - k' and that of -d are conjugates: the kernels evolve only the pairs
 with d = 0..N//2 and weight each d by w_d = 2, or 1 for d = 0 and d = N/2.
 That rests on L_{k',k} = conj L_{k,k'} and a Hermitian initial coin
-operator; the kernels return the largest deviation from it, the symmetry
-defect, and a run whose defect exceeds SYMMETRY_DEFECT_LIMIT is aborted.
+operator.  The kernels take the pair stack and the Pauli vector v0 of that
+operator, and before the first step they check the largest deviation from
+it, the symmetry defect, against SYMMETRY_DEFECT_LIMIT, so an inconsistent
+construction fails before a long scan starts.
 The two paths must agree to near machine precision; the test suite binds
 them together entrywise.
 """
@@ -36,7 +38,7 @@ import numpy as np
 
 from . import _kernels
 from .core import _HADAMARD, NumericalCheckError, WalkConfig, pauli_decompose
-from .fourier import all_pair_matrices, phase_table
+from .fourier import all_pair_matrices
 
 __all__ = [
     "PositionDistribution",
@@ -47,8 +49,6 @@ __all__ = [
     "classical_reference",
 ]
 
-#: A pair symmetry defect above this aborts a momentum-path run.
-SYMMETRY_DEFECT_LIMIT = 1e-8
 #: A distribution whose probabilities sum further than this from 1 is rejected.
 PROB_SUM_TOL = 1e-10
 
@@ -178,16 +178,12 @@ def _density_marginals(configs, t: int) -> np.ndarray:
 
 def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
     """Result of a ``_kernels`` reduction (passed as ``_kernels.<name>``, looked
-    up at call time) on this walk's pairs, once their symmetry defect passes."""
-    matrices, d_index = all_pair_matrices(config)
+    up at call time) on this walk's pairs; the kernel raises
+    NumericalCheckError before its first step when their symmetry defect
+    exceeds ``_kernels.SYMMETRY_DEFECT_LIMIT``."""
     projector = np.outer(config.initial_coin, config.initial_coin.conj())
-    v0 = np.tile(pauli_decompose(projector), (config.n_nodes ** 2, 1))
-    result, defect = kernel(matrices, v0, d_index, phase_table(config.n_nodes),
-                            *args, **kwargs)
-    if defect > SYMMETRY_DEFECT_LIMIT:
-        raise NumericalCheckError(f"pair symmetry defect {defect:.3e} (superoperator "
-                                  "construction is inconsistent)")
-    return result
+    return kernel(all_pair_matrices(config)[0], pauli_decompose(projector),
+                  *args, **kwargs)[0]
 
 
 def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:

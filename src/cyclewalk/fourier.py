@@ -34,7 +34,6 @@ __all__ = [
     "superop_definitional",
     "superop_closed_form",
     "all_pair_matrices",
-    "phase_table",
 ]
 
 
@@ -91,16 +90,10 @@ def all_pair_matrices(config: WalkConfig):
     index per pair, built in one vectorised pass.
 
     Returns (matrices, d_index): matrices has shape (N^2, 4, 4) with pair
-    (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N drives the
-    phase grouping in the distribution reconstruction.
+    (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N is the
+    momentum difference by which the reconstruction groups the pairs.
     """
     n = config.n_nodes
     k, k_prime = np.divmod(np.arange(n * n, dtype=np.int64), n)
     return superop_closed_form(k, k_prime, config), (k - k_prime) % n
 
-
-def phase_table(n_nodes: int) -> np.ndarray:
-    """phase[x, d] = e^{2 pi i x d / N}; row x reconstructs P(x, .) from the
-    trace sums grouped by momentum difference d."""
-    x = np.arange(n_nodes)
-    return np.exp(2j * np.pi * np.outer(x, x) / n_nodes)

@@ -142,7 +142,7 @@ def check_charpoly(profile: VerifyProfile):
     for n, k, kp, p in _random_tuples(profile.random_tuples, 32):
         cfg = _config(n, p)
         matrix = superop_definitional(k, kp, cfg)
-        dets = np.array([np.linalg.det(lam * np.eye(4) - matrix) for lam in nodes])
+        dets = np.linalg.det(nodes[:, None, None] * np.eye(4) - matrix)
         fitted = np.linalg.solve(vander, dets)
         defect = np.abs(fitted - char_poly(k, kp, cfg)).max()
         worst = max(worst, float(defect))

@@ -124,13 +124,15 @@ def test_mixing_report_suffix_property():
     assert np.all(tail < 0.05)
 
 
-def test_trace_pairs_thins_and_rejects_nonpositive_stride():
+def test_trace_cells_thins_and_rejects_nonpositive_stride():
     report = mixing_time_averaged(_cfg(4, 0.6), 0.05, horizon=10)
-    assert report.trace_pairs() == list(zip(range(1, 11), report.tv_trace.tolist()))
-    assert [t for t, _ in report.trace_pairs(4)] == [1, 5, 9, 10]
+    cells = report.trace_cells()
+    assert cells[:, 0].tolist() == list(range(1, 11))
+    assert cells[:, 1].tolist() == report.tv_trace.tolist()
+    assert report.trace_cells(4)[:, 0].tolist() == [1, 5, 9, 10]
     for stride in (0, -3):
         with pytest.raises(ValueError, match=r"^stride must be >= 1, got -?\d+$"):
-            report.trace_pairs(stride)
+            report.trace_cells(stride)
 
 
 def test_instantaneous_mixing_even_cycle_with_parity_target():

@@ -136,15 +136,6 @@ def test_negative_time_rejected():
         fourier_trajectory(_cfg(4, 0.5), -2)
 
 
-def test_imaginary_residue_guard():
-    def kernel(residue):
-        return lambda *args: ("result", residue)
-
-    assert _momentum_path(_cfg(4, 0.5), kernel(1e-12)) == "result"  # fine
-    with pytest.raises(NumericalCheckError, match="pair symmetry defect 1.000e-06"):
-        _momentum_path(_cfg(4, 0.5), kernel(1e-6))
-
-
 @pytest.mark.parametrize("pair", [(1, 3), (3, 1)], ids=["not-evolved", "evolved"])
 @pytest.mark.parametrize("kind", ["real", "imaginary"])
 def test_symmetry_guard_catches_one_perturbed_pair(monkeypatch, pair, kind):

@@ -2,22 +2,21 @@ import numpy as np
 import pytest
 
 import cyclewalk._kernels as kernels
-from cyclewalk import WalkConfig, coin_state, pauli_decompose, superop_definitional
-from cyclewalk.fourier import all_pair_matrices, phase_table
+from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, pauli_decompose,
+                       superop_definitional)
+from cyclewalk.fourier import all_pair_matrices
 
 
 def _inputs(n, p, coin="up", ):
     cfg = WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
-    matrices, d_index = all_pair_matrices(cfg)
     projector = np.outer(cfg.initial_coin, cfg.initial_coin.conj())
-    v0 = np.tile(pauli_decompose(projector), (n * n, 1))
-    return cfg, matrices, v0, d_index, phase_table(n)
+    return cfg, all_pair_matrices(cfg)[0], pauli_decompose(projector)
 
 
 def test_trajectory_matches_naive_double_sum():
     # rebuild P(x,t) from per-pair traces with explicit python loops
-    cfg, matrices, v0, d_index, phase = _inputs(4, 0.3, "balanced")
-    traj, max_imag = kernels.distribution_trajectory(matrices, v0, d_index, phase, 10)
+    cfg, matrices, v0 = _inputs(4, 0.3, "balanced")
+    traj, max_imag = kernels.distribution_trajectory(matrices, v0, 10)
     assert max_imag <= 1e-12
     b = pauli_decompose(np.outer(cfg.initial_coin, cfg.initial_coin.conj()))
     traces = {}
@@ -40,32 +39,32 @@ def test_trajectory_matches_naive_double_sum():
 
 
 def test_tv_scan_averaged_matches_trajectory_average():
-    _, matrices, v0, d_index, phase = _inputs(5, 0.4)
+    _, matrices, v0 = _inputs(5, 0.4)
     target = np.full(5, 0.2)
-    tv, max_imag = kernels.tv_scan(matrices, v0, d_index, phase, 50, target)
+    tv, max_imag = kernels.tv_scan(matrices, v0, 50, target)
     assert max_imag <= 1e-12
-    traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 49)
+    traj, _ = kernels.distribution_trajectory(matrices, v0, 49)
     for tau in (1, 7, 50):
         expect = np.abs(traj[:tau].mean(axis=0) - target).sum()
         assert abs(tv[tau - 1] - expect) <= 1e-12
 
 
 def test_tv_scan_instantaneous_parity_targets():
-    _, matrices, v0, d_index, phase = _inputs(6, 0.5)
+    _, matrices, v0 = _inputs(6, 0.5)
     even = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     odd = np.array([0, 1 / 3, 0, 1 / 3, 0, 1 / 3])
-    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 40, even, odd,
+    tv, _ = kernels.tv_scan(matrices, v0, 40, even, odd,
                             mode=kernels.MODE_INSTANTANEOUS)
-    traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 40)
+    traj, _ = kernels.distribution_trajectory(matrices, v0, 40)
     for t in range(1, 41):
         target = even if t % 2 == 0 else odd
         assert abs(tv[t - 1] - np.abs(traj[t] - target).sum()) <= 1e-12
 
 
 def test_tv_scan_early_stop_truncates():
-    _, matrices, v0, d_index, phase = _inputs(4, 0.6)
+    _, matrices, v0 = _inputs(4, 0.6)
     target = np.full(4, 0.25)
-    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 5000, target,
+    tv, _ = kernels.tv_scan(matrices, v0, 5000, target,
                             stop_below=0.05)
     assert len(tv) < 5000
     assert tv[-1] < 0.05
@@ -73,21 +72,20 @@ def test_tv_scan_early_stop_truncates():
 
 
 def test_averaged_snapshots_match_scan():
-    _, matrices, v0, d_index, phase = _inputs(5, 0.3)
-    snaps, max_imag = kernels.averaged_snapshots(matrices, v0, d_index, phase,
-                                                 [1, 10, 64])
+    _, matrices, v0 = _inputs(5, 0.3)
+    snaps, max_imag = kernels.averaged_snapshots(matrices, v0, [1, 10, 64])
     assert max_imag <= 1e-12
-    traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 63)
+    traj, _ = kernels.distribution_trajectory(matrices, v0, 63)
     for row, tau in zip(snaps, (1, 10, 64)):
         assert np.abs(row - traj[:tau].mean(axis=0)).max() <= 1e-12
 
 
 def test_averaged_snapshots_validates_taus():
-    _, matrices, v0, d_index, phase = _inputs(4, 0.5)
+    _, matrices, v0 = _inputs(4, 0.5)
     with pytest.raises(ValueError):
-        kernels.averaged_snapshots(matrices, v0, d_index, phase, [10, 5])
+        kernels.averaged_snapshots(matrices, v0, [10, 5])
     with pytest.raises(ValueError):
-        kernels.averaged_snapshots(matrices, v0, d_index, phase, [0, 5])
+        kernels.averaged_snapshots(matrices, v0, [0, 5])
 
 
 # ---------------------------------------------------------------------------
@@ -97,12 +95,13 @@ def test_averaged_snapshots_validates_taus():
 TOL = 1e-13
 
 
-def _stepwise(matrices, v0, d_index, n, steps):
+def _stepwise(matrices, v0, n, steps):
     """P(x, t) for t = 0..steps: one matvec per pair and step, then the
     explicit phase sum over all pairs."""
-    phases = np.exp(2j * np.pi * np.outer(np.arange(n), d_index) / n)
+    k, k_prime = np.divmod(np.arange(n * n), n)
+    phases = np.exp(2j * np.pi * np.outer(np.arange(n), (k - k_prime) % n) / n)
     out = np.empty((steps + 1, n))
-    v = v0.copy()
+    v = np.tile(v0, (n * n, 1))
     for t in range(steps + 1):
         out[t] = (phases @ (2.0 * v[:, 0])).real / (n * n)
         v = np.einsum("qij,qj->qi", matrices, v)
@@ -126,10 +125,10 @@ def block(request, monkeypatch):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_blocked_trajectory_matches_stepwise(n, block):
-    _, matrices, v0, d_index, phase = _inputs(n, 0.3, "balanced")
-    reference = _stepwise(matrices, v0, d_index, n, 2 * block + 3)
+    _, matrices, v0 = _inputs(n, 0.3, "balanced")
+    reference = _stepwise(matrices, v0, n, 2 * block + 3)
     for steps in sorted({0, 1, block - 1, block, block + 1, 2 * block + 3}):
-        traj, max_imag = kernels.distribution_trajectory(matrices, v0, d_index, phase, steps)
+        traj, max_imag = kernels.distribution_trajectory(matrices, v0, steps)
         assert traj.shape == (steps + 1, n)
         assert max_imag <= 1e-12
         assert np.abs(traj - reference[:steps + 1]).max() <= TOL
@@ -137,11 +136,11 @@ def test_blocked_trajectory_matches_stepwise(n, block):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_blocked_averaged_scan_matches_stepwise(n, block):
-    _, matrices, v0, d_index, phase = _inputs(n, 0.4)
+    _, matrices, v0 = _inputs(n, 0.4)
     target = np.full(n, 1.0 / n)
-    reference = _stepwise(matrices, v0, d_index, n, 2 * block + 3)
+    reference = _stepwise(matrices, v0, n, 2 * block + 3)
     for horizon in sorted({1, block - 1, block, block + 1, 2 * block + 4} - {0}):
-        tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target)
+        tv, _ = kernels.tv_scan(matrices, v0, horizon, target)
         assert len(tv) == horizon
         assert np.abs(tv - _cesaro_tv(reference[:horizon], target)).max() <= TOL
 
@@ -150,15 +149,15 @@ def test_blocked_instantaneous_parity_across_block_boundary(block):
     # even N: the target alternates with the parity of t, also from one
     # block to the next, whether the block length is odd or even
     n = 6
-    _, matrices, v0, d_index, phase = _inputs(n, 0.5)
+    _, matrices, v0 = _inputs(n, 0.5)
     even = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     odd = np.roll(even, 1)
     horizon = 2 * block + 3
-    reference = _stepwise(matrices, v0, d_index, n, horizon)
+    reference = _stepwise(matrices, v0, n, horizon)
     targets = np.where((np.arange(1, horizon + 1) % 2 == 0)[:, None], even, odd)
     expect = np.abs(reference[1:] - targets).sum(axis=1)
     for h in sorted({1, block - 1, block, block + 1, horizon} - {0}):
-        tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, h, even, odd,
+        tv, _ = kernels.tv_scan(matrices, v0, h, even, odd,
                                 mode=kernels.MODE_INSTANTANEOUS)
         assert np.abs(tv - expect[:h]).max() <= TOL
 
@@ -178,9 +177,9 @@ def _first_record_low(values, where):
 def test_blocked_scan_stops_inside_a_block(monkeypatch, mode, offset):
     monkeypatch.setattr(kernels, "_block_size", lambda pairs: 7)
     n = 5
-    _, matrices, v0, d_index, phase = _inputs(n, 0.3)
+    _, matrices, v0 = _inputs(n, 0.3)
     target = np.full(n, 1.0 / n)
-    reference = _stepwise(matrices, v0, d_index, n, 400)
+    reference = _stepwise(matrices, v0, n, 400)
     if mode == kernels.MODE_AVERAGED:
         expect = _cesaro_tv(reference[:400], target)   # value i is at t = i
         first_t = 0
@@ -190,7 +189,7 @@ def test_blocked_scan_stops_inside_a_block(monkeypatch, mode, offset):
     wanted = 0 if offset == "first-step" else 3
     i = _first_record_low(expect, lambda i: (i + first_t) % 7 == wanted)
     threshold = 0.5 * (expect[i] + expect[:i].min())
-    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 400, target, target,
+    tv, _ = kernels.tv_scan(matrices, v0, 400, target, target,
                             mode=mode, stop_below=threshold)
     assert len(tv) == i + 1
     assert np.abs(tv - expect[:i + 1]).max() <= TOL
@@ -198,18 +197,18 @@ def test_blocked_scan_stops_inside_a_block(monkeypatch, mode, offset):
 
 @pytest.mark.parametrize("n", [4, 5, 6])
 def test_blocked_snapshots_straddle_block_boundaries(n, block):
-    _, matrices, v0, d_index, phase = _inputs(n, 0.3, "balanced")
+    _, matrices, v0 = _inputs(n, 0.3, "balanced")
     taus = sorted({1, block - 1, block, block + 1, 2 * block, 2 * block + 5} - {0})
-    reference = _stepwise(matrices, v0, d_index, n, taus[-1])
-    snaps, _ = kernels.averaged_snapshots(matrices, v0, d_index, phase, taus)
+    reference = _stepwise(matrices, v0, n, taus[-1])
+    snaps, _ = kernels.averaged_snapshots(matrices, v0, taus)
     for row, tau in zip(snaps, taus):
         assert np.abs(row - reference[:tau].mean(axis=0)).max() <= TOL
 
 
 def test_evolve_stream_is_cut_at_steps(block):
-    _, matrices, v0, d_index, phase = _inputs(5, 0.3, "balanced")
+    _, matrices, v0 = _inputs(5, 0.3, "balanced")
     for steps in sorted({0, block - 1, block, block + 1, 2 * block + 3}):
-        blocks = list(kernels._evolve(matrices, v0, d_index, phase, steps))
+        blocks = list(kernels._evolve(matrices, v0, steps))
         assert [t for t, _, _ in blocks] == list(range(0, steps + 1, block))
         assert [len(rows) for _, rows, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
         assert sum(len(rows) for _, rows, _ in blocks) == steps + 1
@@ -220,12 +219,12 @@ def test_evolve_stream_is_cut_at_steps(block):
 
 def test_averaged_scan_ignores_target1(block):
     n = 6
-    _, matrices, v0, d_index, phase = _inputs(n, 0.4)
+    _, matrices, v0 = _inputs(n, 0.4)
     target = np.full(n, 1.0 / n)
     other = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     horizon = 2 * block + 3
-    alone, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target)
-    paired, _ = kernels.tv_scan(matrices, v0, d_index, phase, horizon, target, other)
+    alone, _ = kernels.tv_scan(matrices, v0, horizon, target)
+    paired, _ = kernels.tv_scan(matrices, v0, horizon, target, other)
     assert np.array_equal(alone, paired)
 
 
@@ -235,10 +234,10 @@ def test_scan_stops_at_its_first_scanned_value(mode, block):
     # value: tau = 1, or t = 1 in the instantaneous mode, whose t = 0 row is
     # computed but never scanned
     n = 5
-    _, matrices, v0, d_index, phase = _inputs(n, 0.3)
+    _, matrices, v0 = _inputs(n, 0.3)
     target = np.full(n, 1.0 / n)
-    full, _ = kernels.tv_scan(matrices, v0, d_index, phase, 50, target, target, mode=mode)
-    tv, _ = kernels.tv_scan(matrices, v0, d_index, phase, 50, target, target, mode=mode,
+    full, _ = kernels.tv_scan(matrices, v0, 50, target, target, mode=mode)
+    tv, _ = kernels.tv_scan(matrices, v0, 50, target, target, mode=mode,
                             stop_below=3.0)
     assert np.array_equal(tv, full[:1])
 
@@ -256,26 +255,26 @@ _CUSTOM_COIN = [0.6, 0.48 + 0.64j]
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
 def test_reduced_engine_matches_full_pair_reference(n, p, coin):
     # even N has the self-conjugate difference d = N/2
-    _, matrices, v0, d_index, phase = _inputs(n, p, _CUSTOM_COIN if coin == "custom" else coin)
+    _, matrices, v0 = _inputs(n, p, _CUSTOM_COIN if coin == "custom" else coin)
     steps = kernels.MAX_BLOCK + 6
-    traj, defect = kernels.distribution_trajectory(matrices, v0, d_index, phase, steps)
+    traj, defect = kernels.distribution_trajectory(matrices, v0, steps)
     assert defect <= 1e-15
-    assert np.abs(traj - _stepwise(matrices, v0, d_index, n, steps)).max() <= TOL
+    assert np.abs(traj - _stepwise(matrices, v0, n, steps)).max() <= TOL
 
 
 def test_reduced_engine_matches_full_pair_reference_at_a_large_cycle():
     n = 101
-    _, matrices, v0, d_index, phase = _inputs(n, 0.5, "balanced")
-    traj, _ = kernels.distribution_trajectory(matrices, v0, d_index, phase, 40)
-    assert np.abs(traj - _stepwise(matrices, v0, d_index, n, 40)).max() <= TOL
+    _, matrices, v0 = _inputs(n, 0.5, "balanced")
+    traj, _ = kernels.distribution_trajectory(matrices, v0, 40)
+    assert np.abs(traj - _stepwise(matrices, v0, n, 40)).max() <= TOL
 
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9, 101])
 def test_engine_evolves_only_the_independent_pairs(monkeypatch, n):
     calls = []
     monkeypatch.setattr(kernels, "_block_size", lambda pairs: calls.append(pairs) or 4)
-    _, matrices, v0, d_index, phase = _inputs(n, 0.3)
-    kernels.distribution_trajectory(matrices, v0, d_index, phase, 5)
+    _, matrices, v0 = _inputs(n, 0.3)
+    kernels.distribution_trajectory(matrices, v0, 5)
     assert calls == [(n // 2 + 1) * n]
 
 
@@ -286,9 +285,18 @@ def test_block_size_rule():
     assert kernels._block_size(10 ** 6) == 1
 
 
-def test_evolve_rejects_uneven_difference_groups():
-    _, matrices, v0, d_index, phase = _inputs(4, 0.5)
-    bad = d_index.copy()
-    bad[0] = (bad[0] + 1) % 4
-    with pytest.raises(ValueError, match="momentum difference"):
-        kernels.distribution_trajectory(matrices, v0, bad, phase, 3)
+@pytest.mark.parametrize("size, fails", [(1e-12, False), (1e-6, True)])
+def test_symmetry_guard_fires_before_the_first_block(size, fails):
+    # (1, 3) has difference 3 > N//2: it is never evolved, only compared with
+    # its conjugate partner (3, 1) in setup
+    n = 5
+    _, matrices, v0 = _inputs(n, 0.3, "balanced")
+    matrices[1 * n + 3, 1, 2] += size
+    blocks = kernels._evolve(matrices, v0, 10 ** 6)
+    if fails:
+        with pytest.raises(NumericalCheckError, match=r"^pair symmetry defect 1\.000e-06 "):
+            next(blocks)
+    else:
+        t, rows, defect = next(blocks)
+        assert t == 0 and rows.shape == (kernels.MAX_BLOCK, n)
+        assert defect == pytest.approx(1e-12, rel=1e-3)

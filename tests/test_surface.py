@@ -8,6 +8,7 @@ import pkgutil
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import cyclewalk
@@ -111,6 +112,22 @@ def test_benchmark_kernel_arguments_are_named_as_the_tracer_reads_them():
                          ("tv_scan", {"matrices", "mode"}),
                          ("averaged_snapshots", {"matrices", "taus"})):
         assert wanted <= set(inspect.signature(getattr(_kernels, name)).parameters)
+
+
+def test_benchmark_kernel_contract():
+    # the tracer reads tv_scan(...)[0] and all_pair_matrices(cfg)[0].shape[0];
+    # the kernels take the pair stack and one v0, and work out the phases
+    from cyclewalk import _kernels, fourier
+
+    n = 5
+    config = cyclewalk.WalkConfig(n_nodes=n, decoherence_rate=0.3)
+    matrices = fourier.all_pair_matrices(config)[0]
+    assert matrices.shape == (n * n, 4, 4)
+    result = _kernels.tv_scan(matrices, np.array([0.5, 0, 0, 0.5]), 7, np.full(n, 1 / n))
+    assert isinstance(result, tuple) and result[0].shape == (7,)
+    for name, fn in inspect.getmembers(_kernels, inspect.isfunction):
+        assert not set(inspect.signature(fn).parameters) & {"d_index", "phase"}, name
+    assert not hasattr(fourier, "phase_table")
 
 
 def test_benchmark_verify_checks_match_the_package(perfbench):
