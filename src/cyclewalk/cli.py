@@ -45,15 +45,6 @@ def _rows(template: str, cells) -> str:
     return template * len(cells) % tuple(cells.ravel().tolist())
 
 
-class _Pairs:
-    """[int, float] pairs, such as the mixing ``tv_trace``, held as an (M, 2)
-    object cell array; :func:`_emit_json` renders them through :func:`_rows`,
-    in the bytes it would give a plain list of the same values."""
-
-    def __init__(self, pairs=()):
-        self.cells = np.asarray(pairs, dtype=object).reshape(-1, 2)
-
-
 def _emit_pairs(cells, indent: int) -> str:
     pad = "  " * (indent + 1)
     entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}],\n"
@@ -61,9 +52,12 @@ def _emit_pairs(cells, indent: int) -> str:
 
 
 def _emit_json(value, indent: int = 0) -> str:
+    """JSON text of value; an (M, 2) object array of [int, float] cells, such
+    as the mixing ``tv_trace``, is rendered through :func:`_rows`, in the
+    bytes a plain list of the same pairs would give."""
     pad = "  " * indent
-    if isinstance(value, _Pairs):
-        return _emit_pairs(value.cells, indent) if len(value.cells) else "[]"
+    if isinstance(value, np.ndarray):
+        return _emit_pairs(value, indent) if len(value) else "[]"
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -309,7 +303,7 @@ def cmd_mixing(args) -> int:
         "converged": report.converged,
         "mixing_time": report.mixing_time,
         "bound": bound,
-        "tv_trace": _Pairs(report.trace_cells(resolved["trace-stride"])),
+        "tv_trace": report.trace_cells(resolved["trace-stride"]),
     }
     _write_text(resolved["output"], _emit_json(payload) + "\n")
     if args.manifest:

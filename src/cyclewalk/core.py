@@ -5,7 +5,9 @@ order: the first basis vector ``|1>`` moves the walker one node forward, the
 second ``|-1>`` one node backward.  All 2x2 coin operators are expanded in the
 Pauli basis (sigma_0, sigma_x, sigma_y, sigma_z), which is orthogonal under
 the trace inner product and turns superoperators on the coin into 4x4
-matrices.
+matrices.  The constructions take numbers or broadcastable arrays of the
+cycle length N, the rate p and the momenta k, checked element by element by
+one validator; only a walk run needs a :class:`WalkConfig`.
 """
 
 from __future__ import annotations
@@ -47,8 +49,8 @@ COIN_STATES = {
 
 
 class NumericalCheckError(RuntimeError):
-    """A runtime numerical assertion failed (e.g. an imaginary residue that
-    should vanish did not).  Signals a construction bug, not bad user input."""
+    """A runtime numerical assertion failed (e.g. the pair symmetry defect
+    exceeded its limit).  Signals a construction bug, not bad user input."""
 
 
 def coin_state(spec) -> np.ndarray:
@@ -79,12 +81,7 @@ class WalkConfig:
     initial_coin: np.ndarray = field(default_factory=lambda: COIN_STATES["up"].copy())
 
     def __post_init__(self):
-        if int(self.n_nodes) != self.n_nodes or self.n_nodes < 2:
-            raise ValueError(f"n_nodes must be an integer >= 2, got {self.n_nodes}")
-        if not 0.0 <= self.decoherence_rate <= 1.0:
-            raise ValueError(
-                f"decoherence_rate must lie in [0, 1], got {self.decoherence_rate}"
-            )
+        _check_momenta(self.n_nodes, rate=self.decoherence_rate)
         coin = np.asarray(self.initial_coin, dtype=np.complex128)
         if coin.shape != (2,):
             raise ValueError(f"initial_coin must have shape (2,), got {coin.shape}")
@@ -96,8 +93,9 @@ class WalkConfig:
         self.initial_coin.setflags(write=False)
 
 
-def build_kraus_family(p: float) -> np.ndarray:
-    """The three coin-measurement operators at rate p, stacked as (3, 2, 2):
+def build_kraus_family(rate) -> np.ndarray:
+    """The three coin-measurement operators at rate p, stacked as
+    p.shape + (3, 2, 2) for a number or an array of rates p:
 
         A0 = sqrt(1-p) sigma_0,
         A1 = (sqrt(p)/2)(sigma_0 + sigma_z),
@@ -107,26 +105,34 @@ def build_kraus_family(p: float) -> np.ndarray:
     is a unital channel: with probability p per step the coin is measured in
     its computational basis, with probability 1-p it is left untouched.
 
-    Raises ValueError if p is outside [0, 1].
+    Raises ValueError if any p is outside [0, 1].
     """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"decoherence rate must lie in [0, 1], got {p}")
+    _check_momenta(2, rate=rate)
+    p = np.asarray(rate)[..., None, None]
     return np.stack([
         np.sqrt(1.0 - p) * SIGMA_0,
         (np.sqrt(p) / 2.0) * (SIGMA_0 + SIGMA_Z),
         (np.sqrt(p) / 2.0) * (SIGMA_0 - SIGMA_Z),
-    ])
+    ], axis=-3)
 
 
-def _check_momenta(n_nodes: int, *indices):
-    if not all(np.all((0 <= k) & (k < n_nodes)) for k in indices):
+def _check_momenta(n_nodes, *indices, rate=0.0):
+    """Element by element, broadcast together: every N an integer >= 2, every
+    rate in [0, 1] and 0 <= k < N for each index array k; NaN fails them all.
+    Raises ValueError otherwise."""
+    n, rate = np.asarray(n_nodes), np.asarray(rate)
+    if not np.all((n % 1 == 0) & (n >= 2)):
+        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes}")
+    if not np.all((0.0 <= rate) & (rate <= 1.0)):
+        raise ValueError(f"decoherence rate must lie in [0, 1], got {rate}")
+    if not all(np.all((0 <= k) & (k < n)) for k in indices):
         raise ValueError(f"momentum indices must satisfy 0 <= k < {n_nodes}, got "
                          + ", ".join(map(str, indices)))
 
 
-def hadamard_coin_momentum(k, n_nodes: int) -> np.ndarray:
+def hadamard_coin_momentum(k, n_nodes) -> np.ndarray:
     """Hadamard coin dressed with the momentum-k shift phases, shape
-    k.shape + (2, 2) for an int or an int array k.
+    broadcast(k, N).shape + (2, 2) for ints or int arrays k and N.
 
     For the cycle of length N the conditional shift acts on momentum state k
     as the diagonal phase diag(e^{-2 pi i k/N}, e^{2 pi i k/N}), so the
@@ -134,7 +140,7 @@ def hadamard_coin_momentum(k, n_nodes: int) -> np.ndarray:
 
         C_k = (1/sqrt 2) [[w, w], [1/w, -1/w]],  w = e^{-2 pi i k / N}.
 
-    Raises ValueError unless 0 <= k < n_nodes.
+    Raises ValueError unless each N is an integer >= 2 and 0 <= k < N.
     """
     _check_momenta(n_nodes, k)
     w = np.exp(1j * (-2.0 * np.pi * np.asarray(k) / n_nodes))

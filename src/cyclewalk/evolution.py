@@ -146,15 +146,15 @@ def _density_step(rho, mask, src, sign):
     return rho
 
 
-def direct_trajectory(config: WalkConfig, t: int, check: bool = True):
+def direct_trajectory(config: WalkConfig, t: int):
     """Yield the density matrices rho(0), rho(1), ..., rho(t) of the walker
     (x) coin state: dense 2N x 2N arrays, position-major, so node x owns the
-    2x2 coin block at rows/columns 2x, 2x+1.  check=True validates each."""
+    2x2 coin block at rows/columns 2x, 2x+1.  Each is validated as a density
+    operator (Hermitian, unit trace, PSD) before it is yielded."""
     if t < 0:
         raise ValueError(f"t must be non-negative, got {t}")
     for rho in _density_stack([config], t):
-        if check:
-            _check_density(rho[0])
+        _check_density(rho[0])
         yield rho[0]
 
 

@@ -5,16 +5,20 @@ For each momentum pair (k, k') the one-step action on coin operators is
     L_{k,k'}(B) = sum_n C_k A_n B A_n^dag C_{k'}^dag,
 
 a linear (not trace-preserving, unless k = k') map represented here as a 4x4
-complex matrix in the Pauli basis.  Pair matrices are plain arrays: both
-constructions take ints or broadcastable int arrays k, k' and return
-shape + (4, 4), so one call builds a whole stack.  The closed form is written
-in cos/sin of 2 pi (k' +- k)/N; the definitional one applies the Kraus
-conjugation above to each Pauli basis element.  The engine evolves the
-closed form, built for all N^2 pairs at once by :func:`all_pair_matrices`;
-the definitional construction is the oracle that the ``closedform`` and
-``spectrum`` verify checks inspect.  The closed form also keeps the
-persistent structure exact: on diagonal pairs the first row is exactly
-(1, 0, 0, 0), so the trace of every diagonal pair stays exactly 1 for all t.
+complex matrix in the Pauli basis.  It depends only on (k, k', N, p), so
+pair matrices are plain arrays: both constructions take numbers or
+broadcastable arrays of all four and return the broadcast shape + (4, 4), so
+one call builds a whole stack, even one that mixes cycle lengths and rates.
+The closed form is written in cos/sin of 2 pi (k' +- k)/N; the
+definitional one applies the Kraus conjugation above to each Pauli basis
+element.  The engine evolves the closed form, built for all N^2 pairs of
+one walk at once by :func:`all_pair_matrices`, the one function here that
+takes a :class:`~cyclewalk.core.WalkConfig`; the definitional construction
+is the oracle that the ``closedform``, ``charpoly`` and ``spectrum`` verify
+checks inspect, each over its whole pair sample in one call.  The closed
+form also keeps the persistent structure exact: on diagonal pairs the first
+row is exactly (1, 0, 0, 0), so the trace of every diagonal pair stays
+exactly 1 for all t.
 """
 
 from __future__ import annotations
@@ -37,43 +41,50 @@ __all__ = [
 ]
 
 
-def _pair_angles(k, k_prime, n_nodes: int):
+def _pair_angles(k, k_prime, n_nodes):
     """c+, s+, c-, s- = cos/sin of 2 pi (k' +- k)/N."""
     plus = 2.0 * np.pi * (k_prime + k) / n_nodes
     minus = 2.0 * np.pi * (k_prime - k) / n_nodes
     return np.cos(plus), np.sin(plus), np.cos(minus), np.sin(minus)
 
 
-def superop_definitional(k, k_prime, config: WalkConfig) -> np.ndarray:
-    """L_{k,k'} from the Kraus conjugation, shape broadcast(k, k').shape +
-    (4, 4).
+def superop_definitional(k, k_prime, n_nodes, rate) -> np.ndarray:
+    """L_{k,k'} at cycle length N and rate p from the Kraus conjugation,
+    shape broadcast(k, k', N, p).shape + (4, 4).
 
     Column j holds the Pauli coefficients of
     sum_n C_k A_n sigma_j A_n^dag C_{k'}^dag, each product taken left to
     right and the terms summed over n.
+
+    Raises ValueError unless each N is an integer >= 2, 0 <= p <= 1 and
+    0 <= k, k' < N (checked by the coin and Kraus builders).
     """
-    n = config.n_nodes
-    kraus = build_kraus_family(config.decoherence_rate)[:, None]
-    ck = hadamard_coin_momentum(k, n)[..., None, None, :, :]
-    ckp_dag = hadamard_coin_momentum(k_prime, n).conj().swapaxes(-1, -2)[..., None, None, :, :]
+    kraus = build_kraus_family(rate)[..., :, None, :, :]
+    ck = hadamard_coin_momentum(k, n_nodes)[..., None, None, :, :]
+    ckp_dag = (hadamard_coin_momentum(k_prime, n_nodes).conj().swapaxes(-1, -2)
+               [..., None, None, :, :])
     images = (ck @ kraus @ np.stack(PAULIS) @ kraus.conj().swapaxes(-1, -2)
               @ ckp_dag).sum(axis=-4)
     return pauli_decompose(images).swapaxes(-1, -2)
 
 
-def superop_closed_form(k, k_prime, config: WalkConfig) -> np.ndarray:
-    """Closed-form L_{k,k'}, shape broadcast(k, k').shape + (4, 4).  With
-    q = 1 - p, c+- = cos 2 pi (k' +- k)/N and s+- = sin 2 pi (k' +- k)/N:
+def superop_closed_form(k, k_prime, n_nodes, rate) -> np.ndarray:
+    """Closed-form L_{k,k'} at cycle length N and rate p, shape
+    broadcast(k, k', N, p).shape + (4, 4).  With q = 1 - p,
+    c+- = cos 2 pi (k' +- k)/N and s+- = sin 2 pi (k' +- k)/N:
 
         [ c-    i q s-   0       0  ]
         [ 0     0        q s+    c+ ]
         [ 0     0       -q c+    s+ ]
         [ i s-  q c-     0       0  ]
+
+    Raises ValueError as :func:`superop_definitional` does.
     """
-    _check_momenta(config.n_nodes, k, k_prime)
-    c_plus, s_plus, c_minus, s_minus = _pair_angles(k, k_prime, config.n_nodes)
-    q = 1.0 - config.decoherence_rate
-    matrix = np.zeros(np.shape(c_plus) + (4, 4), dtype=np.complex128)
+    _check_momenta(n_nodes, k, k_prime, rate=rate)
+    c_plus, s_plus, c_minus, s_minus = _pair_angles(k, k_prime, n_nodes)
+    q = 1.0 - np.asarray(rate)
+    matrix = np.zeros(np.broadcast(k, k_prime, n_nodes, rate).shape + (4, 4),
+                      dtype=np.complex128)
     matrix[..., 0, 0] = c_minus
     matrix[..., 0, 1] = 1j * q * s_minus
     matrix[..., 1, 2] = q * s_plus
@@ -95,5 +106,5 @@ def all_pair_matrices(config: WalkConfig):
     """
     n = config.n_nodes
     k, k_prime = np.divmod(np.arange(n * n, dtype=np.int64), n)
-    return superop_closed_form(k, k_prime, config), (k - k_prime) % n
-
+    return (superop_closed_form(k, k_prime, n, config.decoherence_rate),
+            (k - k_prime) % n)

@@ -1,8 +1,9 @@
 """Spectra of the pair superoperators: characteristic quartic, eigenvalues
 and the persistent-eigenvalue classification.
 
-:func:`char_poly` and :func:`classify_pair` broadcast over momentum-index
-arrays like the pair constructions of :mod:`cyclewalk.fourier`;
+:func:`char_poly` broadcasts over arrays of (k, k', N, p) and
+:func:`classify_pair` over momentum-index arrays, like the pair
+constructions of :mod:`cyclewalk.fourier`;
 :func:`eigenvalues` takes a whole stack in the
 :func:`~cyclewalk.fourier.all_pair_matrices` layout (pair (k, k') at row
 k*N + k'), diagonalises it in one call and returns one
@@ -70,9 +71,10 @@ def classify_pair(k, k_prime, n_nodes: int):
                     np.where(antipodal, CLASS_ANTIPODAL, CLASS_GENERIC))[()]
 
 
-def char_poly(k, k_prime, config: WalkConfig) -> np.ndarray:
-    """Coefficients of det(lambda I - L_{k,k'}) in closed form, highest
-    degree first, shape broadcast(k, k').shape + (5,).
+def char_poly(k, k_prime, n_nodes, rate) -> np.ndarray:
+    """Coefficients of det(lambda I - L_{k,k'}) at cycle length N and rate p
+    in closed form, highest degree first, shape
+    broadcast(k, k', N, p).shape + (5,).
 
     With q = 1 - p, c+ = cos 2 pi (k'+k)/N and c- = cos 2 pi (k'-k)/N:
 
@@ -81,10 +83,12 @@ def char_poly(k, k_prime, config: WalkConfig) -> np.ndarray:
 
     The constant term q^2 is the product of the eigenvalue moduli; it pins
     how much total contraction one step applies.
+
+    Raises ValueError as :func:`~cyclewalk.fourier.superop_closed_form` does.
     """
-    _check_momenta(config.n_nodes, k, k_prime)
-    q = 1.0 - config.decoherence_rate
-    cp, _, cm, _ = _pair_angles(k, k_prime, config.n_nodes)
+    _check_momenta(n_nodes, k, k_prime, rate=rate)
+    q = 1.0 - np.asarray(rate)
+    cp, _, cm, _ = _pair_angles(k, k_prime, n_nodes)
     return np.stack(np.broadcast_arrays(
         1.0, q * cp - cm, -2.0 * q * cp * cm, q * (cp - q * cm), q * q), axis=-1)
 

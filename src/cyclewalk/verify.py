@@ -37,8 +37,7 @@ class VerifyProfile:
     spectrum_max_nodes: int
     oracle_max_nodes: int
     oracle_max_steps: int
-    limit_odd: tuple
-    limit_even: tuple
+    limit_nodes: tuple
     limit_rates: tuple
     geosum_pairs: int
     geosum_taus: tuple
@@ -56,8 +55,7 @@ PROFILES = {
         spectrum_max_nodes=16,
         oracle_max_nodes=12,
         oracle_max_steps=200,
-        limit_odd=(3, 5, 7, 9, 11),
-        limit_even=(4, 6, 8),
+        limit_nodes=(3, 5, 7, 9, 11, 4, 6, 8),
         limit_rates=(0.1, 0.5, 0.9),
         geosum_pairs=50,
         geosum_taus=(1, 10, 1000),
@@ -73,8 +71,7 @@ PROFILES = {
         spectrum_max_nodes=8,
         oracle_max_nodes=7,
         oracle_max_steps=50,
-        limit_odd=(3, 5),
-        limit_even=(4, 6),
+        limit_nodes=(3, 5, 4, 6),
         limit_rates=(0.5,),
         geosum_pairs=10,
         geosum_taus=(1, 10, 200),
@@ -88,11 +85,14 @@ PROFILES = {
 }
 
 
-def _random_tuples(count: int, max_nodes: int, seed: int = 2024):
-    rng = np.random.default_rng(seed)
+def _random_tuples(count: int, max_nodes: int):
+    """Arrays k, k', N, p of count random pairs with 2 <= N <= max_nodes."""
+    rng = np.random.default_rng(2024)
+    draws = []
     for _ in range(count):
         n = int(rng.integers(2, max_nodes + 1))
-        yield (n, int(rng.integers(n)), int(rng.integers(n)), float(rng.uniform(0, 1)))
+        draws.append((int(rng.integers(n)), int(rng.integers(n)), n, float(rng.uniform(0, 1))))
+    return tuple(map(np.array, zip(*draws)))
 
 
 def _config(n, p, coin="up"):
@@ -110,44 +110,30 @@ def _result(name, passed, cases, measure, detail):
 
 
 def check_unitality(profile: VerifyProfile):
-    worst = 0.0
     rates = np.linspace(0.0, 1.0, 101)
-    for p in rates:
-        acc = np.zeros((2, 2), dtype=np.complex128)
-        for op in build_kraus_family(float(p)):
-            acc += op.conj().T @ op
-        worst = max(worst, float(np.abs(acc - np.eye(2)).max()))
+    kraus = build_kraus_family(rates)
+    acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
+    worst = float(np.abs(acc - np.eye(2)).max())
     return _result("unitality", worst <= 1e-14, len(rates), worst,
                    "sum A_n^dag A_n = I over 101 rates, tol 1e-14")
 
 
 def check_closedform(profile: VerifyProfile):
-    worst = 0.0
-    count = 0
-    for n, k, kp, p in _random_tuples(profile.random_tuples, 32):
-        cfg = _config(n, p)
-        defect = np.abs(superop_definitional(k, kp, cfg)
-                        - superop_closed_form(k, kp, cfg)).max()
-        worst = max(worst, float(defect))
-        count += 1
-    return _result("closedform", worst <= 1e-12, count, worst,
+    pairs = _random_tuples(profile.random_tuples, 32)
+    worst = float(np.abs(superop_definitional(*pairs) - superop_closed_form(*pairs)).max())
+    return _result("closedform", worst <= 1e-12, len(pairs[0]), worst,
                    "definitional vs closed-form matrices, tol 1e-12")
 
 
 def check_charpoly(profile: VerifyProfile):
     nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     vander = np.vander(nodes, 5)
-    worst = 0.0
-    count = 0
-    for n, k, kp, p in _random_tuples(profile.random_tuples, 32):
-        cfg = _config(n, p)
-        matrix = superop_definitional(k, kp, cfg)
-        dets = np.linalg.det(nodes[:, None, None] * np.eye(4) - matrix)
-        fitted = np.linalg.solve(vander, dets)
-        defect = np.abs(fitted - char_poly(k, kp, cfg)).max()
-        worst = max(worst, float(defect))
-        count += 1
-    return _result("charpoly", worst <= 1e-10, count, worst,
+    pairs = _random_tuples(profile.random_tuples, 32)
+    matrices = superop_definitional(*pairs)[:, None]
+    dets = np.linalg.det(nodes[:, None, None] * np.eye(4) - matrices)
+    fitted = np.linalg.solve(vander, dets[..., None])[..., 0]
+    worst = float(np.abs(fitted - char_poly(*pairs)).max())
+    return _result("charpoly", worst <= 1e-10, len(pairs[0]), worst,
                    "closed-form coefficients vs det interpolation, tol 1e-10")
 
 
@@ -158,11 +144,10 @@ def check_spectrum(profile: VerifyProfile):
     for n in range(3, profile.spectrum_max_nodes + 1):
         k, kp = np.divmod(np.arange(n * n), n)
         for p in (0.1, 0.3, 0.5, 0.9):
-            cfg = _config(n, p)
-            spectra = eigenvalues(superop_definitional(k, kp, cfg), n)
+            spectra = eigenvalues(superop_definitional(k, kp, n, p), n)
             eig = spectra.eigenvalues
             # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
-            slope = char_poly(k, kp, cfg)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
+            slope = char_poly(k, kp, n, p)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
             stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)
                           & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
             radius = float(spectra.spectral_radius.max())
@@ -179,16 +164,17 @@ def check_spectrum(profile: VerifyProfile):
 
 def check_contraction(profile: VerifyProfile):
     rng = np.random.default_rng(11)
-    worst = -np.inf
-    count = 0
-    ok = True
+    draws = []
     for _ in range(40):
         n = int(rng.integers(2, 17))
         k, kp = int(rng.integers(n)), int(rng.integers(n))
         p = float(rng.uniform(0, 1))
-        cfg = _config(n, p)
-        matrix = superop_definitional(k, kp, cfg)
-        operand = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        draws.append((k, kp, n, p, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
+    *pairs, operands = zip(*draws)
+    matrices = superop_definitional(*map(np.array, pairs))
+    worst = -np.inf
+    ok = True
+    for matrix, p, operand in zip(matrices, pairs[3], operands):
         image = matrix @ pauli_decompose(operand)
         image_m = pauli_compose(image)
         before = np.vdot(operand, operand).real
@@ -201,8 +187,7 @@ def check_contraction(profile: VerifyProfile):
                     + (2 * p - p * p) * (abs(operand[0, 0]) ** 2 + abs(operand[1, 1]) ** 2))
         if abs(after - identity) > 1e-12:
             ok = False
-        count += 1
-    return _result("contraction", ok, count, worst,
+    return _result("contraction", ok, len(draws), worst,
                    "Frobenius contraction and exact norm identity on random "
                    "operands; measure = max(|LB|^2 - |B|^2)")
 
@@ -242,7 +227,7 @@ def check_classical(profile: VerifyProfile):
 def check_limits(profile: VerifyProfile):
     worst = 0.0
     count = 0
-    for n in profile.limit_odd + profile.limit_even:
+    for n in profile.limit_nodes:
         for p in profile.limit_rates:
             cfg = _config(n, p)
             t_star = steps_to_uniform(cfg, tol=1e-6)
@@ -260,16 +245,15 @@ def check_limits(profile: VerifyProfile):
 
 def check_geosum(profile: VerifyProfile):
     rng = np.random.default_rng(5)
-    matrices = []
+    draws = []
     for _ in range(profile.geosum_pairs):
         n = int(rng.integers(3, 17))
         k = int(rng.integers(n))
         kp = int(rng.integers(n))
         if kp == k:
             kp = (k + 1) % n
-        p = float(rng.uniform(0.05, 1.0))
-        matrices.append(superop_definitional(k, kp, _config(n, p)))
-    matrices = np.stack(matrices)
+        draws.append((k, kp, n, float(rng.uniform(0.05, 1.0))))
+    matrices = superop_definitional(*map(np.array, zip(*draws)))
     worst = max(verify_geometric_sum(matrices, tau) for tau in profile.geosum_taus)
     return _result("geosum", worst <= 1e-10, len(matrices) * len(profile.geosum_taus),
                    worst, "explicit power sum vs resolvent form, tol 1e-10")

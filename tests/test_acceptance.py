@@ -13,7 +13,7 @@ import pytest
 from cyclewalk import cli, evolution, verify
 from cyclewalk.analysis import limiting_distribution, steps_to_uniform
 from cyclewalk.core import WalkConfig
-from cyclewalk.evolution import direct_trajectory, position_marginal
+from cyclewalk.evolution import position_marginal
 
 PROFILE = verify.PROFILES["default"]
 MIXBOUND_PROFILE = dataclasses.replace(
@@ -40,7 +40,8 @@ def test_acceptance_instantaneous_limits():
     for n, p in ((3, 0.5), (4, 0.5)):
         cfg = WalkConfig(n_nodes=n, decoherence_rate=p)
         t_star = steps_to_uniform(cfg, tol=1e-6)
-        direct = position_marginal(list(direct_trajectory(cfg, t_star, check=False))[-1])
+        *_, (rho,) = evolution._density_stack([cfg], t_star)
+        direct = position_marginal(rho)
         limit = limiting_distribution(cfg, "odd" if t_star % 2 else "even")
         worst = max(worst, float(np.abs(direct.probs - limit).max()))
     _report("instantaneous-limits", worst <= 1e-6,
@@ -57,9 +58,19 @@ def test_acceptance_verify_determinism(tmp_path, capsys):
             "two verify runs produced byte-identical reports")
 
 
+@pytest.mark.parametrize("name", ["closedform", "charpoly"])
+def test_pair_sample_checks_build_their_stack_in_one_call(monkeypatch, name):
+    calls = []
+    build = verify.superop_definitional
+    monkeypatch.setattr(verify, "superop_definitional",
+                        lambda *args: calls.append(args) or build(*args))
+    assert getattr(verify, f"check_{name}")(PROFILE)["cases"] == PROFILE.random_tuples
+    assert len(calls) == 1 and len(calls[0][0]) == PROFILE.random_tuples
+
+
 def _shift_first_entry(build):
-    def shifted(k, k_prime, config):
-        matrix = build(k, k_prime, config).copy()
+    def shifted(k, k_prime, n_nodes, rate):
+        matrix = build(k, k_prime, n_nodes, rate).copy()
         matrix[..., 0, 0] += 1e-9
         return matrix
     return shifted

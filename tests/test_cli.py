@@ -7,7 +7,7 @@ import pytest
 
 from cyclewalk import WalkConfig, classical_reference, coin_state, eigenvalues
 from cyclewalk import cli
-from cyclewalk.cli import _emit_json, _Pairs, main
+from cyclewalk.cli import _emit_json, main
 from cyclewalk.evolution import direct_trajectory, fourier_trajectory, position_marginal
 from cyclewalk.fourier import all_pair_matrices
 from cyclewalk.verify import run_checks
@@ -51,8 +51,8 @@ def _emit_payload(trace):
 def test_emit_json_golden_bytes():
     pairs = [(1, 1.0), (2, 0.3333333333333333), (10, np.float64(1e-17))]
     assert _emit_json(_emit_payload([list(p) for p in pairs])) == _EMIT_EXPECTED
-    assert _emit_json(_emit_payload(_Pairs(pairs))) == _EMIT_EXPECTED
-    assert _emit_json({"tv_trace": _Pairs()}) == '{\n  "tv_trace": []\n}'
+    assert _emit_json(_emit_payload(np.array(pairs, dtype=object))) == _EMIT_EXPECTED
+    assert _emit_json({"tv_trace": np.empty((0, 2), dtype=object)}) == '{\n  "tv_trace": []\n}'
 
 
 def test_simulate_shape_and_normalization(tmp_path, capsys):

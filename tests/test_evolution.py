@@ -25,9 +25,9 @@ def _cfg(n, p, coin="up"):
     return WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
 
 
-def _direct(config, t, check=True):
+def _direct(config, t):
     """Density operator after t steps of the oracle path."""
-    *_, rho = direct_trajectory(config, t, check=check)
+    *_, rho = direct_trajectory(config, t)
     return rho
 
 
@@ -69,7 +69,7 @@ def test_full_dephasing_equals_classical_chain():
 
 def test_density_invariants_hold_along_trajectory():
     cfg = _cfg(6, 0.3, "balanced")
-    for rho in direct_trajectory(cfg, 40, check=False):
+    for (rho,) in evolution._density_stack([cfg], 40):
         assert rho.shape == (12, 12)
         _check_density(rho)  # hermitian, unit trace, PSD
 
@@ -81,7 +81,8 @@ def test_position_marginal_of_maximally_mixed_state():
 
 
 def test_marginal_near_uniform_after_decoherent_evolution():
-    probs = position_marginal(_direct(_cfg(7, 0.5), 100, check=False)).probs
+    *_, (rho,) = evolution._density_stack([_cfg(7, 0.5)], 100)
+    probs = position_marginal(rho).probs
     assert np.abs(probs - 1.0 / 7).max() <= 5e-3
 
 
@@ -110,7 +111,7 @@ def test_momentum_path_matches_density_path():
             for coin in ("up", "balanced"):
                 cfg = _cfg(n, p, coin)
                 fourier = fourier_trajectory(cfg, 60)
-                for t, rho in enumerate(direct_trajectory(cfg, 60, check=False)):
+                for t, (rho,) in enumerate(evolution._density_stack([cfg], 60)):
                     direct = position_marginal(rho).probs
                     worst = max(worst, float(np.abs(fourier[t] - direct).max()))
     assert worst <= 1e-10
@@ -178,7 +179,7 @@ def _unitary_kraus_step(rho, config):
                                         (6, 1.0, "down"), (12, 0.37, "balanced")])
 def test_direct_step_matches_walk_unitary_and_kraus_form(n, p, coin):
     cfg = _cfg(n, p, coin)
-    rhos = list(direct_trajectory(cfg, 12, check=False))
+    rhos = [rho for (rho,) in evolution._density_stack([cfg], 12)]
     for before, after in zip(rhos, rhos[1:]):
         assert np.abs(after - _unitary_kraus_step(before, cfg)).max() <= 1e-15
 
@@ -211,7 +212,7 @@ def test_direct_path_probability_sums_do_not_drift():
     # the 1/sqrt 2 Hadamard lost 6.2e-14 of probability over these 300 steps
     cfg = _cfg(7, 0.37, "balanced")
     worst = max(abs(position_marginal(rho).probs.sum() - 1.0)
-                for rho in direct_trajectory(cfg, 300, check=False))
+                for (rho,) in evolution._density_stack([cfg], 300))
     assert worst <= 1e-14
 
 

@@ -22,7 +22,7 @@ def test_trajectory_matches_naive_double_sum():
     traces = {}
     for k in range(4):
         for kp in range(4):
-            m = superop_definitional(k, kp, cfg)
+            m = superop_definitional(k, kp, 4, 0.3)
             v = b.copy()
             traces[k, kp] = []
             for t in range(11):

@@ -39,13 +39,13 @@ def multiset_match_distance(a, b) -> float:
 
 
 def _random_pairs(count, seed, max_nodes=24):
-    """(k, k', config) of random pairs at random sizes and rates."""
+    """(k, k', N, p) of random pairs at random sizes and rates."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         n = int(rng.integers(2, max_nodes + 1))
         k, kp = int(rng.integers(n)), int(rng.integers(n))
         p = float(rng.uniform(0, 1))
-        yield k, kp, _cfg(n, p)
+        yield k, kp, n, p
 
 
 def _cosines(k, kp, n):
@@ -53,28 +53,27 @@ def _cosines(k, kp, n):
     return np.cos(2 * np.pi * (kp + k) / n), np.cos(2 * np.pi * (kp - k) / n)
 
 
-def _definitional_spectra(cfg):
-    """SpectrumReport of the whole definitional stack of cfg."""
-    n = cfg.n_nodes
-    return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), cfg), n)
+def _definitional_spectra(n, p):
+    """SpectrumReport of the whole definitional stack at N = n and rate p."""
+    return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), n, p), n)
 
 
 def test_char_poly_matches_determinant_samples():
-    for k, kp, cfg in _random_pairs(80, seed=20):
-        coeffs = char_poly(k, kp, cfg)
-        matrix = superop_definitional(k, kp, cfg)
+    for pair in _random_pairs(80, seed=20):
+        coeffs = char_poly(*pair)
+        matrix = superop_definitional(*pair)
         for lam in (-2.0, -1.0, 0.0, 1.0, 2.0):
             det = np.linalg.det(lam * np.eye(4) - matrix)
             assert abs(det - np.polyval(coeffs, lam)) <= 1e-10
 
 
 def test_char_poly_constant_term_is_squared_survival():
-    for k, kp, cfg in _random_pairs(30, seed=21):
-        assert abs(char_poly(k, kp, cfg)[4] - (1.0 - cfg.decoherence_rate) ** 2) <= 1e-12
+    for k, kp, n, p in _random_pairs(30, seed=21):
+        assert abs(char_poly(k, kp, n, p)[4] - (1.0 - p) ** 2) <= 1e-12
 
 
 def test_char_poly_full_dephasing_collapses():
-    coeffs = char_poly(1, 2, _cfg(5, 1.0))
+    coeffs = char_poly(1, 2, 5, 1.0)
     _, c_minus = _cosines(1, 2, 5)
     assert np.allclose(coeffs, [1.0, -c_minus, 0.0, 0.0, 0.0], atol=1e-14)
     roots = np.roots(coeffs)
@@ -83,34 +82,33 @@ def test_char_poly_full_dephasing_collapses():
 
 def test_char_poly_diagonal_pairs_have_root_at_one():
     for n, k, p in ((5, 2, 0.3), (8, 0, 0.7), (11, 10, 0.05)):
-        assert abs(np.polyval(char_poly(k, k, _cfg(n, p)), 1.0)) <= 1e-12
+        assert abs(np.polyval(char_poly(k, k, n, p), 1.0)) <= 1e-12
 
 
 def test_char_poly_antipodal_pairs_have_simple_root_at_minus_one():
     for n, k, p in ((6, 1, 0.4), (8, 3, 0.25), (4, 0, 0.8)):
-        coeffs = char_poly(k, (k + n // 2) % n, _cfg(n, p))
+        coeffs = char_poly(k, (k + n // 2) % n, n, p)
         assert abs(np.polyval(coeffs, -1.0)) <= 1e-12
         assert abs(np.polyval(np.polyder(coeffs), -1.0) - ((1 - p) ** 2 - 1.0)) <= 1e-12
 
 
 def test_char_poly_broadcasts_over_index_arrays():
-    cfg = _cfg(9, 0.35)
     k, kp = np.divmod(np.arange(81), 9)
-    stack = char_poly(k, kp, cfg)
+    stack = char_poly(k, kp, 9, 0.35)
     assert stack.shape == (81, 5)
     for q in range(81):
-        assert np.array_equal(stack[q], char_poly(*divmod(q, 9), cfg))
-    assert char_poly(np.arange(9)[:, None], np.arange(9), cfg).shape == (9, 9, 5)
+        assert np.array_equal(stack[q], char_poly(*divmod(q, 9), 9, 0.35))
+    assert char_poly(np.arange(9)[:, None], np.arange(9), 9, 0.35).shape == (9, 9, 5)
     with pytest.raises(ValueError):
-        char_poly(k, kp + 1, cfg)
+        char_poly(k, kp + 1, 9, 0.35)
 
 
 def test_boundary_value_factorizations():
     # f(1) = (1 - c-)(1 + 2 q c+ + q^2), f(-1) = (1 + c-)(1 - 2 q c+ + q^2)
-    for k, kp, cfg in _random_pairs(60, seed=22):
-        q = 1.0 - cfg.decoherence_rate
-        c_plus, c_minus = _cosines(k, kp, cfg.n_nodes)
-        coeffs = char_poly(k, kp, cfg)
+    for k, kp, n, p in _random_pairs(60, seed=22):
+        q = 1.0 - p
+        c_plus, c_minus = _cosines(k, kp, n)
+        coeffs = char_poly(k, kp, n, p)
         plus = (1.0 - c_minus) * (1.0 + 2.0 * q * c_plus + q * q)
         minus = (1.0 + c_minus) * (1.0 - 2.0 * q * c_plus + q * q)
         assert abs(np.polyval(coeffs, 1.0) - plus) <= 1e-12
@@ -118,7 +116,7 @@ def test_boundary_value_factorizations():
 
 
 def test_eigenvalue_report_diagonal_pair():
-    spectra, q = _definitional_spectra(_cfg(7, 0.5)), 3 * 7 + 3
+    spectra, q = _definitional_spectra(7, 0.5), 3 * 7 + 3
     assert spectra.classification[q] == CLASS_DIAGONAL
     assert spectra.has_unit_eigenvalue[q]
     assert not spectra.has_minus_one[q]
@@ -126,7 +124,7 @@ def test_eigenvalue_report_diagonal_pair():
 
 
 def test_eigenvalue_report_antipodal_pair():
-    spectra, q = _definitional_spectra(_cfg(6, 0.5)), 1 * 6 + 4
+    spectra, q = _definitional_spectra(6, 0.5), 1 * 6 + 4
     assert spectra.classification[q] == CLASS_ANTIPODAL
     assert spectra.has_minus_one[q]
     eig = spectra.eigenvalues[q]
@@ -143,23 +141,23 @@ def test_eigenvalues_reject_a_stack_outside_the_pair_layout():
 
 
 def test_odd_cycle_off_diagonal_pairs_contract_strictly():
-    spectra = _definitional_spectra(_cfg(7, 0.3))
+    spectra = _definitional_spectra(7, 0.3)
     off_diagonal = np.arange(49) % 8 != 0  # diagonal pairs k = k' sit at rows k*N + k
     assert np.all(spectra.classification[off_diagonal] == CLASS_GENERIC)
     assert np.all(spectra.spectral_radius[off_diagonal] < 1.0)
 
 
 def test_roots_agree_with_eigenvalues_as_multisets():
-    for k, kp, cfg in _random_pairs(60, seed=23):
-        roots = np.roots(char_poly(k, kp, cfg))
-        eig = _definitional_spectra(cfg).eigenvalues[k * cfg.n_nodes + kp]
+    for k, kp, n, p in _random_pairs(60, seed=23):
+        roots = np.roots(char_poly(k, kp, n, p))
+        eig = _definitional_spectra(n, p).eigenvalues[k * n + kp]
         assert multiset_match_distance(roots, eig) <= 1e-8
 
 
 def test_classification_sweep_small_cycles():
     for n in range(3, 9):
         for p in (0.1, 0.5):
-            spectra = _definitional_spectra(_cfg(n, p))
+            spectra = _definitional_spectra(n, p)
             assert spectra.spectral_radius.shape == (n * n,)
             assert np.all(spectra.spectral_radius <= 1.0 + 1e-10)
             expected = [classify_pair(*divmod(q, n), n) for q in range(n * n)]
@@ -172,10 +170,10 @@ def test_classification_sweep_small_cycles():
 
 def test_unit_modulus_eigenvalues_are_real_pm_one():
     # every pair of each drawn (N, p), not only the drawn pair
-    for _, _, cfg in _random_pairs(120, seed=24, max_nodes=32):
-        spectra = _definitional_spectra(cfg)
+    for _, _, n, p in _random_pairs(120, seed=24, max_nodes=32):
+        spectra = _definitional_spectra(n, p)
         assert spectra.spectral_radius.max() <= 1.0 + 1e-10
-        if not 0.0 < cfg.decoherence_rate < 1.0:
+        if not 0.0 < p < 1.0:
             continue
         eig = spectra.eigenvalues
         near_unit = eig[np.abs(np.abs(eig) - 1.0) < 1e-9]
@@ -217,7 +215,7 @@ def test_spectral_gap_construction_independent():
     cfg = _cfg(9, 0.2)
     gap = spectral_gap(cfg)
     definitional_radius = max(
-        np.abs(np.linalg.eigvals(superop_definitional(k, kp, cfg))).max()
+        np.abs(np.linalg.eigvals(superop_definitional(k, kp, 9, 0.2))).max()
         for k in range(9) for kp in range(9) if classify_pair(k, kp, 9) == CLASS_GENERIC)
     assert gap > 0.0
     assert abs(gap - (1.0 - definitional_radius)) <= 1e-10
@@ -233,7 +231,7 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
         for k in range(n):
             for kp in range(n):
                 q = k * n + kp
-                single = np.linalg.eigvals(superop_closed_form(k, kp, cfg))
+                single = np.linalg.eigvals(superop_closed_form(k, kp, n, p))
                 single = single[np.argsort(single.round(9), kind="stable")]
                 assert np.array_equal(spectra.eigenvalues[q], single)
                 assert spectra.spectral_radius[q] == np.abs(single).max()
@@ -242,13 +240,12 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
                 assert spectra.classification[q] == classify_pair(k, kp, n)
 
 
-def _definitional_stack(cfg):
+def _definitional_stack(n, p):
     """All N^2 pair matrices of the definitional Kraus construction in one
     einsum: L[k, k', i, j] = tr(sigma_i^dag C_k (sum_n A_n sigma_j A_n^dag)
     C_k'^dag) / 2, pair (k, k') at row k*N + k'."""
-    n = cfg.n_nodes
     coins = np.stack([hadamard_coin_momentum(k, n) for k in range(n)])
-    kraus = build_kraus_family(cfg.decoherence_rate)
+    kraus = build_kraus_family(p)
     paulis = np.stack(PAULIS)
     dephased = np.einsum("nab,jbc,ndc->jad", kraus, paulis, kraus.conj())
     stack = 0.5 * np.einsum("iax,kab,jbc,lxc->klij",
@@ -261,15 +258,13 @@ def test_eigenvalue_rows_agree_between_constructions():
     # which can flip the eigensolver's output order; the canonical order (by
     # real part, then imaginary part) makes equal spectra equal rows.
     # Defective pairs at p = 0.5 split their double eigenvalue by ~1e-8.
-    cfg = _cfg(5, 0.37)
-    assert np.abs(_definitional_stack(cfg)
-                  - superop_definitional(*np.divmod(np.arange(25), 5), cfg)).max() <= 1e-15
+    assert np.abs(_definitional_stack(5, 0.37)
+                  - superop_definitional(*np.divmod(np.arange(25), 5), 5, 0.37)).max() <= 1e-15
     for n in range(2, 17):
         for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
-            cfg = _cfg(n, p)
             tol = 1e-7 if p == 0.5 else 1e-12
-            closed = eigenvalues(all_pair_matrices(cfg)[0], n).eigenvalues
-            einsum = eigenvalues(_definitional_stack(cfg), n).eigenvalues
+            closed = eigenvalues(all_pair_matrices(_cfg(n, p))[0], n).eigenvalues
+            einsum = eigenvalues(_definitional_stack(n, p), n).eigenvalues
             assert np.abs(closed - einsum).max() <= tol
             keys = np.round(closed, 9)
             order = np.lexsort((keys.imag, keys.real), axis=1)
