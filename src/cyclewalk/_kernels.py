@@ -37,7 +37,7 @@ import math
 
 import numpy as np
 
-from .core import NumericalCheckError
+from .core import NumericalCheckError, _check_count
 
 __all__ = [
     "distribution_trajectory",
@@ -210,12 +210,13 @@ def tv_scan(matrices, v0, horizon, target0, target1=None,
 def averaged_snapshots(matrices, v0, taus):
     """Cesaro averages (1/tau) sum_{t<tau} P(.,t) at each requested tau.
 
-    taus must be sorted ascending.  Returns (len(taus), N) plus the symmetry
-    defect.
+    taus must be integers >= 1, sorted ascending.  Returns (len(taus), N)
+    plus the symmetry defect.
     """
+    _check_count("taus", taus, 1)
     taus = np.asarray(taus, dtype=np.int64)
-    if len(taus) == 0 or np.any(np.diff(taus) <= 0) or taus[0] < 1:
-        raise ValueError("taus must be a sorted ascending sequence of positive ints")
+    if len(taus) == 0 or np.any(np.diff(taus) <= 0):
+        raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
     out = np.empty((len(taus), math.isqrt(len(matrices))))
     blocks = _averages(_evolve(matrices, v0, taus[-1] - 1))
     for t, averages, defect in blocks:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import WalkConfig
+from .core import WalkConfig, _check_count, _check_momenta
 from .evolution import PositionDistribution, _momentum_path
 from .spectral import spectral_gap
 
@@ -62,9 +62,8 @@ class MixingReport:
     def trace_cells(self, stride: int = 1) -> np.ndarray:
         """(t, tv) pairs, every stride-th one (stride >= 1), as an (M, 2)
         object array of ints and floats; the final entry is always kept."""
+        _check_count("stride", stride, 1)
         stride = int(stride)
-        if stride < 1:
-            raise ValueError(f"stride must be >= 1, got {stride}")
         last = len(self.tv_trace)
         times = np.arange(1, last + 1, stride)
         if len(times) and times[-1] != last:
@@ -111,8 +110,7 @@ def limiting_distribution(config: WalkConfig, t_parity: str) -> np.ndarray | Non
 
 def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
     """Cesaro average (1/tau) sum_{t=0}^{tau-1} P(., t)."""
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    _check_count("tau", tau, 1)
     avg = time_averaged_snapshots(config, [int(tau)])[0]
     return PositionDistribution(probs=avg)
 
@@ -130,6 +128,7 @@ def _check_epsilon(epsilon: float):
 def default_horizon(n_nodes: int, epsilon: float) -> int:
     """Scan horizon ceil(20 N^2 / epsilon), capped at 10^6 steps before the
     rounding, which would fail on the inf a tiny epsilon gives."""
+    _check_momenta(n_nodes)
     _check_epsilon(epsilon)
     return math.ceil(min(20 * n_nodes * n_nodes / epsilon, MAX_HORIZON))
 
@@ -139,8 +138,7 @@ def _scan_horizon(n_nodes: int, epsilon: float, horizon: int | None) -> int:
     _check_epsilon(epsilon)
     if horizon is None:
         horizon = default_horizon(n_nodes, epsilon)
-    if not horizon >= 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
+    _check_count("horizon", horizon, 1)
     return horizon
 
 
@@ -245,12 +243,12 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
     Scales as O(N / tau); summing over nodes gives the O(N^2 / epsilon)
     mixing-time order.  It is inf where p^2 underflows to 0 (p < ~1e-162).
     """
+    _check_momenta(n_nodes, rate=p)
+    _check_count("tau", tau, 1)
     if n_nodes % 2 == 0:
         raise ValueError("bound is only available for odd cycle lengths")
-    if not 0.0 < p <= 1.0:
-        raise ValueError(f"decoherence rate must lie in (0, 1], got {p}")
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    if p == 0.0:
+        raise ValueError(f"bound needs a decoherence rate p > 0, got {p}")
     j = np.arange(1, n_nodes)
     total = float(np.sum(j / (1.0 - np.cos(2.0 * np.pi * j / n_nodes))))
     scale = p * p * tau * n_nodes * n_nodes
@@ -266,8 +264,7 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     condition number of any I - L exceeds 1e12, as on the diagonal pairs
     k = k', whose map has a fixed point.
     """
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    _check_count("tau", tau, 1)
     eye = np.eye(4, dtype=np.complex128)
     cond = np.linalg.cond(eye - matrix)
     if not np.all(cond <= 1e12):
@@ -284,8 +281,9 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
 
 def steps_to_uniform(config: WalkConfig, tol: float = 1e-6) -> int:
     """Step count T with r^T <= tol / N^2, r the measured non-persistent
-    spectral radius; past T the instantaneous distribution sits within tol of
-    its limit.  Requires p > 0."""
+    spectral radius: an estimate, not a bound, since it ignores the
+    non-normality of the pair matrices (the defective pairs at p = 0.5, say),
+    so nothing certifies P past T within tol of its limit.  Requires p > 0."""
     if config.decoherence_rate == 0.0:
         raise ValueError("no decay at p = 0; the distribution keeps oscillating")
     radius = 1.0 - spectral_gap(config)

@@ -23,10 +23,10 @@ from .analysis import (
     mixing_time_averaged,
     mixing_time_instantaneous,
 )
-from .core import COIN_STATES, NumericalCheckError, WalkConfig, coin_state
+from .core import COIN_STATES, NumericalCheckError, WalkConfig, _check_count, coin_state
 from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import all_pair_matrices
-from .spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, UNIT_DISK_TOL, eigenvalues
+from .spectral import VERDICTS, eigenvalues, spectral_structure
 from .verify import CHECK_NAMES, run_checks
 
 USAGE_ERROR = 2
@@ -181,8 +181,7 @@ def cmd_simulate(args) -> int:
                         decoherence_rate=resolved["decoherence"],
                         initial_coin=coin)
     steps = resolved["steps"]
-    if steps < 0:
-        raise ValueError(f"steps must be non-negative, got {steps}")
+    _check_count("steps", steps, 0)
     if resolved["method"] == "fourier":
         trajectory = fourier_trajectory(config, steps)
     else:
@@ -216,32 +215,14 @@ def cmd_spectrum(args) -> int:
                         decoherence_rate=resolved["decoherence"])
     n, p = config.n_nodes, config.decoherence_rate
     spectra = eigenvalues(all_pair_matrices(config)[0], n)
-    classes, radius = spectra.classification, spectra.spectral_radius
-    max_radius_all = float(radius.max())
-    max_radius_generic = float(radius.max(where=classes == CLASS_GENERIC, initial=0.0))
-    placement_ok = not 0.0 < p < 1.0 or bool(spectra.placement_ok.all())
     # one row per pair: k, k', class, radius, then re, im of each eigenvalue
     cells = np.empty((n * n, 12), dtype=object)
     cells[:, 0], cells[:, 1] = np.divmod(np.arange(n * n), n)
-    cells[:, 2], cells[:, 3] = classes, radius
+    cells[:, 2], cells[:, 3] = spectra.classification, spectra.spectral_radius
     cells[:, 4:] = spectra.eigenvalues.view(np.float64)
     rows = _rows("%d,%d,%s" + ",%.16e" * 9 + "\n", cells)
-    radius_ok = max_radius_all <= 1.0 + UNIT_DISK_TOL
-    gap_ok = p == 0.0 or max_radius_generic < 1.0
-    summary = {
-        "nodes": n,
-        "decoherence": p,
-        "pairs": n * n,
-        "count_diagonal": int((classes == CLASS_DIAGONAL).sum()),
-        "count_antipodal": int((classes == CLASS_ANTIPODAL).sum()),
-        "count_generic": int((classes == CLASS_GENERIC).sum()),
-        "max_radius": max_radius_all,
-        "max_radius_generic": max_radius_generic,
-        "radius_within_unit_disk": radius_ok,
-        "generic_radius_below_one": gap_ok,
-        "persistent_eigenvalue_placement_checked": bool(0.0 < p < 1.0),
-        "persistent_eigenvalue_placement_ok": placement_ok,
-    }
+    summary = {"nodes": n, "decoherence": p, "pairs": n * n,
+               **spectral_structure(spectra, n, p)}
     _write_text(resolved["output"], "k,k_prime,classification,spectral_radius,"
                 "eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im\n" + rows)
     summary_text = _emit_json(summary) + "\n"
@@ -252,7 +233,7 @@ def cmd_spectrum(args) -> int:
     if args.manifest:
         outputs = [resolved["output"]] + ([resolved["summary"]] if resolved["summary"] else [])
         _write_manifest(args.manifest, "spectrum", resolved, outputs)
-    if not (radius_ok and gap_ok and placement_ok):
+    if not all(summary[verdict] for verdict in VERDICTS):
         raise NumericalCheckError("spectrum summary assertions failed; see summary")
     return 0
 
@@ -278,8 +259,7 @@ def cmd_mixing(args) -> int:
     if resolved["bound"] not in ("auto", "require", "off"):
         raise ValueError(f"bound must be 'auto', 'require' or 'off', "
                          f"got {resolved['bound']!r}")
-    if resolved["trace-stride"] < 1:
-        raise ValueError(f"trace-stride must be >= 1, got {resolved['trace-stride']}")
+    _check_count("trace-stride", resolved["trace-stride"], 1)
     coin = _parse_coin(resolved["initial-coin"])
     config = WalkConfig(n_nodes=resolved["nodes"],
                         decoherence_rate=resolved["decoherence"],

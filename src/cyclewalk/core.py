@@ -6,8 +6,10 @@ second ``|-1>`` one node backward.  All 2x2 coin operators are expanded in the
 Pauli basis (sigma_0, sigma_x, sigma_y, sigma_z), which is orthogonal under
 the trace inner product and turns superoperators on the coin into 4x4
 matrices.  The constructions take numbers or broadcastable arrays of the
-cycle length N, the rate p and the momenta k, checked element by element by
-one validator; only a walk run needs a :class:`WalkConfig`.
+cycle length N, the rate p and the momenta k; only a walk run needs a
+:class:`WalkConfig`.  Walk inputs are checked here and nowhere else: every
+public entry calls ``_check_momenta`` for N, p and k, and ``_check_count``
+for its step counts, window lengths and strides.
 """
 
 from __future__ import annotations
@@ -116,18 +118,26 @@ def build_kraus_family(rate) -> np.ndarray:
     ], axis=-3)
 
 
+def _check_count(name, value, minimum):
+    """Every entry of value an integer >= minimum (NaN and inf fail); raises
+    ValueError otherwise."""
+    if not np.all(np.asarray(value) % 1 == 0):
+        raise ValueError(f"{name} must be an integer, got {value}")
+    if not np.all(np.asarray(value) >= minimum):
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
 def _check_momenta(n_nodes, *indices, rate=0.0):
     """Element by element, broadcast together: every N an integer >= 2, every
-    rate in [0, 1] and 0 <= k < N for each index array k; NaN fails them all.
-    Raises ValueError otherwise."""
+    rate in [0, 1] and each index array k an integer in 0..N-1; NaN fails
+    them all.  Raises ValueError otherwise."""
+    _check_count("n_nodes", n_nodes, 2)
     n, rate = np.asarray(n_nodes), np.asarray(rate)
-    if not np.all((n % 1 == 0) & (n >= 2)):
-        raise ValueError(f"n_nodes must be an integer >= 2, got {n_nodes}")
     if not np.all((0.0 <= rate) & (rate <= 1.0)):
         raise ValueError(f"decoherence rate must lie in [0, 1], got {rate}")
-    if not all(np.all((0 <= k) & (k < n)) for k in indices):
-        raise ValueError(f"momentum indices must satisfy 0 <= k < {n_nodes}, got "
-                         + ", ".join(map(str, indices)))
+    if not all(np.all((k % 1 == 0) & (0 <= k) & (k < n)) for k in indices):
+        raise ValueError(f"momentum indices must be integers with 0 <= k < {n_nodes}, "
+                         "got " + ", ".join(map(str, indices)))
 
 
 def hadamard_coin_momentum(k, n_nodes) -> np.ndarray:
@@ -140,7 +150,7 @@ def hadamard_coin_momentum(k, n_nodes) -> np.ndarray:
 
         C_k = (1/sqrt 2) [[w, w], [1/w, -1/w]],  w = e^{-2 pi i k / N}.
 
-    Raises ValueError unless each N is an integer >= 2 and 0 <= k < N.
+    Raises ValueError unless each N is an integer >= 2 and each k in 0..N-1.
     """
     _check_momenta(n_nodes, k)
     w = np.exp(1j * (-2.0 * np.pi * np.asarray(k) / n_nodes))

@@ -27,7 +27,8 @@ operator, and before the first step they check the largest deviation from
 it, the symmetry defect, against SYMMETRY_DEFECT_LIMIT, so an inconsistent
 construction fails before a long scan starts.
 The two paths must agree to near machine precision; the test suite binds
-them together entrywise.
+them together entrywise.  Step counts and the chain's N go through the input
+rules of :mod:`cyclewalk.core`: a non-integer count raises ValueError.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import _HADAMARD, NumericalCheckError, WalkConfig, pauli_decompose
+from .core import (_HADAMARD, NumericalCheckError, WalkConfig, _check_count, _check_momenta,
+                   pauli_decompose)
 from .fourier import all_pair_matrices
 
 __all__ = [
@@ -108,6 +110,7 @@ def _shift(n: int) -> np.ndarray:
 
 def walk_unitary(n_nodes: int) -> np.ndarray:
     """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
+    _check_momenta(n_nodes)
     n = int(n_nodes)
     return _shift(n) @ np.kron(np.eye(n), _HADAMARD)
 
@@ -151,8 +154,7 @@ def direct_trajectory(config: WalkConfig, t: int):
     (x) coin state: dense 2N x 2N arrays, position-major, so node x owns the
     2x2 coin block at rows/columns 2x, 2x+1.  Each is validated as a density
     operator (Hermitian, unit trace, PSD) before it is yielded."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    _check_count("t", t, 0)
     for rho in _density_stack([config], t):
         _check_density(rho[0])
         yield rho[0]
@@ -188,18 +190,15 @@ def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
 
 def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
     """P(x, t) for t = 0..t_max via the momentum path; shape (t_max+1, N)."""
-    if t_max < 0:
-        raise ValueError(f"t_max must be non-negative, got {t_max}")
+    _check_count("t_max", t_max, 0)
     return _momentum_path(config, _kernels.distribution_trajectory, int(t_max))
 
 
 def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     """t steps of the classical +-1 chain (probability 1/2 each) from node 0;
     the p = 1 walk's position marginal must match this exactly."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
-    if n_nodes < 2:
-        raise ValueError(f"n_nodes must be >= 2, got {n_nodes}")
+    _check_momenta(n_nodes)
+    _check_count("t", t, 0)
     probs = np.zeros(int(n_nodes))
     probs[0] = 1.0
     for _ in range(int(t)):

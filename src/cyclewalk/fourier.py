@@ -57,7 +57,7 @@ def superop_definitional(k, k_prime, n_nodes, rate) -> np.ndarray:
     right and the terms summed over n.
 
     Raises ValueError unless each N is an integer >= 2, 0 <= p <= 1 and
-    0 <= k, k' < N (checked by the coin and Kraus builders).
+    k, k' are integers in 0..N-1 (checked by the coin and Kraus builders).
     """
     kraus = build_kraus_family(rate)[..., :, None, :, :]
     ck = hadamard_coin_momentum(k, n_nodes)[..., None, None, :, :]

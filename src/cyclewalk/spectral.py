@@ -13,7 +13,9 @@ Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
 (exactly on diagonal pairs k = k') and -1 (exactly on antipodal pairs
 |k' - k| = N/2, even N).  All other pairs decay geometrically; the spectral
-gap of the walk is taken over those non-persistent pairs.
+gap of the walk is taken over those non-persistent pairs.  Only
+:func:`spectral_structure` rules on this structure, for the ``spectrum``
+summary, the ``spectrum`` verify check and :func:`spectral_gap` alike.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ __all__ = [
     "char_poly",
     "eigenvalues",
     "spectral_gap",
+    "spectral_structure",
     "classify_pair",
 ]
 
@@ -42,6 +45,10 @@ CLASS_DIAGONAL = "diagonal-pair"
 CLASS_ANTIPODAL = "antipodal-pair"
 CLASS_GENERIC = "generic"
 
+#: The verdicts of :func:`spectral_structure`; a stack passes when all hold.
+VERDICTS = ("radius_within_unit_disk", "generic_radius_below_one",
+            "persistent_eigenvalue_placement_ok")
+
 
 @dataclass(frozen=True, eq=False)
 class SpectrumReport:
@@ -53,14 +60,6 @@ class SpectrumReport:
     has_unit_eigenvalue: np.ndarray
     has_minus_one: np.ndarray
     classification: np.ndarray
-
-    @property
-    def placement_ok(self) -> np.ndarray:
-        """(M,) bool: persistent eigenvalues sit where the pair class puts
-        them, +1 exactly on diagonal pairs and -1 exactly on antipodal pairs.
-        At p = 0 other pairs carry unit-modulus eigenvalues too."""
-        return ((self.has_unit_eigenvalue == (self.classification == CLASS_DIAGONAL))
-                & (self.has_minus_one == (self.classification == CLASS_ANTIPODAL)))
 
 
 def classify_pair(k, k_prime, n_nodes: int):
@@ -122,6 +121,37 @@ def eigenvalues(matrices: np.ndarray, n_nodes: int) -> SpectrumReport:
         classification=classify_pair(*np.divmod(np.arange(len(eig)), n_nodes), n_nodes))
 
 
+def spectral_structure(spectra: SpectrumReport, n_nodes: int, rate: float) -> dict:
+    """The ``spectrum`` summary record of one walk's pair stack at cycle length
+    N and rate p: class counts, largest radii and the VERDICTS.  All radii lie
+    in the unit disk, generic ones below 1 (p > 0); for 0 < p < 1, +1 and -1
+    sit by class, -1 never double, and no other eigenvalue has unit modulus."""
+    classes, radius, eig = spectra.classification, spectra.spectral_radius, spectra.eigenvalues
+    k, k_prime = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
+    # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
+    slope = char_poly(k, k_prime, n_nodes, rate)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
+    stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)
+                  & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
+    # +1 off the diagonal pairs, -1 off the antipodal ones, stray unit moduli, double -1s
+    misplaced = ((spectra.has_unit_eigenvalue != (classes == CLASS_DIAGONAL))
+                 | (spectra.has_minus_one != (classes == CLASS_ANTIPODAL))
+                 | stray_unit.any(axis=1) | (spectra.has_minus_one & (np.abs(slope) <= 1e-10)))
+    checked = bool(0.0 < rate < 1.0)
+    max_radius = float(radius.max())
+    max_radius_generic = float(radius.max(where=classes == CLASS_GENERIC, initial=0.0))
+    return {
+        "count_diagonal": int((classes == CLASS_DIAGONAL).sum()),
+        "count_antipodal": int((classes == CLASS_ANTIPODAL).sum()),
+        "count_generic": int((classes == CLASS_GENERIC).sum()),
+        "max_radius": max_radius,
+        "max_radius_generic": max_radius_generic,
+        "radius_within_unit_disk": max_radius <= 1.0 + UNIT_DISK_TOL,
+        "generic_radius_below_one": rate == 0.0 or max_radius_generic < 1.0,
+        "persistent_eigenvalue_placement_checked": checked,
+        "persistent_eigenvalue_placement_ok": not checked or not misplaced.any(),
+    }
+
+
 def spectral_gap(config: WalkConfig) -> float:
     """1 minus the largest eigenvalue modulus over non-persistent pairs.
 
@@ -132,8 +162,8 @@ def spectral_gap(config: WalkConfig) -> float:
     the other pairs too, so there is no decay: the gap is 0.0, returned
     without an eigensolve.
     """
-    if config.decoherence_rate == 0.0:
+    n, p = config.n_nodes, config.decoherence_rate
+    if p == 0.0:
         return 0.0
-    spectra = eigenvalues(all_pair_matrices(config)[0], config.n_nodes)
-    return 1.0 - float(spectra.spectral_radius.max(
-        where=spectra.classification == CLASS_GENERIC, initial=0.0))
+    spectra = eigenvalues(all_pair_matrices(config)[0], n)
+    return 1.0 - spectral_structure(spectra, n, p)["max_radius_generic"]

@@ -26,7 +26,7 @@ from .analysis import (
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
 from .evolution import _classical_step, _density_marginals, fourier_trajectory
 from .fourier import superop_closed_form, superop_definitional
-from .spectral import UNIT_DISK_TOL, UNIT_MODULUS_TOL, char_poly, eigenvalues
+from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
 
@@ -145,18 +145,10 @@ def check_spectrum(profile: VerifyProfile):
         k, kp = np.divmod(np.arange(n * n), n)
         for p in (0.1, 0.3, 0.5, 0.9):
             spectra = eigenvalues(superop_definitional(k, kp, n, p), n)
-            eig = spectra.eigenvalues
-            # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
-            slope = char_poly(k, kp, n, p)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
-            stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)
-                          & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
-            radius = float(spectra.spectral_radius.max())
+            structure = spectral_structure(spectra, n, p)
             count += n * n
-            worst = max(worst, radius - 1.0)
-            ok = ok and bool(radius <= 1.0 + UNIT_DISK_TOL
-                             and not stray_unit.any()
-                             and spectra.placement_ok.all()
-                             and not (spectra.has_minus_one & (np.abs(slope) <= 1e-10)).any())
+            worst = max(worst, structure["max_radius"] - 1.0)
+            ok = ok and all(structure[verdict] for verdict in VERDICTS)
     return _result("spectrum", ok, count, worst,
                    "unit disk, +-1 placement and multiplicity over all pairs; "
                    "measure = max(radius - 1)")

@@ -14,6 +14,7 @@ from cyclewalk import cli, evolution, verify
 from cyclewalk.analysis import limiting_distribution, steps_to_uniform
 from cyclewalk.core import WalkConfig
 from cyclewalk.evolution import position_marginal
+from cyclewalk.spectral import CLASS_GENERIC
 
 PROFILE = verify.PROFILES["default"]
 MIXBOUND_PROFILE = dataclasses.replace(
@@ -83,6 +84,17 @@ def _misplace_unit_eigenvalues(eigenvalues):
     return misplaced
 
 
+def _stray_unit_eigenvalue(eigenvalues):
+    """One generic pair's eigenvalue set to 1j, a unit modulus away from +-1;
+    its radius and +-1 flags stay as they were."""
+    def strayed(matrices, n_nodes):
+        r = eigenvalues(matrices, n_nodes)
+        eig = r.eigenvalues.copy()
+        eig[np.flatnonzero(r.classification == CLASS_GENERIC)[0], 0] = 1j
+        return dataclasses.replace(r, eigenvalues=eig)
+    return strayed
+
+
 def _spectrum_summary_placement_ok(tmp_path):
     summary = tmp_path / "summary.json"
     code = cli.main(["spectrum", "--nodes", "6", "--decoherence", "0.5",
@@ -120,6 +132,8 @@ _MUTANTS = {
     "spectrum-oracle": ("spectrum", verify, "superop_definitional",
                         lambda fn: lambda *a: 1.01 * fn(*a)),
     "spectrum-summary": (None, cli, "eigenvalues", _misplace_unit_eigenvalues),
+    "spectrum-stray": ("spectrum", verify, "eigenvalues", _stray_unit_eigenvalue),
+    "spectrum-summary-stray": (None, cli, "eigenvalues", _stray_unit_eigenvalue),
 }
 
 

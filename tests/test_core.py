@@ -1,14 +1,28 @@
+import re
+
 import numpy as np
 import pytest
 
 from cyclewalk import (
     WalkConfig,
+    _kernels,
     build_kraus_family,
+    classical_reference,
+    cli,
     coin_state,
+    fourier_trajectory,
     hadamard_coin_momentum,
+    mixing_time_averaged,
     pauli_compose,
     pauli_decompose,
+    superop_closed_form,
+    time_averaged,
+    uniform_deviation_bound,
+    verify_geometric_sum,
 )
+from cyclewalk.analysis import default_horizon
+from cyclewalk.evolution import direct_trajectory, walk_unitary
+from cyclewalk.fourier import all_pair_matrices
 from cyclewalk.core import SIGMA_0, SIGMA_X, SIGMA_Y
 
 
@@ -165,3 +179,55 @@ def test_coin_state_names_and_vectors():
         coin_state("sideways")
     with pytest.raises(ValueError):
         coin_state([1.0, 0.0, 0.0])
+
+
+_CFG = WalkConfig(n_nodes=5, decoherence_rate=0.3)
+
+
+def _cli(*argv):
+    args = cli.build_parser().parse_args(argv)
+    return args.handler(args)
+
+
+#: public entry -> (call with the one input under test, that input's name in
+#: the message, its minimum, a non-integer value; None where the CLI parser
+#: already refuses one)
+_COUNTED_INPUTS = {
+    "direct_trajectory": (lambda t: list(direct_trajectory(_CFG, t)), "t", 0, 2.5),
+    "fourier_trajectory": (lambda t: fourier_trajectory(_CFG, t), "t_max", 0, 2.5),
+    "classical_reference-t": (lambda t: classical_reference(5, t), "t", 0, 2.5),
+    "classical_reference-N": (lambda n: classical_reference(n, 3), "n_nodes", 2, 2.5),
+    "walk_unitary": (walk_unitary, "n_nodes", 2, 2.5),
+    "time_averaged": (lambda tau: time_averaged(_CFG, tau), "tau", 1, 2.5),
+    "trace_cells": (lambda stride: mixing_time_averaged(_CFG, 0.05, 10).trace_cells(stride),
+                    "stride", 1, 1.5),
+    "scan_horizon": (lambda horizon: mixing_time_averaged(_CFG, 0.05, horizon),
+                     "horizon", 1, 2.5),
+    "uniform_deviation_bound-tau": (lambda tau: uniform_deviation_bound(tau, 5, 0.5),
+                                    "tau", 1, 2.5),
+    "uniform_deviation_bound-N": (lambda n: uniform_deviation_bound(1, n, 0.5),
+                                  "n_nodes", 2, 2.5),
+    "verify_geometric_sum": (lambda tau: verify_geometric_sum(
+        superop_closed_form(0, 1, 5, 0.3), tau), "tau", 1, 2.5),
+    "default_horizon": (lambda n: default_horizon(n, 0.1), "n_nodes", 2, 2.5),
+    "averaged_snapshots": (lambda tau: _kernels.averaged_snapshots(
+        all_pair_matrices(_CFG)[0], np.array([0.5, 0, 0, 0.5]), [tau]), "taus", 1, 2.5),
+    "cli-steps": (lambda steps: _cli("simulate", "--nodes", "5", "--decoherence", "0.3",
+                                     "--steps", str(steps)), "steps", 0, None),
+    "cli-trace-stride": (lambda stride: _cli(
+        "mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05",
+        "--trace-stride", str(stride)), "trace-stride", 1, None),
+}
+
+
+@pytest.mark.parametrize("entry, case", [
+    (entry, case) for entry, (*_, non_integer) in _COUNTED_INPUTS.items()
+    for case in ("below-minimum", "non-integer") if case == "below-minimum" or non_integer])
+def test_every_entry_rejects_a_bad_count_or_cycle_length(entry, case):
+    call, name, minimum, non_integer = _COUNTED_INPUTS[entry]
+    if case == "non-integer":
+        value, message = non_integer, f"{name} must be an integer, got"
+    else:
+        value, message = minimum - 1, f"{name} must be >= {minimum}, got"
+    with pytest.raises(ValueError, match="^" + re.escape(message)):
+        call(value)

@@ -247,7 +247,8 @@ def test_pair_math_broadcasts_over_mixed_cycle_lengths_and_rates():
 
 @pytest.mark.parametrize("field, bad, message", [
     ("n", 1, "n_nodes"), ("n", 2.5, "n_nodes"), ("p", 1.5, "rate"),
-    ("p", np.nan, "rate"), ("k", None, "momentum"), ("k'", None, "momentum")])
+    ("p", np.nan, "rate"), ("k", None, "momentum"), ("k'", None, "momentum"),
+    ("k", 0.5, "momentum")])
 def test_pair_math_rejects_one_bad_element(field, bad, message):
     for build in (superop_definitional, superop_closed_form, char_poly):
         k, kp, n, p = _mixed_pairs()
@@ -257,8 +258,12 @@ def test_pair_math_rejects_one_bad_element(field, bad, message):
             n[7] = bad
         elif field == "p":
             p[7] = bad
-        else:
+        elif bad is None:
             (k if field == "k" else kp)[7] = n[7]
+        else:
+            # a non-integer momentum, so the k array is cast to float
+            k = k.astype(float)
+            k[7] = bad
         build(np.delete(k, 7), np.delete(kp, 7), np.delete(n, 7), np.delete(p, 7))
         with pytest.raises(ValueError, match=message):
             build(k, kp, n, p)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,14 @@ from cyclewalk import (
 )
 from cyclewalk.core import PAULIS
 from cyclewalk.fourier import all_pair_matrices
-from cyclewalk.spectral import CLASS_ANTIPODAL, CLASS_DIAGONAL, CLASS_GENERIC, classify_pair
+from cyclewalk import spectral
+from cyclewalk.spectral import (
+    CLASS_ANTIPODAL,
+    CLASS_DIAGONAL,
+    CLASS_GENERIC,
+    classify_pair,
+    spectral_structure,
+)
 
 
 def _cfg(n, p):
@@ -165,7 +174,28 @@ def test_classification_sweep_small_cycles():
             assert np.array_equal(spectra.has_unit_eigenvalue,
                                   np.equal(expected, CLASS_DIAGONAL))
             assert np.array_equal(spectra.has_minus_one, np.equal(expected, CLASS_ANTIPODAL))
-            assert spectra.placement_ok.shape == (n * n,) and spectra.placement_ok.all()
+            assert spectral_structure(spectra, n, p)["persistent_eigenvalue_placement_ok"]
+
+
+def test_spectral_structure_rejects_stray_unit_moduli_and_double_minus_one(monkeypatch):
+    n, p = 6, 0.5
+    spectra = eigenvalues(all_pair_matrices(_cfg(n, p))[0], n)
+    record = spectral_structure(spectra, n, p)
+    assert record["persistent_eigenvalue_placement_ok"] is True
+    assert [record[f"count_{c}"] for c in ("diagonal", "antipodal", "generic")] == [6, 6, 24]
+    eig = spectra.eigenvalues.copy()
+    eig[1, 0] = 1j  # pair (0, 1) is generic
+    stray = dataclasses.replace(spectra, eigenvalues=eig)
+    assert spectral_structure(stray, n, p)["persistent_eigenvalue_placement_ok"] is False
+    # x^2 (x + 1)^2 has f'(-1) = 0, so each -1 of an antipodal pair is double
+    monkeypatch.setattr(spectral, "char_poly",
+                        lambda *args: np.tile([1.0, 2.0, 1.0, 0.0, 0.0], (n * n, 1)))
+    assert spectral_structure(spectra, n, p)["persistent_eigenvalue_placement_ok"] is False
+    # placement is only ruled on for 0 < p < 1
+    for rate in (0.0, 1.0):
+        record = spectral_structure(stray, n, rate)
+        assert record["persistent_eigenvalue_placement_checked"] is False
+        assert record["persistent_eigenvalue_placement_ok"] is True
 
 
 def test_unit_modulus_eigenvalues_are_real_pm_one():

@@ -78,6 +78,17 @@ def test_pair_wrapper_types_are_gone():
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
+def test_spectral_structure_is_decided_only_in_spectral():
+    # the CLI summary and the verify check read spectral.spectral_structure;
+    # neither binds the tolerances or pair classes it rules with
+    from cyclewalk import cli
+
+    for module in (cli, verify):
+        bound = {name for name in vars(module)
+                 if name in ("UNIT_DISK_TOL", "UNIT_MODULUS_TOL") or name.startswith("CLASS_")}
+        assert not bound, f"{module.__name__}: {sorted(bound)}"
+
+
 def _load(name, monkeypatch):
     """Import perfbench/<name>.py as module ``name`` without writing bytecode
     next to it; sys.modules is restored after the test."""
