@@ -38,6 +38,7 @@ import math
 import numpy as np
 
 from .core import NumericalCheckError, _check_count
+from .fourier import _pair_momenta
 
 __all__ = [
     "distribution_trajectory",
@@ -102,7 +103,7 @@ def _evolve(matrices, v0, steps):
     """
     n = math.isqrt(len(matrices))
     half = n // 2 + 1
-    k, k_prime = np.divmod(np.arange(n * n), n)
+    k, k_prime = _pair_momenta(n)
     # the conjugate partner of pair (k, k') is (k', k)
     partner = k_prime * n + k
     # kept[d*N + k] = k*N + (k - d) mod N is the row of pair (k, k - d)
@@ -171,31 +172,31 @@ def distribution_trajectory(matrices, v0, steps):
     return out, defect
 
 
-def tv_scan(matrices, v0, horizon, target0, target1=None,
-            mode=MODE_AVERAGED, stop_below=0.0):
-    """Total-variation trace against a target distribution.
+def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
+    """Total-variation trace of a stream of distributions against targets.
 
-    mode=MODE_AVERAGED: tv[i] = TV(mean of P(.,0..i), target0), i.e. the
-    running Cesaro average at tau = i+1, for tau = 1..horizon; target1 is not
-    read.
+    targets is one distribution, shape (N,), or a (2, N) pair whose row
+    t % 2 is compared with the stream's row t; one distribution is compared
+    with every row.
 
-    mode=MODE_INSTANTANEOUS: tv[i] = TV(P(., i+1), target) for t = 1..horizon,
-    where the target alternates with the parity of t (target0 for even t).
+    mode=MODE_AVERAGED: row t is the running Cesaro average of P(., 0..t),
+    so tv[i] is the TV at tau = i+1, for tau = 1..horizon.
+
+    mode=MODE_INSTANTANEOUS: row t is P(., t), so tv[i] is the TV at
+    t = i+1, for t = 1..horizon.
 
     The scan ends after the first value below stop_below.
     Returns (tv, symmetry defect).
     """
     horizon = int(horizon)
+    targets = np.broadcast_to(targets, (2, math.isqrt(len(matrices))))
     # tv[t] holds the value of the stream's row t; the trace starts at tv[first]
     if int(mode) == MODE_AVERAGED:
         # row t is the average at tau = t + 1
-        first, targets = 0, np.stack([target0, target0])
-        blocks = _averages(_evolve(matrices, v0, horizon - 1))
+        first, blocks = 0, _averages(_evolve(matrices, v0, horizon - 1))
     else:
         # row t is P(., t); t = 0 is computed but not scanned
-        first = 1
-        targets = np.stack([target0, target0 if target1 is None else target1])
-        blocks = _evolve(matrices, v0, horizon)
+        first, blocks = 1, _evolve(matrices, v0, horizon)
     tv = np.empty(first + horizon)
     for t, dists, defect in blocks:
         end = t + len(dists)

@@ -6,13 +6,16 @@ prefactor, so values run from 0 to 2.  The mixing time of a TV trace is
 the largest scanned tau with TV(tau) >= epsilon, so TV < epsilon at every
 later scanned tau; it is 1 when no scanned tau reaches epsilon, and None (not
 converged) when that tau is the horizon.  "From then on" is thus certified
-only up to the scanned horizon, which is recorded with the result.
+only up to the scanned horizon, which is recorded with the result.  All
+three scans (:func:`mixing_time_averaged`, :func:`mixing_time_instantaneous`
+and :func:`averaged_time_below`) run through one private driver, which
+checks epsilon and the horizon, picks the target and applies this rule.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,34 +136,31 @@ def default_horizon(n_nodes: int, epsilon: float) -> int:
     return math.ceil(min(20 * n_nodes * n_nodes / epsilon, MAX_HORIZON))
 
 
-def _scan_horizon(n_nodes: int, epsilon: float, horizon: int | None) -> int:
-    """Validate a scan to epsilon; horizon defaults to :func:`default_horizon`."""
-    _check_epsilon(epsilon)
-    if horizon is None:
-        horizon = default_horizon(n_nodes, epsilon)
-    _check_count("horizon", horizon, 1)
-    return horizon
+def _scan(config: WalkConfig, epsilon: float, horizon: int | None, mode: int,
+          stop_below: float = 0.0) -> MixingReport:
+    """The one TV scan to epsilon behind every mixing time, as a report under
+    the module's mixing-time rule; horizon defaults to :func:`default_horizon`.
 
-
-def _mixing_from_trace(tv: np.ndarray, epsilon: float, horizon: int):
-    """(mixing_time, converged) for tv[i] = TV(tau = i + 1).
-
-    mixing_time is the largest scanned tau with TV(tau) >= epsilon, so every
-    later scanned tau has TV < epsilon; it is 1 when no scanned tau reaches
-    epsilon.  When that tau is the horizon, the result is (None, False).
+    MODE_AVERAGED compares the Cesaro averages with uniform, MODE_INSTANTANEOUS
+    each P(., t) with the limit of the parity of t.  A scan given stop_below
+    ends at its first value below it, and then only the trace is meaningful.
     """
-    above = np.nonzero(tv >= epsilon)[0]
-    if len(above) == 0:
-        return 1, True
-    last = int(above[-1]) + 1
-    if last >= horizon:
-        return None, False
-    return last, True
-
-
-def _scan(config, horizon, target0, target1, mode, stop_below=0.0):
-    return _momentum_path(config, _kernels.tv_scan, horizon, target0, target1,
-                          mode=mode, stop_below=stop_below)
+    _check_epsilon(epsilon)
+    n = config.n_nodes
+    if horizon is None:
+        horizon = default_horizon(n, epsilon)
+    _check_count("horizon", horizon, 1)
+    if mode == _kernels.MODE_AVERAGED:
+        targets = np.full(n, 1.0 / n)
+    else:
+        targets = np.stack([_limit(n, 0), _limit(n, 1)])
+    tv = _momentum_path(config, _kernels.tv_scan, horizon, targets, mode=mode,
+                        stop_below=stop_below)
+    above = np.flatnonzero(tv >= epsilon)
+    last = int(above[-1]) + 1 if len(above) else 1
+    converged = len(above) == 0 or last < horizon
+    return MixingReport(epsilon=float(epsilon), mixing_time=last if converged else None,
+                        tv_trace=tv, horizon=int(horizon), converged=converged)
 
 
 def mixing_time_averaged(config: WalkConfig, epsilon: float,
@@ -172,17 +172,11 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     scan may legitimately fail to converge, which is reported rather than
     raised.
     """
-    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
-    target = np.full(config.n_nodes, 1.0 / config.n_nodes)
-    tv = _scan(config, horizon, target, target, _kernels.MODE_AVERAGED)
-    mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
-    bound = None
-    if mixing_time is not None and not bound_unavailable_reasons(config):
-        bound = uniform_deviation_bound(mixing_time, config.n_nodes,
-                                        config.decoherence_rate)
-    return MixingReport(epsilon=float(epsilon), mixing_time=mixing_time,
-                        tv_trace=tv, horizon=int(horizon), converged=converged,
-                        bound_value=bound)
+    report = _scan(config, epsilon, horizon, _kernels.MODE_AVERAGED)
+    if report.mixing_time is None or bound_unavailable_reasons(config):
+        return report
+    return replace(report, bound_value=uniform_deviation_bound(
+        report.mixing_time, config.n_nodes, config.decoherence_rate))
 
 
 def mixing_time_instantaneous(config: WalkConfig, epsilon: float,
@@ -193,13 +187,7 @@ def mixing_time_instantaneous(config: WalkConfig, epsilon: float,
     single distribution, so each step is compared against the limit of its
     own time parity (2/N on the parity-matching nodes).
     """
-    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
-    n = config.n_nodes
-    tv = _scan(config, horizon, _limit(n, 0), _limit(n, 1),
-               _kernels.MODE_INSTANTANEOUS)
-    mixing_time, converged = _mixing_from_trace(tv, epsilon, horizon)
-    return MixingReport(epsilon=float(epsilon), mixing_time=mixing_time,
-                        tv_trace=tv, horizon=int(horizon), converged=converged)
+    return _scan(config, epsilon, horizon, _kernels.MODE_INSTANTANEOUS)
 
 
 def averaged_time_below(config: WalkConfig, epsilon: float,
@@ -207,13 +195,9 @@ def averaged_time_below(config: WalkConfig, epsilon: float,
     """First tau at which TV(averaged distribution, uniform) drops below
     epsilon, or None if that never happens within the horizon.  Stops the
     scan at the crossing, unlike the full mixing-time scan."""
-    horizon = _scan_horizon(config.n_nodes, epsilon, horizon)
-    target = np.full(config.n_nodes, 1.0 / config.n_nodes)
-    tv = _scan(config, horizon, target, target, _kernels.MODE_AVERAGED,
-               stop_below=float(epsilon))
-    if len(tv) and tv[-1] < epsilon:
-        return int(len(tv))
-    return None
+    tv = _scan(config, epsilon, horizon, _kernels.MODE_AVERAGED,
+               stop_below=epsilon).tv_trace
+    return int(len(tv)) if len(tv) and tv[-1] < epsilon else None
 
 
 def bound_unavailable_reasons(config: WalkConfig) -> list[str]:

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, _check_count, coin_state
 from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
-from .fourier import all_pair_matrices
+from .fourier import _pair_momenta, all_pair_matrices
 from .spectral import VERDICTS, eigenvalues, spectral_structure
 from .verify import CHECK_NAMES, run_checks
 
@@ -217,7 +217,7 @@ def cmd_spectrum(args) -> int:
     spectra = eigenvalues(all_pair_matrices(config)[0], n)
     # one row per pair: k, k', class, radius, then re, im of each eigenvalue
     cells = np.empty((n * n, 12), dtype=object)
-    cells[:, 0], cells[:, 1] = np.divmod(np.arange(n * n), n)
+    cells[:, 0], cells[:, 1] = _pair_momenta(n)
     cells[:, 2], cells[:, 3] = spectra.classification, spectra.spectral_radius
     cells[:, 4:] = spectra.eigenvalues.view(np.float64)
     rows = _rows("%d,%d,%s" + ",%.16e" * 9 + "\n", cells)

@@ -41,6 +41,12 @@ __all__ = [
 ]
 
 
+def _pair_momenta(n_nodes: int):
+    """(k, k') of every pair of the N-cycle, pair (k, k') at row k*N + k':
+    the layout of :func:`all_pair_matrices` and of every stack built from it."""
+    return np.divmod(np.arange(n_nodes * n_nodes, dtype=np.int64), n_nodes)
+
+
 def _pair_angles(k, k_prime, n_nodes):
     """c+, s+, c-, s- = cos/sin of 2 pi (k' +- k)/N."""
     plus = 2.0 * np.pi * (k_prime + k) / n_nodes
@@ -105,6 +111,6 @@ def all_pair_matrices(config: WalkConfig):
     momentum difference by which the reconstruction groups the pairs.
     """
     n = config.n_nodes
-    k, k_prime = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    k, k_prime = _pair_momenta(n)
     return (superop_closed_form(k, k_prime, n, config.decoherence_rate),
             (k - k_prime) % n)

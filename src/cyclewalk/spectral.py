@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import NumericalCheckError, WalkConfig, _check_momenta
-from .fourier import _pair_angles, all_pair_matrices
+from .fourier import _pair_angles, _pair_momenta, all_pair_matrices
 
 __all__ = [
     "SpectrumReport",
@@ -63,7 +63,11 @@ class SpectrumReport:
 
 
 def classify_pair(k, k_prime, n_nodes: int):
-    """Class of pair (k, k'), broadcast over index arrays (a str for scalars)."""
+    """Class of pair (k, k'), broadcast over index arrays (a str for scalars).
+
+    Raises ValueError unless N is an integer >= 2 and k, k' integers in 0..N-1.
+    """
+    _check_momenta(n_nodes, k, k_prime)
     k, k_prime = np.asarray(k), np.asarray(k_prime)
     antipodal = (n_nodes % 2 == 0) & (np.abs(k_prime - k) == n_nodes // 2)
     return np.where(k == k_prime, CLASS_DIAGONAL,
@@ -118,7 +122,7 @@ def eigenvalues(matrices: np.ndarray, n_nodes: int) -> SpectrumReport:
         spectral_radius=np.abs(eig).max(axis=1),
         has_unit_eigenvalue=np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL,
         has_minus_one=np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL,
-        classification=classify_pair(*np.divmod(np.arange(len(eig)), n_nodes), n_nodes))
+        classification=classify_pair(*_pair_momenta(n_nodes), n_nodes))
 
 
 def spectral_structure(spectra: SpectrumReport, n_nodes: int, rate: float) -> dict:
@@ -127,7 +131,7 @@ def spectral_structure(spectra: SpectrumReport, n_nodes: int, rate: float) -> di
     in the unit disk, generic ones below 1 (p > 0); for 0 < p < 1, +1 and -1
     sit by class, -1 never double, and no other eigenvalue has unit modulus."""
     classes, radius, eig = spectra.classification, spectra.spectral_radius, spectra.eigenvalues
-    k, k_prime = np.divmod(np.arange(n_nodes * n_nodes), n_nodes)
+    k, k_prime = _pair_momenta(n_nodes)
     # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
     slope = char_poly(k, k_prime, n_nodes, rate)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
     stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)

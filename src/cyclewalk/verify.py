@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
 from .evolution import _classical_step, _density_marginals, fourier_trajectory
-from .fourier import superop_closed_form, superop_definitional
+from .fourier import _pair_momenta, superop_closed_form, superop_definitional
 from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
@@ -142,7 +142,7 @@ def check_spectrum(profile: VerifyProfile):
     count = 0
     ok = True
     for n in range(3, profile.spectrum_max_nodes + 1):
-        k, kp = np.divmod(np.arange(n * n), n)
+        k, kp = _pair_momenta(n)
         for p in (0.1, 0.3, 0.5, 0.9):
             spectra = eigenvalues(superop_definitional(k, kp, n, p), n)
             structure = spectral_structure(spectra, n, p)

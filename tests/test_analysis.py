@@ -111,6 +111,18 @@ def test_mixing_time_grows_quadratically_with_cycle_length():
     assert 4.0 <= slow.mixing_time / fast.mixing_time <= 12.0
 
 
+@pytest.mark.parametrize("scan, n, p, epsilon, pinned", [
+    (mixing_time_averaged, 15, 0.3, 0.05, 288),
+    (mixing_time_averaged, 9, 0.2, 0.01, 422),
+    (mixing_time_instantaneous, 6, 0.4, 0.01, 31),
+], ids=["averaged-15", "averaged-9", "instantaneous-6"])
+def test_pinned_mixing_times_at_the_default_horizon(scan, n, p, epsilon, pinned):
+    report = scan(_cfg(n, p), epsilon)
+    assert report.horizon == default_horizon(n, epsilon)
+    assert report.converged
+    assert report.mixing_time == pinned
+
+
 def test_mixing_time_trivial_when_epsilon_dominates():
     report = mixing_time_averaged(_cfg(3, 0.5), 1.9, horizon=50)
     assert report.converged

@@ -53,7 +53,7 @@ def test_tv_scan_instantaneous_parity_targets():
     _, matrices, v0 = _inputs(6, 0.5)
     even = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     odd = np.array([0, 1 / 3, 0, 1 / 3, 0, 1 / 3])
-    tv, _ = kernels.tv_scan(matrices, v0, 40, even, odd,
+    tv, _ = kernels.tv_scan(matrices, v0, 40, np.stack([even, odd]),
                             mode=kernels.MODE_INSTANTANEOUS)
     traj, _ = kernels.distribution_trajectory(matrices, v0, 40)
     for t in range(1, 41):
@@ -157,7 +157,7 @@ def test_blocked_instantaneous_parity_across_block_boundary(block):
     targets = np.where((np.arange(1, horizon + 1) % 2 == 0)[:, None], even, odd)
     expect = np.abs(reference[1:] - targets).sum(axis=1)
     for h in sorted({1, block - 1, block, block + 1, horizon} - {0}):
-        tv, _ = kernels.tv_scan(matrices, v0, h, even, odd,
+        tv, _ = kernels.tv_scan(matrices, v0, h, np.stack([even, odd]),
                                 mode=kernels.MODE_INSTANTANEOUS)
         assert np.abs(tv - expect[:h]).max() <= TOL
 
@@ -189,7 +189,7 @@ def test_blocked_scan_stops_inside_a_block(monkeypatch, mode, offset):
     wanted = 0 if offset == "first-step" else 3
     i = _first_record_low(expect, lambda i: (i + first_t) % 7 == wanted)
     threshold = 0.5 * (expect[i] + expect[:i].min())
-    tv, _ = kernels.tv_scan(matrices, v0, 400, target, target,
+    tv, _ = kernels.tv_scan(matrices, v0, 400, target,
                             mode=mode, stop_below=threshold)
     assert len(tv) == i + 1
     assert np.abs(tv - expect[:i + 1]).max() <= TOL
@@ -217,15 +217,18 @@ def test_evolve_stream_is_cut_at_steps(block):
         assert residues[-1] <= 1e-12
 
 
-def test_averaged_scan_ignores_target1(block):
+@pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
+def test_single_target_scans_as_the_pair_that_repeats_it(mode, block):
+    # one (N,) target is compared with every row, as the (2, N) pair of two
+    # copies of it is; the pair's row t % 2 meets the stream's row t
     n = 6
     _, matrices, v0 = _inputs(n, 0.4)
-    target = np.full(n, 1.0 / n)
-    other = np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])
     horizon = 2 * block + 3
-    alone, _ = kernels.tv_scan(matrices, v0, horizon, target)
-    paired, _ = kernels.tv_scan(matrices, v0, horizon, target, other)
-    assert np.array_equal(alone, paired)
+    for target in (np.full(n, 1.0 / n), np.array([1 / 3, 0, 1 / 3, 0, 1 / 3, 0])):
+        alone, _ = kernels.tv_scan(matrices, v0, horizon, target, mode=mode)
+        paired, _ = kernels.tv_scan(matrices, v0, horizon, np.stack([target, target]),
+                                    mode=mode)
+        assert np.array_equal(alone, paired)
 
 
 @pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
@@ -236,8 +239,8 @@ def test_scan_stops_at_its_first_scanned_value(mode, block):
     n = 5
     _, matrices, v0 = _inputs(n, 0.3)
     target = np.full(n, 1.0 / n)
-    full, _ = kernels.tv_scan(matrices, v0, 50, target, target, mode=mode)
-    tv, _ = kernels.tv_scan(matrices, v0, 50, target, target, mode=mode,
+    full, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode)
+    tv, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode,
                             stop_below=3.0)
     assert np.array_equal(tv, full[:1])
 

@@ -241,6 +241,12 @@ def test_classify_pair_broadcasts_over_index_arrays():
     assert classify_pair(np.arange(5)[:, None], np.arange(5), 5).shape == (5, 5)
 
 
+@pytest.mark.parametrize("k, k_prime", [(0.5, 3), (0, 7), (-1, 2)])
+def test_classify_pair_rejects_momenta_outside_the_cycle(k, k_prime):
+    with pytest.raises(ValueError, match="momentum indices"):
+        classify_pair(k, k_prime, 6)
+
+
 def test_spectral_gap_construction_independent():
     cfg = _cfg(9, 0.2)
     gap = spectral_gap(cfg)

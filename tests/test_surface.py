@@ -141,6 +141,14 @@ def test_benchmark_kernel_contract():
     assert not hasattr(fourier, "phase_table")
 
 
+def test_mixing_scans_share_one_driver():
+    # one (N,) or (2, N) target array, and one place that checks the horizon
+    from cyclewalk import _kernels, analysis
+
+    assert "target1" not in inspect.signature(_kernels.tv_scan).parameters
+    assert not hasattr(analysis, "_scan_horizon")
+
+
 def test_benchmark_verify_checks_match_the_package(perfbench):
     checks, _ = perfbench
     assert list(checks.VERIFY_CHECKS) == verify.CHECK_NAMES
