@@ -19,8 +19,11 @@ is zero up to rounding whenever the reduction is exact, and raises
 NumericalCheckError when it exceeds SYMMETRY_DEFECT_LIMIT: an inconsistent
 stack fails in setup, not after a scan of up to 10^6 steps.
 
-The engine works in blocks of B steps: setup precomputes, per pair, the
-rows e0^T R^j (j < B) and the power R^B, so one block costs one batched
+The engine works in blocks of B steps.  Setup builds, per pair, the rows
+e0^T R^j (j < B) by doubling: rows m..2m-1 are rows 0..m-1 times R^m, and
+R^(2m) = (R^m)^2, so B rows cost about 2 log2(B) batched 4x4 products, not
+B.  The power R^B, the product of the squares of B's binary digits, is
+formed only when a second block will run.  One block then costs one batched
 product per difference d (the traces of B steps, summed over the d-group),
 one table product and one R^B step, whatever B is.  The stream ends at the
 last step a caller asks for, and it alone cuts the last block there.
@@ -63,9 +66,13 @@ SYMMETRY_DEFECT_LIMIT = 1e-8
 #: tolerance in the package.
 FLUSH_TOL = 1e-280
 
-#: Largest number of steps per block: past it the per-block numpy overhead
-#: is already small next to the per-step work.
-MAX_BLOCK = 64
+#: Largest number of steps per block.  It binds only below N = 16, and there
+#: it bounds peak memory: the `verify limits` trajectories (N <= 11, up to
+#: 8906 steps) would otherwise fill the whole row buffer.  Peak RSS of the
+#: default `verify`, in-process: 38.8 MB at 64, 39.5 MB at 256, 40.3 MB at
+#: 512 and 40.8 MB uncapped; the 162000-step scan at N = 9 runs no faster at
+#: 512 than at 256.
+MAX_BLOCK = 256
 #: Target size of the buffer of precomputed rows, whose 4 real components
 #: take 32 bytes per evolved pair and step; keeps large cycles cache-friendly
 #: (N=101 evolves 5151 pairs and gets B=6).
@@ -94,8 +101,9 @@ def _evolve(matrices, v0, steps):
 
     P is real, so the trace sum of difference N - d is the conjugate of that
     of d: only the (N//2 + 1)*N pairs with d <= N//2 are evolved, in d-major
-    order.  B comes from :func:`_block_size` and that pair count alone; b = B
-    except in the last block, which is cut so that the rows end at t = steps.
+    order.  B is :func:`_block_size` of that pair count, but at most
+    steps + 1, so a short run is one block; b = B except in the last block,
+    which is cut so that the rows end at t = steps.
 
     The reduction is exact when L_{k',k} = conj L_{k,k'} and v0 is real; the
     symmetry defect, the largest deviation from either identity and from a
@@ -124,15 +132,28 @@ def _evolve(matrices, v0, steps):
     # which the block products run about 10% faster on (N = 9)
     u = np.tile(v0 * _REALIFY, (half, n, 1)).transpose(0, 2, 1)
     state = np.stack([u.real, u.imag], axis=1)
-    block = _block_size(len(kept))
-    # rows[d, (i, k), j] = (e0^T R^j)_i is the first row of R^j, and also of
-    # L^j U^-1, since U's first entry is 1
-    rows = np.empty((half, 4, n, block))
-    power = np.broadcast_to(np.eye(4)[:, :, None], realified.shape).copy()
-    for j in range(block):
-        rows[..., j] = power[:, 0]
-        power = _flush(np.einsum("dijk,djlk->dilk", power, realified))
-    rows = rows.reshape(half, 4 * n, block)
+    block = max(1, min(steps + 1, _block_size(len(kept))))
+    # rows[j, d, i, k] = (e0^T R^j)_i is the first row of R^j, and also of
+    # L^j U^-1, since U's first entry is 1; by doubling, rows m..2m-1 are
+    # rows 0..m-1 times square = R^m, for m = 1, 2, 4, ...
+    more = steps >= block   # a second block will run, which needs R^B
+    rows = np.zeros((block, half, 4, n))
+    rows[0, :, 0] = 1.0
+    square, power = realified, None
+    for i in range(block.bit_length()):
+        m = 1 << i
+        if i:
+            if m == block and not more:
+                break
+            square = _flush(np.einsum("dijk,djlk->dilk", square, square))
+        if block & m and more:
+            power = square if power is None else _flush(
+                np.einsum("dijk,djlk->dilk", power, square))
+        if m < block:
+            top = rows[m:2 * m]
+            _flush(np.einsum("jdik,dilk->jdlk", rows[:len(top)], square, out=top))
+    # rows[d] as a (4N, B) matrix, for one product per group d
+    rows = rows.reshape(block, half, 4 * n).transpose(1, 2, 0)
     # P(x) = (1/N^2) sum_d w_d (cos(2 pi x d/N) re g[d] - sin(2 pi x d/N) im g[d]),
     # with w_d = 2 for the d whose conjugate N - d is not evolved, 1 for the
     # self-conjugate d = 0 and d = N/2; the rows of table run over (d, re/im)
@@ -165,6 +186,7 @@ def _averages(blocks):
 def distribution_trajectory(matrices, v0, steps):
     """P(x, t) for t = 0..steps, shape (steps+1, N), plus the symmetry
     defect."""
+    _check_count("steps", steps, 0)
     steps = int(steps)
     out = np.empty((steps + 1, math.isqrt(len(matrices))))
     for t, dists, defect in _evolve(matrices, v0, steps):
@@ -188,6 +210,7 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     The scan ends after the first value below stop_below.
     Returns (tv, symmetry defect).
     """
+    _check_count("horizon", horizon, 1)
     horizon = int(horizon)
     targets = np.broadcast_to(targets, (2, math.isqrt(len(matrices))))
     # tv[t] holds the value of the stream's row t; the trace starts at tv[first]
@@ -219,7 +242,7 @@ def averaged_snapshots(matrices, v0, taus):
     if len(taus) == 0 or np.any(np.diff(taus) <= 0):
         raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
     out = np.empty((len(taus), math.isqrt(len(matrices))))
-    blocks = _averages(_evolve(matrices, v0, taus[-1] - 1))
+    blocks = _averages(_evolve(matrices, v0, int(taus[-1]) - 1))
     for t, averages, defect in blocks:
         # taus ending in this block: tau - 1 in [t, t + len(averages))
         hit = (taus > t) & (taus <= t + len(averages))

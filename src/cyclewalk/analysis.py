@@ -149,6 +149,7 @@ def _scan(config: WalkConfig, epsilon: float, horizon: int | None, mode: int,
     n = config.n_nodes
     if horizon is None:
         horizon = default_horizon(n, epsilon)
+    # tv_scan checks the horizon too, but only after the N^2 pair build
     _check_count("horizon", horizon, 1)
     if mode == _kernels.MODE_AVERAGED:
         targets = np.full(n, 1.0 / n)

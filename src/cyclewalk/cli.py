@@ -352,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the named property checks")
     ver.add_argument("--quick", action="store_true",
-                     help="reduced sizes: about 0.5 s instead of about 1.1 s "
+                     help="reduced sizes: about 0.4 s instead of about 1.0 s "
                           "on a 2-core VM")
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 import cyclewalk._kernels as kernels
-from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, pauli_decompose,
-                       superop_definitional)
+from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, mixing_time_averaged,
+                       pauli_decompose, superop_definitional)
 from cyclewalk.fourier import all_pair_matrices
 
 
@@ -88,6 +88,22 @@ def test_averaged_snapshots_validates_taus():
         kernels.averaged_snapshots(matrices, v0, [0, 5])
 
 
+@pytest.mark.parametrize("call", [
+    lambda m, v0, target: kernels.distribution_trajectory(m, v0, -1),
+    lambda m, v0, target: kernels.distribution_trajectory(m, v0, 2.5),
+    lambda m, v0, target: kernels.tv_scan(m, v0, 0, target),
+    lambda m, v0, target: kernels.tv_scan(m, v0, 0, target,
+                                          mode=kernels.MODE_INSTANTANEOUS),
+    lambda m, v0, target: kernels.tv_scan(m, v0, 2.5, target),
+], ids=["steps-negative", "steps-fraction", "horizon-0-averaged",
+        "horizon-0-instantaneous", "horizon-fraction"])
+def test_kernels_reject_bad_counts(call):
+    # steps must be an integer >= 0 and horizon one >= 1; none is truncated
+    _, matrices, v0 = _inputs(4, 0.5)
+    with pytest.raises(ValueError):
+        call(matrices, v0, np.full(4, 0.25))
+
+
 # ---------------------------------------------------------------------------
 # blocked engine vs a stepwise reference
 # ---------------------------------------------------------------------------
@@ -113,12 +129,20 @@ def _cesaro_tv(traj, target):
     return np.abs(averages - target).sum(axis=1)
 
 
-@pytest.fixture(params=[None, 1, 7], ids=["default-block", "block-1", "block-7"])
+def _engine_block(n):
+    """The engine's own steps per block at N, for a long enough run."""
+    return kernels._block_size((n // 2 + 1) * n)
+
+
+@pytest.fixture(params=[None, 1, 2, 7, 8],
+                ids=["default-block", "block-1", "block-2", "block-7", "block-8"])
 def block(request, monkeypatch):
-    """Steps per block of the engine: its own choice (MAX_BLOCK at these
-    small cycles), or forced to 1 or 7."""
+    """Steps per block of the engine: its own choice, which is the same at
+    these small cycles, or forced to 1, 2, 7 or 8 (the row doubling ends on
+    a power of two or between two)."""
     if request.param is None:
-        return kernels.MAX_BLOCK
+        (size,) = {_engine_block(n) for n in (4, 5, 6)}
+        return size
     monkeypatch.setattr(kernels, "_block_size", lambda pairs: request.param)
     return request.param
 
@@ -259,7 +283,7 @@ _CUSTOM_COIN = [0.6, 0.48 + 0.64j]
 def test_reduced_engine_matches_full_pair_reference(n, p, coin):
     # even N has the self-conjugate difference d = N/2
     _, matrices, v0 = _inputs(n, p, _CUSTOM_COIN if coin == "custom" else coin)
-    steps = kernels.MAX_BLOCK + 6
+    steps = _engine_block(n) + 6   # crosses a block boundary
     traj, defect = kernels.distribution_trajectory(matrices, v0, steps)
     assert defect <= 1e-15
     assert np.abs(traj - _stepwise(matrices, v0, n, steps)).max() <= TOL
@@ -282,10 +306,26 @@ def test_engine_evolves_only_the_independent_pairs(monkeypatch, n):
 
 
 def test_block_size_rule():
-    assert kernels._block_size(81) == kernels.MAX_BLOCK
+    assert kernels._block_size(45) == 256   # the pairs evolved at N = 9
     assert kernels._block_size(101 * 101) == 3
     assert kernels._block_size(51 * 101) == 6   # the pairs evolved at N = 101
     assert kernels._block_size(10 ** 6) == 1
+    # B is also at most steps + 1: 200 steps at N = 5 are one block
+    _, matrices, v0 = _inputs(5, 0.3)
+    blocks = list(kernels._evolve(matrices, v0, 200))
+    assert [(t, rows.shape) for t, rows, _ in blocks] == [(0, (201, 5))]
+
+
+def test_long_blocks_match_the_old_block_length_over_a_long_scan(monkeypatch):
+    # the full averaged trace of the mixing-long walk (N = 9, 162000 steps,
+    # B = 256) against the same scan at B = 64
+    cfg = WalkConfig(n_nodes=9, decoherence_rate=0.2, initial_coin=coin_state("up"))
+    long_blocks = mixing_time_averaged(cfg, 0.01, horizon=162000)
+    monkeypatch.setattr(kernels, "_block_size", lambda pairs: 64)
+    short_blocks = mixing_time_averaged(cfg, 0.01, horizon=162000)
+    assert len(long_blocks.tv_trace) == len(short_blocks.tv_trace) == 162000
+    assert np.abs(long_blocks.tv_trace - short_blocks.tv_trace).max() <= TOL
+    assert long_blocks.mixing_time == short_blocks.mixing_time == 422
 
 
 @pytest.mark.parametrize("size, fails", [(1e-12, False), (1e-6, True)])
@@ -301,5 +341,5 @@ def test_symmetry_guard_fires_before_the_first_block(size, fails):
             next(blocks)
     else:
         t, rows, defect = next(blocks)
-        assert t == 0 and rows.shape == (kernels.MAX_BLOCK, n)
+        assert t == 0 and rows.shape == (_engine_block(n), n)
         assert defect == pytest.approx(1e-12, rel=1e-3)
