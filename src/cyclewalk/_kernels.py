@@ -26,9 +26,11 @@ B.  The power R^B, the product of the squares of B's binary digits, is
 formed only when a second block will run.  One block then costs one batched
 product per difference d (the traces of B steps, summed over the d-group),
 one table product and one R^B step, whatever B is.  The stream ends at the
-last step a caller asks for, and it alone cuts the last block there.
-:func:`_averages` turns it into the stream of Cesaro averages through one
-running sum.  The public kernels are folds over these streams: the full
+last step a caller asks for, and it alone cuts the last block there.  The
+Cesaro sum is linear in each pair's state, so for the averages row j becomes
+e0^T (R^0 + ... + R^j): a block's product then gives the partial sums of its
+distributions, and one carried N-vector, the last sum of the block before,
+completes them.  The public kernels are folds over these streams: the full
 trajectory, the total-variation scan behind the mixing times (up to 10^6
 steps), and Cesaro averages at chosen window lengths.  Each returns its
 result with the symmetry defect.
@@ -95,9 +97,11 @@ def _flush(a):
     return a
 
 
-def _evolve(matrices, v0, steps):
-    """Yield (t, P(., t..t+b-1) as a (b, N) array, symmetry defect) for
-    t = 0, B, 2B, ... <= steps.
+def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
+    """Yield (t, rows, symmetry defect) for t = 0, B, 2B, ... <= steps, where
+    rows is a (b, N) array: P(., t..t+b-1) for MODE_INSTANTANEOUS, or for
+    MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i) for
+    s = t..t+b-1.
 
     P is real, so the trace sum of difference N - d is the conjugate of that
     of d: only the (N//2 + 1)*N pairs with d <= N//2 are evolved, in d-major
@@ -152,6 +156,10 @@ def _evolve(matrices, v0, steps):
         if m < block:
             top = rows[m:2 * m]
             _flush(np.einsum("jdik,dilk->jdlk", rows[:len(top)], square, out=top))
+    if mode == MODE_AVERAGED:
+        # row j becomes e0^T (R^0 + ... + R^j): a block's product then gives
+        # the sums of P(., t..t+j), completed by the carried sum before t
+        np.cumsum(rows, axis=0, out=rows)
     # rows[d] as a (4N, B) matrix, for one product per group d
     rows = rows.reshape(block, half, 4 * n).transpose(1, 2, 0)
     # P(x) = (1/N^2) sum_d w_d (cos(2 pi x d/N) re g[d] - sin(2 pi x d/N) im g[d]),
@@ -161,26 +169,18 @@ def _evolve(matrices, v0, steps):
     weight = np.where(2 * np.arange(half) % n == 0, 1.0, 2.0)
     table = np.stack([weight * phase.real,
                       -weight * phase.imag], axis=-1).reshape(n, 2 * half).T
+    carry = 0.0
     for t in range(0, steps + 1, block):
         if t:
             state = _flush(np.einsum("dijk,drjk->drik", power, state))
         # one product per group d sums the traces of its N pairs
         g = 2.0 * np.matmul(state.reshape(half, 2, 4 * n), rows).reshape(2 * half, block)
-        yield t, ((g.T @ table) / float(n * n))[:steps + 1 - t], defect
-
-
-def _averages(blocks):
-    """The Cesaro stream of :func:`_evolve`'s blocks: yields (t, rows,
-    defect) where row j is the average of P(., 0..t+j).  The running sum
-    adds one row at a time in order, so it rounds as a step-by-step sum."""
-    total = 0.0
-    for t, dists, defect in blocks:
-        sums = np.empty((len(dists) + 1, dists.shape[1]))
-        sums[0] = total
-        sums[1:] = dists
-        np.cumsum(sums, axis=0, out=sums)
-        total = sums[-1]
-        yield t, sums[1:] / (np.arange(t, t + len(dists))[:, None] + 1), defect
+        dists = ((g.T @ table) / float(n * n))[:steps + 1 - t]
+        if mode == MODE_AVERAGED:
+            dists = dists + carry
+            carry = dists[-1]
+            dists = dists / np.arange(t + 1, t + 1 + len(dists))[:, None]
+        yield t, dists, defect
 
 
 def distribution_trajectory(matrices, v0, steps):
@@ -201,11 +201,10 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     t % 2 is compared with the stream's row t; one distribution is compared
     with every row.
 
-    mode=MODE_AVERAGED: row t is the running Cesaro average of P(., 0..t),
-    so tv[i] is the TV at tau = i+1, for tau = 1..horizon.
-
-    mode=MODE_INSTANTANEOUS: row t is P(., t), so tv[i] is the TV at
-    t = i+1, for t = 1..horizon.
+    mode selects the stream of :func:`_evolve`.  With MODE_AVERAGED its row t
+    is the Cesaro average of P(., 0..t), so tv[i] is the TV at tau = i+1, for
+    tau = 1..horizon.  With MODE_INSTANTANEOUS its row t is P(., t), so tv[i]
+    is the TV at t = i+1, for t = 1..horizon.
 
     The scan ends after the first value below stop_below.
     Returns (tv, symmetry defect).
@@ -213,15 +212,11 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     _check_count("horizon", horizon, 1)
     horizon = int(horizon)
     targets = np.broadcast_to(targets, (2, math.isqrt(len(matrices))))
-    # tv[t] holds the value of the stream's row t; the trace starts at tv[first]
-    if int(mode) == MODE_AVERAGED:
-        # row t is the average at tau = t + 1
-        first, blocks = 0, _averages(_evolve(matrices, v0, horizon - 1))
-    else:
-        # row t is P(., t); t = 0 is computed but not scanned
-        first, blocks = 1, _evolve(matrices, v0, horizon)
+    # tv[t] holds the value of the stream's row t; the trace starts at
+    # tv[first], so the instantaneous t = 0 is computed but not scanned
+    first = 0 if mode == MODE_AVERAGED else 1
     tv = np.empty(first + horizon)
-    for t, dists, defect in blocks:
+    for t, dists, defect in _evolve(matrices, v0, horizon - 1 + first, mode):
         end = t + len(dists)
         tv[t:end] = np.abs(dists - targets[np.arange(t, end) % 2]).sum(axis=1)
         start = max(t, first)
@@ -242,8 +237,7 @@ def averaged_snapshots(matrices, v0, taus):
     if len(taus) == 0 or np.any(np.diff(taus) <= 0):
         raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
     out = np.empty((len(taus), math.isqrt(len(matrices))))
-    blocks = _averages(_evolve(matrices, v0, int(taus[-1]) - 1))
-    for t, averages, defect in blocks:
+    for t, averages, defect in _evolve(matrices, v0, int(taus[-1]) - 1, MODE_AVERAGED):
         # taus ending in this block: tau - 1 in [t, t + len(averages))
         hit = (taus > t) & (taus <= t + len(averages))
         out[hit] = averages[taus[hit] - t - 1]

@@ -3,7 +3,8 @@
 Outputs are deterministic: CSV for time series, JSON for reports, floats
 rendered with 17 significant digits in lowercase scientific notation, no
 wall-clock content.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error, 3 internal numerical assertion.
+or configuration error (including an input too large to allocate), 3
+internal numerical assertion.
 """
 
 from __future__ import annotations
@@ -371,7 +372,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
         return args.handler(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except NumericalCheckError as exc:

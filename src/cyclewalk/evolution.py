@@ -38,13 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import (_HADAMARD, NumericalCheckError, WalkConfig, _check_count, _check_momenta,
-                   pauli_decompose)
+from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta, pauli_decompose
 from .fourier import all_pair_matrices
 
 __all__ = [
     "PositionDistribution",
-    "walk_unitary",
     "direct_trajectory",
     "position_marginal",
     "fourier_trajectory",
@@ -97,22 +95,6 @@ def _check_density(rho: np.ndarray):
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < -1e-9:
         raise NumericalCheckError(f"density operator not PSD: {min_eig:.3e}")
-
-
-def _shift(n: int) -> np.ndarray:
-    """S |x>|j> = |x + j mod N>|j> on the 2N-dimensional state space."""
-    shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
-    for x in range(n):
-        shift[2 * ((x + 1) % n), 2 * x] = 1.0          # coin |1> steps forward
-        shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # coin |-1> steps backward
-    return shift
-
-
-def walk_unitary(n_nodes: int) -> np.ndarray:
-    """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
-    _check_momenta(n_nodes)
-    n = int(n_nodes)
-    return _shift(n) @ np.kron(np.eye(n), _HADAMARD)
 
 
 def _initial_density(config: WalkConfig) -> np.ndarray:

@@ -108,7 +108,9 @@ def all_pair_matrices(config: WalkConfig):
 
     Returns (matrices, d_index): matrices has shape (N^2, 4, 4) with pair
     (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N is the
-    momentum difference by which the reconstruction groups the pairs.
+    momentum difference of pair q.  The engine works the grouping out from
+    this layout and never reads d_index, which stays for the tests and
+    ``perfbench/``, which index or unpack the pair.
     """
     n = config.n_nodes
     k, k_prime = _pair_momenta(n)

@@ -100,6 +100,22 @@ def test_simulate_row_sum_guard_prints_a_plain_float(monkeypatch, capsys):
         assert "np." not in err
 
 
+def test_refused_allocation_is_a_usage_error(monkeypatch, capsys):
+    # an input too large to allocate exits 2 with numpy's message, not 1
+    # (a verification failure) with a traceback
+    def refused(config, steps):
+        raise MemoryError("Unable to allocate 74.5 GiB for an array with shape "
+                          "(100000, 100000) and data type float64")
+
+    monkeypatch.setattr(cli, "fourier_trajectory", refused)
+    code, out, err = _run(capsys, "simulate", "--nodes", "100000", "--decoherence", "0.3",
+                          "--steps", "1")
+    assert code == cli.USAGE_ERROR == 2
+    assert out == ""
+    assert err == ("error: Unable to allocate 74.5 GiB for an array with shape "
+                   "(100000, 100000) and data type float64\n")
+
+
 @pytest.mark.parametrize("method", ["fourier", "direct"])
 def test_simulate_rows_match_per_cell_formatting(tmp_path, capsys, method):
     # the one-template rows carry the bytes a per-cell _fmt gives

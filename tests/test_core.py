@@ -21,7 +21,7 @@ from cyclewalk import (
     verify_geometric_sum,
 )
 from cyclewalk.analysis import default_horizon
-from cyclewalk.evolution import direct_trajectory, walk_unitary
+from cyclewalk.evolution import direct_trajectory
 from cyclewalk.fourier import all_pair_matrices
 from cyclewalk.core import SIGMA_0, SIGMA_X, SIGMA_Y
 
@@ -197,7 +197,6 @@ _COUNTED_INPUTS = {
     "fourier_trajectory": (lambda t: fourier_trajectory(_CFG, t), "t_max", 0, 2.5),
     "classical_reference-t": (lambda t: classical_reference(5, t), "t", 0, 2.5),
     "classical_reference-N": (lambda n: classical_reference(n, 3), "n_nodes", 2, 2.5),
-    "walk_unitary": (walk_unitary, "n_nodes", 2, 2.5),
     "time_averaged": (lambda tau: time_averaged(_CFG, tau), "tau", 1, 2.5),
     "trace_cells": (lambda stride: mixing_time_averaged(_CFG, 0.05, 10).trace_cells(stride),
                     "stride", 1, 1.5),

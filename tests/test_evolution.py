@@ -10,13 +10,12 @@ from cyclewalk import (
     fourier_trajectory,
     position_marginal,
 )
-from cyclewalk.core import build_kraus_family, pauli_decompose
+from cyclewalk.core import _HADAMARD, build_kraus_family, pauli_decompose
 from cyclewalk.evolution import (
     PositionDistribution,
     _check_density,
     _momentum_path,
     direct_trajectory,
-    walk_unitary,
 )
 from cyclewalk.fourier import all_pair_matrices
 
@@ -33,7 +32,7 @@ def _direct(config, t):
 
 def test_walk_unitary_is_unitary():
     for n in (2, 3, 8):
-        u = walk_unitary(n)
+        u = _walk_unitary(n)
         assert np.abs(u.conj().T @ u - np.eye(2 * n)).max() <= 1e-13
 
 
@@ -166,10 +165,24 @@ def test_symmetry_guard_catches_an_imaginary_initial_vector(monkeypatch):
         _momentum_path(_cfg(5, 0.3), _kernels.distribution_trajectory, 3)
 
 
+def _shift(n):
+    """S |x>|j> = |x + j mod N>|j> on the 2N-dimensional state space."""
+    shift = np.zeros((2 * n, 2 * n), dtype=np.complex128)
+    for x in range(n):
+        shift[2 * ((x + 1) % n), 2 * x] = 1.0          # coin |1> steps forward
+        shift[2 * ((x - 1) % n) + 1, 2 * x + 1] = 1.0  # coin |-1> steps backward
+    return shift
+
+
+def _walk_unitary(n):
+    """One coherent step U = S (I tensor H) on the 2N-dimensional state space."""
+    return _shift(n) @ np.kron(np.eye(n), _HADAMARD)
+
+
 def _unitary_kraus_step(rho, config):
     """One step in the dense form rho -> U (sum_n A_n rho A_n^dag) U^dag."""
     n = config.n_nodes
-    unitary = walk_unitary(n)
+    unitary = _walk_unitary(n)
     mixed = sum(np.kron(np.eye(n), a) @ rho @ np.kron(np.eye(n), a).conj().T
                 for a in build_kraus_family(config.decoherence_rate))
     return unitary @ mixed @ unitary.conj().T

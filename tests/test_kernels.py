@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -326,6 +328,23 @@ def test_long_blocks_match_the_old_block_length_over_a_long_scan(monkeypatch):
     assert len(long_blocks.tv_trace) == len(short_blocks.tv_trace) == 162000
     assert np.abs(long_blocks.tv_trace - short_blocks.tv_trace).max() <= TOL
     assert long_blocks.mixing_time == short_blocks.mixing_time == 422
+
+
+def test_cesaro_trace_is_accurate_over_a_long_horizon():
+    # the averaged trace of the mixing-long walk against Cesaro sums of the
+    # same distributions taken with math.fsum, which rounds once per sum
+    # (np.longdouble is float64 on some platforms)
+    _, matrices, v0 = _inputs(9, 0.2)
+    horizon = 162000
+    target = np.full(9, 1.0 / 9)
+    tv, _ = kernels.tv_scan(matrices, v0, horizon, target)
+    traj, _ = kernels.distribution_trajectory(matrices, v0, horizon - 1)
+    columns = traj.T.tolist()
+    taus = np.unique(np.geomspace(1, horizon, 60).round().astype(int))
+    errors = [abs(tv[tau - 1] - sum(abs(math.fsum(col[:tau]) / tau - 1.0 / 9)
+                                    for col in columns))
+              for tau in taus]
+    assert max(errors) <= 2e-14
 
 
 @pytest.mark.parametrize("size, fails", [(1e-12, False), (1e-6, True)])

@@ -147,6 +147,7 @@ def test_mixing_scans_share_one_driver():
 
     assert "target1" not in inspect.signature(_kernels.tv_scan).parameters
     assert not hasattr(analysis, "_scan_horizon")
+    assert not hasattr(_kernels, "_averages")
 
 
 def test_benchmark_verify_checks_match_the_package(perfbench):
