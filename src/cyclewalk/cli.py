@@ -133,13 +133,19 @@ def _parse_coin(spec: str) -> np.ndarray:
     values = [float(s) for s in parts]
     if not all(math.isfinite(v) for v in values):
         raise ValueError(f"initial coin parts must be finite, got {spec!r}")
-    a_re, a_im, b_re, b_im = values
+    # scale by an exact power of two so that the largest part lies in
+    # [0.5, 1) and the sum of squares in the norm neither underflows nor
+    # overflows; for ordinary coins this leaves every bit of the result as is
+    exponent = math.frexp(max(map(abs, values)))[1]
+    a_re, a_im, b_re, b_im = (math.ldexp(v, -exponent) for v in values)
     vec = np.array([a_re + 1j * a_im, b_re + 1j * b_im])
     norm = np.linalg.norm(vec)
     if norm == 0:
         raise ValueError("initial coin must be nonzero")
-    if abs(norm - 1.0) > 1e-6:
-        print(f"warning: renormalizing initial coin (norm was {norm:.6g})",
+    with np.errstate(over="ignore"):
+        unscaled = np.ldexp(norm, exponent)
+    if abs(unscaled - 1.0) > 1e-6:
+        print(f"warning: renormalizing initial coin (norm was {unscaled:.6g})",
               file=sys.stderr)
     return vec / norm
 
@@ -353,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     ver = commands.add_parser("verify", help="run the named property checks")
     ver.add_argument("--quick", action="store_true",
-                     help="reduced sizes: about 0.4 s instead of about 1.0 s "
+                     help="reduced sizes: about 0.45 s instead of about 1.1 s "
                           "on a 2-core VM")
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "

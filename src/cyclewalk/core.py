@@ -38,7 +38,6 @@ SIGMA_X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
 SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 PAULIS = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
-_PAULIS_DAG = np.stack([s.conj().T for s in PAULIS])
 
 _HADAMARD = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2.0)
 
@@ -154,10 +153,12 @@ def hadamard_coin_momentum(k, n_nodes) -> np.ndarray:
     """
     _check_momenta(n_nodes, k)
     w = np.exp(1j * (-2.0 * np.pi * np.asarray(k) / n_nodes))
-    phases = np.zeros(w.shape + (2, 2), dtype=np.complex128)
-    phases[..., 0, 0] = w
-    phases[..., 1, 1] = np.conj(w)
-    return phases @ _HADAMARD
+    coin = np.empty(w.shape + (2, 2), dtype=np.complex128)
+    # each entry of diag(w, conj w) @ H is the one nonzero product in its sum
+    coin[..., 0, 0] = coin[..., 0, 1] = w * _HADAMARD[0, 0]
+    coin[..., 1, 0] = np.conj(w) * _HADAMARD[1, 0]
+    coin[..., 1, 1] = np.conj(w) * _HADAMARD[1, 1]
+    return coin
 
 
 def pauli_decompose(m) -> np.ndarray:
@@ -167,7 +168,8 @@ def pauli_decompose(m) -> np.ndarray:
     m = np.asarray(m, dtype=np.complex128)
     if m.shape[-2:] != (2, 2):
         raise ValueError(f"expected 2x2 matrices, got shape {m.shape}")
-    return 0.5 * np.trace(_PAULIS_DAG @ m[..., None, :, :], axis1=-2, axis2=-1)
+    m00, m01, m10, m11 = m[..., 0, 0], m[..., 0, 1], m[..., 1, 0], m[..., 1, 1]
+    return 0.5 * np.stack([m00 + m11, m01 + m10, 1j * (m01 - m10), m00 - m11], axis=-1)
 
 
 def pauli_compose(v) -> np.ndarray:

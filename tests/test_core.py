@@ -23,7 +23,7 @@ from cyclewalk import (
 from cyclewalk.analysis import default_horizon
 from cyclewalk.evolution import direct_trajectory
 from cyclewalk.fourier import all_pair_matrices
-from cyclewalk.core import SIGMA_0, SIGMA_X, SIGMA_Y
+from cyclewalk.core import _HADAMARD, PAULIS, SIGMA_0, SIGMA_X, SIGMA_Y
 
 
 def _unitality_defect(ops):
@@ -88,6 +88,11 @@ def test_momentum_coin_unitary_for_all_momenta():
     for n in range(2, 65):
         stack = hadamard_coin_momentum(np.arange(n), n)
         assert stack.shape == (n, 2, 2)
+        # the entries are the bits of the matrix product of the phases and H
+        w = np.exp(1j * (-2.0 * np.pi * np.arange(n) / n))
+        phases = np.zeros((n, 2, 2), dtype=np.complex128)
+        phases[:, 0, 0], phases[:, 1, 1] = w, np.conj(w)
+        assert np.array_equal(stack.view(np.uint64), (phases @ _HADAMARD).view(np.uint64))
         for k in range(n):
             assert np.array_equal(stack[k], hadamard_coin_momentum(k, n))
             assert _unitarity_defect(stack[k]) <= 1e-13
@@ -105,6 +110,12 @@ def test_pauli_roundtrip_on_random_matrices():
     coeffs = pauli_decompose(stack)
     assert coeffs.shape == (100, 4)
     assert np.abs(pauli_compose(coeffs) - stack).max() <= 1e-13
+    # the entrywise expansion equals the trace form tr(sigma_i^dag m)/2
+    paulis_dag = np.stack([s.conj().T for s in PAULIS])
+    with_zeros = np.concatenate([stack, np.zeros((2, 2, 2)), np.full((2, 2, 2), -0.0),
+                                 np.full((1, 2, 2), complex(-0.0, 0.0))])
+    traced = 0.5 * np.trace(paulis_dag @ with_zeros[:, None], axis1=-2, axis2=-1)
+    assert np.array_equal(pauli_decompose(with_zeros), traced)
     for m, row in zip(stack, coeffs):
         assert np.array_equal(pauli_decompose(m), row)
         assert np.abs(pauli_compose(pauli_decompose(m)) - m).max() <= 1e-13

@@ -321,6 +321,15 @@ def test_batched_builders_broadcast_index_arrays():
         assert np.array_equal(grid.reshape(49, 4, 4),
                               build(*np.divmod(np.arange(49), 7), 7, 0.3))
         assert np.array_equal(build(k, 3, 7, 0.3)[:, 0], grid[:, 3])
+        # scalar k with array k', an array of N and a column of rates
+        kps, n, rates = np.array([0, 3, 6, 15]), np.array([7, 8, 9, 16]), np.array([[0.0], [0.45]])
+        mixed = build(2, kps, n, rates)
+        assert mixed.shape == (2, 4, 4, 4)
+        for i, p in enumerate(rates[:, 0]):
+            for j, (kp_j, n_j) in enumerate(zip(kps, n)):
+                single = build(2, int(kp_j), int(n_j), float(p))
+                assert np.array_equal(np.ascontiguousarray(mixed[i, j]).view(np.uint64),
+                                      np.ascontiguousarray(single).view(np.uint64))
 
 
 def test_batched_closed_form_is_bit_identical_to_all_pair_matrices():
