@@ -211,14 +211,19 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     """
     _check_count("horizon", horizon, 1)
     horizon = int(horizon)
-    targets = np.broadcast_to(targets, (2, math.isqrt(len(matrices))))
+    n = math.isqrt(len(matrices))
+    targets = np.asarray(targets)
+    np.broadcast_to(targets, (2, n))   # rejects every other shape
+    # only a parity pair is gathered per row; one distribution broadcasts
+    pair = targets.shape == (2, n)
     # tv[t] holds the value of the stream's row t; the trace starts at
     # tv[first], so the instantaneous t = 0 is computed but not scanned
     first = 0 if mode == MODE_AVERAGED else 1
     tv = np.empty(first + horizon)
     for t, dists, defect in _evolve(matrices, v0, horizon - 1 + first, mode):
         end = t + len(dists)
-        tv[t:end] = np.abs(dists - targets[np.arange(t, end) % 2]).sum(axis=1)
+        target = targets[np.arange(t, end) % 2] if pair else targets
+        tv[t:end] = np.abs(dists - target).sum(axis=1)
         start = max(t, first)
         below = np.flatnonzero(tv[start:end] < stop_below)
         if len(below):

@@ -62,19 +62,17 @@ class MixingReport:
     converged: bool
     bound_value: float | None = None
 
-    def trace_cells(self, stride: int = 1) -> np.ndarray:
-        """(t, tv) pairs, every stride-th one (stride >= 1), as an (M, 2)
-        object array of ints and floats; the final entry is always kept."""
+    def trace_cells(self, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
+        """Every stride-th (t, tv) pair (stride >= 1) as two columns, the
+        int times and their float TV values; the final entry is always
+        kept."""
         _check_count("stride", stride, 1)
         stride = int(stride)
         last = len(self.tv_trace)
         times = np.arange(1, last + 1, stride)
         if len(times) and times[-1] != last:
             times = np.append(times, last)
-        cells = np.empty((len(times), 2), dtype=object)
-        cells[:, 0] = times
-        cells[:, 1] = self.tv_trace[times - 1]
-        return cells
+        return times, self.tv_trace[times - 1]
 
 
 def total_variation(p, q) -> float:

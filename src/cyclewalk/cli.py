@@ -3,15 +3,27 @@
 Outputs are deterministic: CSV for time series, JSON for reports, floats
 rendered with 17 significant digits in lowercase scientific notation, no
 wall-clock content.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error (including an input too large to allocate), 3
-internal numerical assertion.
+or configuration error (including an input too large to allocate or an
+output path that cannot be written, checked before any work), 3 internal
+numerical assertion.
+
+The three data tables, the `simulate` and `spectrum` CSVs and the mixing
+``tv_trace``, stream through one renderer, :func:`_table`: a row template
+over int, float and label columns, written in chunks of _CHUNK_ROWS rows
+as ASCII bytes, the same bytes as the template's ``%`` rendering.  Floats
+take their 17 digits from a double-double product with a power of ten and
+the exact ``format`` wherever that product could not decide a digit.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
+import itertools
 import json
 import math
+import os
+import re
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -39,53 +51,232 @@ def _fmt(x: float) -> str:
     return format(float(x), ".16e")
 
 
-def _rows(template: str, cells) -> str:
-    """Fill a row template, one field per cell, over an (M, k) cell array in
-    one ``%`` call; ``%.16e`` gives the bytes of :func:`_fmt`."""
-    cells = np.asarray(cells, dtype=object)
-    return template * len(cells) % tuple(cells.ravel().tolist())
+# ---------------------------------------------------------------------------
+# table rendering
+# ---------------------------------------------------------------------------
+
+#: Rows rendered per chunk of a table: about 1 MB of text for the mixing
+#: trace, so a 10^6-step trace streams through a buffer of fixed size.
+_CHUNK_ROWS = 1 << 14
+
+_FIELD = re.compile(r"%d|%\.16e|%s")
+
+#: Exponents k of the (hi, lo) table of 10^k: those of 10^(16 - E) for the
+#: fast-path exponents |E| < 100, with a margin for log10's rounding.
+_KMIN, _KMAX = -90, 120
+#: Dekker's splitting constant 2^27 + 1.
+_SPLIT = 134217729.0
+#: A scaled value within this of a rounding tie or of 10^16 takes the
+#: exact fallback; the product is good to 2^-47, far inside it.
+_MARGIN = 1e-6
 
 
-def _emit_pairs(cells, indent: int) -> str:
+@functools.lru_cache(maxsize=None)
+def _digit_tables():
+    """10^k as hi + lo for k in [_KMIN, _KMAX], hi split into two 26-bit
+    halves, and the 4-byte ASCII words "0000".."9999" as uint32; built on
+    first use, not at import."""
+    hi, lo = [], []
+    for k in range(_KMIN, _KMAX + 1):
+        # 10^k = num / den exactly; int division rounds correctly, so hi is
+        # 10^k rounded and lo the rounded rest, from hi = m / j exactly
+        num, den = (10 ** k, 1) if k >= 0 else (1, 10 ** -k)
+        hi.append(num / den)
+        m, j = hi[-1].as_integer_ratio()
+        lo.append((num * j - m * den) / (den * j))
+    hi, lo = np.array(hi), np.array(lo)
+    split = _SPLIT * hi
+    hi_hi = split - (split - hi)
+    words = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
+    return hi, lo, hi_hi, hi - hi_hi, words.astype(np.uint8).view(np.uint32).ravel()
+
+
+def _floats(x) -> np.ndarray:
+    """``%.16e`` of each float of x, as a NUL-padded (len(x), w) byte array.
+
+    The 17 digits are D = round(|x| 10^(16 - E)) with E = floor(log10 |x|):
+    Dekker's exact product of |x| and the hi part of 10^(16 - E), plus |x|
+    times its lo part, gives the scaled value to within 2^-47.  A value
+    takes the exact fallback ``format(x, '.16e')`` where that could decide
+    a digit wrongly: zero, inf and nan, |x| outside [1e-100, 1e100), a
+    scaled value within _MARGIN of a tie or below 10^16 + _MARGIN, or not
+    below 10^17 (log10 rounded across an integer, E is off by one), and a
+    three-digit exponent.  Otherwise the floor and the rounding direction
+    of the scaled value are those of the exact one, so every byte is that
+    of ``format``.
+    """
+    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, words = _digit_tables()
+    x = np.asarray(x, dtype=np.float64)
+    a = np.abs(x)
+    fast = (a >= 1e-100) & (a < 1e100)
+    a = np.where(fast, a, 1.0)
+    e = np.floor(np.log10(a)).astype(np.int64)
+    k = 16 - e - _KMIN
+    p = a * pow_hi[k]
+    split = _SPLIT * a
+    a_hi = split - (split - a)
+    a_lo = a - a_hi
+    q = (((a_hi * pow_hi_hi[k] - p) + a_hi * pow_hi_lo[k] + a_lo * pow_hi_hi[k])
+         + a_lo * pow_hi_lo[k]) + a * pow_lo[k]
+    # the scaled value p + q = d + frac, with d an integer and 0 <= frac < 1
+    whole = np.floor(p)
+    r = (p - whole) + q
+    carry = np.floor(r)
+    d = whole.astype(np.int64) + carry.astype(np.int64)
+    frac = r - carry
+    fast &= (d < 10 ** 17) & ((d > 10 ** 16) | (d == 10 ** 16) & (frac >= _MARGIN))
+    fast &= np.abs(frac - 0.5) >= _MARGIN
+    d += frac > 0.5
+    top = d == 10 ** 17
+    d[top] = 10 ** 16
+    e += top
+    fast &= np.abs(e) < 100
+    lead, rest = np.divmod(d, 10 ** 16)
+    out = np.empty((len(x), 23), np.uint8)
+    out[:, 0] = np.where(x < 0, 45, 0)
+    out[:, 1] = lead + 48
+    out[:, 2] = 46
+    high, low = np.divmod(rest, 10 ** 8)
+    groups = np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)], axis=1)
+    out[:, 3:19] = words[groups].view(np.uint8)
+    out[:, 19] = 101
+    out[:, 20] = np.where(e < 0, 45, 43)
+    out[:, 21:] = words[np.abs(e), None].view(np.uint8)[:, 2:]
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        text = np.array([format(v, ".16e") for v in x[slow].tolist()], dtype=bytes)
+        if text.itemsize > out.shape[1]:
+            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+        out[slow] = 0
+        out[slow, :text.itemsize] = text.view(np.uint8).reshape(len(slow), -1)
+    return out
+
+
+def _ints(v) -> np.ndarray:
+    """``%d`` of each integer of v, right-aligned in a NUL-padded
+    (len(v), w) byte array."""
+    v = np.asarray(v, dtype=np.int64)
+    a = np.abs(v)
+    powers = 10 ** np.arange(len(str(int(a.max()))) - 1, -1, -1, dtype=np.int64)
+    shown = (a[:, None] >= powers) | (powers == 1)
+    sign = int(v.min() < 0)
+    out = np.zeros((len(v), sign + len(powers)), np.uint8)
+    out[:, sign:] = np.where(shown, a[:, None] // powers % 10 + 48, 0)
+    negative = np.flatnonzero(v < 0)
+    out[negative, len(powers) - shown[negative].sum(axis=1)] = 45
+    return out
+
+
+def _labels(v) -> np.ndarray:
+    """``%s`` of each ASCII label of v, as a NUL-padded (len(v), w) byte
+    array."""
+    text = np.asarray(v).astype(bytes)
+    return text.view(np.uint8).reshape(len(text), -1)
+
+
+_RENDER = {"%d": _ints, "%.16e": _floats, "%s": _labels}
+
+
+def _table(template: str, columns):
+    """Yield ``template % row`` for every row of the columns, as ASCII bytes
+    in chunks of _CHUNK_ROWS rows.
+
+    template holds one ``%d``, ``%.16e`` or ``%s`` field per column and no
+    other ``%``; columns are equally long 1-d arrays of ints, floats and
+    labels.  Each chunk is laid out as a byte matrix, one row per table row,
+    whose fields are NUL-padded to the chunk's widest; deleting the NULs
+    leaves the bytes of the ``%`` rendering.
+    """
+    literals = [np.frombuffer(s.encode("ascii"), np.uint8) for s in _FIELD.split(template)]
+    render = [_RENDER[field] for field in _FIELD.findall(template)]
+    total = len(columns[0])
+    for start in range(0, total, _CHUNK_ROWS):
+        stop = min(start + _CHUNK_ROWS, total)
+        fields = [fn(column[start:stop]) for fn, column in zip(render, columns)]
+        width = sum(map(len, literals)) + sum(f.shape[1] for f in fields)
+        buf = np.empty((stop - start, width), np.uint8)
+        at = 0
+        for literal, field in zip(literals, fields + [None]):
+            buf[:, at:at + len(literal)] = literal
+            at += len(literal)
+            if field is not None:
+                buf[:, at:at + field.shape[1]] = field
+                at += field.shape[1]
+        yield buf.tobytes().replace(b"\0", b"")
+
+
+def _emit_rows(columns, indent: int):
+    """JSON list of the rows of the columns, one JSON list per row, in the
+    bytes the recursive emitter gives a list of the same rows."""
+    if not len(columns[0]):
+        yield b"[]"
+        return
     pad = "  " * (indent + 1)
-    entry = f"{pad}[\n{pad}  %d,\n{pad}  %.16e\n{pad}],\n"
-    return "[\n" + _rows(entry, cells)[:-2] + "\n" + "  " * indent + "]"
+    fields = ",\n".join(
+        f"{pad}  %d" if np.issubdtype(c.dtype, np.integer) else f"{pad}  %.16e"
+        for c in columns)
+    chunks = _table(f",\n{pad}[\n{fields}\n{pad}]", columns)
+    yield b"[\n" + next(chunks)[2:]
+    yield from chunks
+    yield f"\n{'  ' * indent}]".encode()
 
 
-def _emit_json(value, indent: int = 0) -> str:
-    """JSON text of value; an (M, 2) object array of [int, float] cells, such
-    as the mixing ``tv_trace``, is rendered through :func:`_rows`, in the
-    bytes a plain list of the same pairs would give."""
+def _emit_json(value, indent: int = 0):
+    """Yield the JSON text of value as ASCII byte chunks.  A tuple of numpy
+    columns, such as the mixing ``tv_trace``, is a table: a list of rows,
+    rendered by :func:`_table`."""
     pad = "  " * indent
-    if isinstance(value, np.ndarray):
-        return _emit_pairs(value, indent) if len(value) else "[]"
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [
-            f'{pad}  {json.dumps(str(key))}: {_emit_json(val, indent + 1)}'
-            for key, val in value.items()
-        ]
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        items = [f"{pad}  {_emit_json(val, indent + 1)}" for val in value]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(value, bool) or value is None:
-        return json.dumps(value)
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    if isinstance(value, (float, np.floating)):
-        return _fmt(value)
-    return json.dumps(value)
-
-
-def _write_text(path: str, text: str):
-    if path == "-":
-        sys.stdout.write(text)
+    if isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
+        yield from _emit_rows(value, indent)
+    elif isinstance(value, (dict, list, tuple)) and value:
+        is_dict = isinstance(value, dict)
+        sep = "{\n" if is_dict else "[\n"
+        for key, val in (value.items() if is_dict else enumerate(value)):
+            head = f"{json.dumps(str(key))}: " if is_dict else ""
+            yield f"{sep}{pad}  {head}".encode()
+            yield from _emit_json(val, indent + 1)
+            sep = ",\n"
+        yield f"\n{pad}{'}' if is_dict else ']'}".encode()
+    elif isinstance(value, bool) or value is None:
+        yield json.dumps(value).encode()
+    elif isinstance(value, (int, np.integer)):
+        yield str(int(value)).encode()
+    elif isinstance(value, (float, np.floating)):
+        yield _fmt(value).encode()
     else:
-        Path(path).write_text(text)
+        yield json.dumps(value).encode()
+
+
+def _check_writable(*paths):
+    """Raise now the OSError that writing any of paths ('-' and empty paths
+    aside) would raise once the work is done; no file is changed, and none
+    is left behind.  A named pipe or device is not opened before it is
+    written: opening a pipe waits for a reader, and closing it ends one."""
+    for path in paths:
+        if not path or path == "-":
+            continue
+        try:
+            with open(path, "xb"):
+                pass
+        except FileExistsError:
+            if os.path.isfile(path) or os.path.isdir(path):
+                with open(path, "ab"):
+                    pass
+        else:
+            os.remove(path)
+
+
+def _write(path: str, *parts):
+    """Write parts, each bytes or an iterable of byte chunks, to path, or
+    to standard output for '-'."""
+    chunks = itertools.chain.from_iterable(
+        [part] if isinstance(part, bytes) else part for part in parts)
+    if path == "-":
+        sys.stdout.flush()
+        sys.stdout.buffer.writelines(chunks)
+    else:
+        with open(path, "wb") as out:
+            out.writelines(chunks)
 
 
 def _load_config_file(path: str) -> dict:
@@ -160,7 +351,7 @@ def _write_manifest(path, command: str, settings: dict, outputs: list):
         "timestamp": datetime.now(timezone.utc).isoformat(),
         "outputs": list(outputs),
     }
-    _write_text(path, _emit_json(manifest) + "\n")
+    _write(path, _emit_json(manifest), b"\n")
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +380,7 @@ def cmd_simulate(args) -> int:
                         initial_coin=coin)
     steps = resolved["steps"]
     _check_count("steps", steps, 0)
+    _check_writable(resolved["output"], args.manifest)
     if resolved["method"] == "fourier":
         trajectory = fourier_trajectory(config, steps)
     else:
@@ -198,11 +390,9 @@ def cmd_simulate(args) -> int:
     if len(bad):
         raise NumericalCheckError(f"probabilities at t={bad[0]} sum to "
                                   f"{float(trajectory[bad[0]].sum())!r}, not 1")
-    cells = np.empty((trajectory.size, 3), dtype=object)
-    cells[:, 0], cells[:, 1] = np.divmod(np.arange(trajectory.size), config.n_nodes)
-    cells[:, 2] = trajectory.ravel()
-    rows = _rows(f"%d,%d,%.16e,{resolved['method']}\n", cells)
-    _write_text(resolved["output"], "t,x,p,method\n" + rows)
+    t, x = np.divmod(np.arange(trajectory.size), config.n_nodes)
+    _write(resolved["output"], b"t,x,p,method\n",
+           _table(f"%d,%d,%.16e,{resolved['method']}\n", (t, x, trajectory.ravel())))
     if args.manifest:
         _write_manifest(args.manifest, "simulate", resolved, [resolved["output"]])
     return 0
@@ -220,23 +410,21 @@ def cmd_spectrum(args) -> int:
     resolved = _resolve(args, SPECTRUM_FIELDS)
     config = WalkConfig(n_nodes=resolved["nodes"],
                         decoherence_rate=resolved["decoherence"])
+    _check_writable(resolved["output"], resolved["summary"], args.manifest)
     n, p = config.n_nodes, config.decoherence_rate
     spectra = eigenvalues(all_pair_matrices(config)[0], n)
     # one row per pair: k, k', class, radius, then re, im of each eigenvalue
-    cells = np.empty((n * n, 12), dtype=object)
-    cells[:, 0], cells[:, 1] = _pair_momenta(n)
-    cells[:, 2], cells[:, 3] = spectra.classification, spectra.spectral_radius
-    cells[:, 4:] = spectra.eigenvalues.view(np.float64)
-    rows = _rows("%d,%d,%s" + ",%.16e" * 9 + "\n", cells)
+    columns = (*_pair_momenta(n), spectra.classification, spectra.spectral_radius,
+               *spectra.eigenvalues.view(np.float64).T)
     summary = {"nodes": n, "decoherence": p, "pairs": n * n,
                **spectral_structure(spectra, n, p)}
-    _write_text(resolved["output"], "k,k_prime,classification,spectral_radius,"
-                "eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im\n" + rows)
-    summary_text = _emit_json(summary) + "\n"
+    _write(resolved["output"], b"k,k_prime,classification,spectral_radius,"
+           b"eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im\n",
+           _table("%d,%d,%s" + ",%.16e" * 9 + "\n", columns))
     if resolved["summary"]:
-        _write_text(resolved["summary"], summary_text)
+        _write(resolved["summary"], _emit_json(summary), b"\n")
     else:
-        sys.stderr.write(summary_text)
+        sys.stderr.write(b"".join(_emit_json(summary)).decode() + "\n")
     if args.manifest:
         outputs = [resolved["output"]] + ([resolved["summary"]] if resolved["summary"] else [])
         _write_manifest(args.manifest, "spectrum", resolved, outputs)
@@ -277,6 +465,7 @@ def cmd_mixing(args) -> int:
             problems.append("instantaneous target")
         if problems:
             raise ValueError("analytic bound unavailable: " + ", ".join(problems))
+    _check_writable(resolved["output"], args.manifest)
     if resolved["target"] == "averaged":
         report = mixing_time_averaged(config, resolved["epsilon"], resolved["horizon"])
     else:
@@ -292,7 +481,7 @@ def cmd_mixing(args) -> int:
         "bound": bound,
         "tv_trace": report.trace_cells(resolved["trace-stride"]),
     }
-    _write_text(resolved["output"], _emit_json(payload) + "\n")
+    _write(resolved["output"], _emit_json(payload), b"\n")
     if args.manifest:
         _write_manifest(args.manifest, "mixing", resolved, [resolved["output"]])
     return 0
@@ -305,10 +494,11 @@ VERIFY_FIELDS = {
 
 def cmd_verify(args) -> int:
     resolved = _resolve(args, VERIFY_FIELDS)
+    _check_writable(resolved["output"], args.manifest)
     profile = "quick" if args.quick else "default"
     names = args.check if args.check else None
     report = run_checks(names=names, profile=profile)
-    _write_text(resolved["output"], _emit_json(report) + "\n")
+    _write(resolved["output"], _emit_json(report), b"\n")
     if args.manifest:
         settings = dict(resolved)
         settings["profile"] = profile

@@ -138,10 +138,12 @@ def test_mixing_report_suffix_property():
 
 def test_trace_cells_thins_and_rejects_nonpositive_stride():
     report = mixing_time_averaged(_cfg(4, 0.6), 0.05, horizon=10)
-    cells = report.trace_cells()
-    assert cells[:, 0].tolist() == list(range(1, 11))
-    assert cells[:, 1].tolist() == report.tv_trace.tolist()
-    assert report.trace_cells(4)[:, 0].tolist() == [1, 5, 9, 10]
+    times, values = report.trace_cells()
+    assert times.tolist() == list(range(1, 11))
+    assert values.tolist() == report.tv_trace.tolist()
+    times, values = report.trace_cells(4)
+    assert times.tolist() == [1, 5, 9, 10]
+    assert values.tolist() == report.tv_trace[[0, 4, 8, 9]].tolist()
     for stride in (0, -3):
         with pytest.raises(ValueError, match=r"^stride must be >= 1, got -?\d+$"):
             report.trace_cells(stride)

@@ -1,6 +1,8 @@
 import csv
 import json
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -8,8 +10,10 @@ import pytest
 from cyclewalk import WalkConfig, classical_reference, coin_state, eigenvalues
 from cyclewalk import cli
 from cyclewalk.cli import _emit_json, main
+from cyclewalk.core import NumericalCheckError
 from cyclewalk.evolution import direct_trajectory, fourier_trajectory, position_marginal
 from cyclewalk.fourier import all_pair_matrices
+from cyclewalk.spectral import VERDICTS, spectral_structure
 from cyclewalk.verify import run_checks
 
 
@@ -48,11 +52,17 @@ def _emit_payload(trace):
     }
 
 
+def _json(value):
+    return b"".join(_emit_json(value)).decode()
+
+
 def test_emit_json_golden_bytes():
     pairs = [(1, 1.0), (2, 0.3333333333333333), (10, np.float64(1e-17))]
-    assert _emit_json(_emit_payload([list(p) for p in pairs])) == _EMIT_EXPECTED
-    assert _emit_json(_emit_payload(np.array(pairs, dtype=object))) == _EMIT_EXPECTED
-    assert _emit_json({"tv_trace": np.empty((0, 2), dtype=object)}) == '{\n  "tv_trace": []\n}'
+    columns = (np.array([1, 2, 10]), np.array([1.0, 0.3333333333333333, 1e-17]))
+    assert _json(_emit_payload([list(p) for p in pairs])) == _EMIT_EXPECTED
+    assert _json(_emit_payload(columns)) == _EMIT_EXPECTED
+    empty = (np.empty(0, dtype=np.int64), np.empty(0))
+    assert _json({"tv_trace": empty}) == '{\n  "tv_trace": []\n}'
 
 
 def test_simulate_shape_and_normalization(tmp_path, capsys):
@@ -427,6 +437,116 @@ def test_manifest_contents(tmp_path, capsys):
     assert data["rng"] == "none"
     assert data["outputs"] == [str(out)]
     assert "timestamp" in data and "version" in data
+
+
+#: data-table commands, each run small enough to repeat
+_STREAMED = {
+    "mixing": ("mixing", "--nodes", "9", "--decoherence", "0.2", "--epsilon", "0.05",
+               "--horizon", "3000"),
+    "simulate-fourier": ("simulate", "--nodes", "7", "--decoherence", "0.3", "--steps", "60",
+                         "--initial-coin", "balanced"),
+    "simulate-direct": ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "40",
+                        "--method", "direct"),
+    "spectrum": ("spectrum", "--nodes", "9", "--decoherence", "0.3"),
+}
+
+
+@pytest.mark.parametrize("command", _STREAMED)
+def test_tables_stream_the_same_bytes_to_stdout_a_file_and_in_small_chunks(
+        tmp_path, capsys, monkeypatch, command):
+    argv = _STREAMED[command]
+    path = tmp_path / "table"
+    code, stdout, _ = _run(capsys, *argv, "--output", str(path))
+    assert code == 0 and stdout == ""
+    expected = path.read_bytes()
+    assert len(expected.splitlines()) > 10 * 7
+    code, stdout, _ = _run(capsys, *argv, "--output", "-")
+    assert code == 0 and stdout.encode() == expected
+    monkeypatch.setattr(cli, "_CHUNK_ROWS", 7)
+    code, stdout, _ = _run(capsys, *argv, "--output", "-")
+    assert code == 0 and stdout.encode() == expected
+
+
+#: command -> (argv, the call that does its work, its destination options)
+_DESTINATIONS = {
+    "simulate": (("simulate", "--nodes", "9", "--decoherence", "0.2", "--steps", "1000000"),
+                 "fourier_trajectory", ("output", "manifest")),
+    "spectrum": (("spectrum", "--nodes", "9", "--decoherence", "0.2"),
+                 "eigenvalues", ("output", "summary", "manifest")),
+    "mixing": (("mixing", "--nodes", "9", "--decoherence", "0.2", "--epsilon", "0.01",
+                "--horizon", "1000000"), "mixing_time_averaged", ("output", "manifest")),
+    "verify": (("verify",), "run_checks", ("output", "manifest")),
+}
+
+
+@pytest.mark.parametrize("command, bad", [
+    (command, bad) for command, (*_, options) in _DESTINATIONS.items() for bad in options])
+def test_an_unwritable_destination_fails_before_the_work(tmp_path, capsys, monkeypatch,
+                                                         command, bad):
+    argv, work, options = _DESTINATIONS[command]
+
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli, work, not_reached)
+    # an existing destination is opened but not changed; a new one is not left behind
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"old")
+    missing = tmp_path / "missing" / "file"
+    paths = {option: tmp_path / option for option in options}
+    paths["output"] = existing
+    paths[bad] = missing
+    flags = [arg for option in options for arg in (f"--{option}", str(paths[option]))]
+    code, stdout, err = _run(capsys, *argv, *flags)
+    assert code == cli.USAGE_ERROR
+    assert stdout == ""
+    assert err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert sorted(tmp_path.iterdir()) == [existing]
+    assert existing.read_bytes() == b"old"
+    paths[bad] = tmp_path
+    flags = [arg for option in options for arg in (f"--{option}", str(paths[option]))]
+    code, _, err = _run(capsys, *argv, *flags)
+    assert code == cli.USAGE_ERROR
+    assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+
+
+def test_a_named_pipe_destination_is_first_opened_to_be_written(tmp_path, capsys):
+    # opening a pipe to check it would wait for a reader (and closing it
+    # would end that reader), so only the manifest's missing directory fails
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    result = []
+    run = threading.Thread(target=lambda: result.append(main([
+        "mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05",
+        "--output", str(pipe), "--manifest", str(tmp_path / "missing" / "manifest")])),
+        daemon=True)
+    run.start()
+    run.join(timeout=10)
+    assert not run.is_alive() and result == [cli.USAGE_ERROR]
+    assert "No such file or directory" in capsys.readouterr().err
+
+
+def test_a_numerical_failure_leaves_the_files_it_always_left(tmp_path, capsys, monkeypatch):
+    # simulate and mixing fail before they write; spectrum writes its CSV,
+    # summary and manifest, then fails on its verdicts
+    def failing(*args, **kwargs):
+        raise NumericalCheckError("pair symmetry defect")
+
+    def no_placement(spectra, n, p):
+        return {**spectral_structure(spectra, n, p), VERDICTS[-1]: False}
+
+    monkeypatch.setattr(cli, "fourier_trajectory", failing)
+    monkeypatch.setattr(cli, "mixing_time_averaged", failing)
+    monkeypatch.setattr(cli, "spectral_structure", no_placement)
+    for command, written in (
+            (("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "5"), []),
+            (("mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05"), []),
+            (("spectrum", "--nodes", "5", "--decoherence", "0.3",
+              "--summary", str(tmp_path / "summary")), ["manifest", "output", "summary"])):
+        code, _, _ = _run(capsys, *command, "--output", str(tmp_path / "output"),
+                          "--manifest", str(tmp_path / "manifest"))
+        assert code == cli.NUMERICAL_ERROR
+        assert sorted(path.name for path in tmp_path.iterdir()) == written
 
 
 def test_version_and_help_paths(capsys):
