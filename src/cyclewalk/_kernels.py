@@ -16,8 +16,8 @@ R = U L U^-1, so the engine runs in real arithmetic on the re/im columns of
 the state U v.  Before the first step it computes the symmetry defect, the
 largest |L_{k',k} - conj L_{k,k'}|, 2 |imag v0| and |imag(U L U^-1)|, which
 is zero up to rounding whenever the reduction is exact, and raises
-NumericalCheckError when it exceeds SYMMETRY_DEFECT_LIMIT: an inconsistent
-stack fails in setup, not after a scan of up to 10^6 steps.
+NumericalCheckError when it exceeds SYMMETRY_DEFECT_LIMIT or is NaN: an
+inconsistent stack fails in setup, not after a scan of up to 10^6 steps.
 
 The engine works in blocks of B steps.  Setup builds, per pair, the rows
 e0^T R^j (j < B) by doubling: rows m..2m-1 are rows 0..m-1 times R^m, and
@@ -122,10 +122,11 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     momenta = np.arange(n)
     kept = (momenta * n + (momenta - np.arange(half)[:, None]) % n).ravel()
     realified = matrices[kept] * (_REALIFY[:, None] / _REALIFY)
-    defect = float(max(np.abs(matrices[partner] - matrices.conj()).max(),
-                       2.0 * np.abs(v0.imag).max(),
-                       np.abs(realified.imag).max()))
-    if defect > SYMMETRY_DEFECT_LIMIT:
+    defect = float(np.max([np.abs(matrices[partner] - matrices.conj()).max(),
+                           2.0 * np.abs(v0.imag).max(),
+                           np.abs(realified.imag).max()]))
+    # written as not (... <= ...) so that a NaN defect fails it
+    if not defect <= SYMMETRY_DEFECT_LIMIT:
         raise NumericalCheckError(f"pair symmetry defect {defect:.3e} (superoperator "
                                   "construction is inconsistent)")
     # group-major, then component-major, then k: R[d, i, j, k] and

@@ -20,7 +20,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import _kernels
-from .core import WalkConfig, _check_count, _check_momenta
+from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta
 from .evolution import PositionDistribution, _momentum_path
 from .spectral import spectral_gap
 
@@ -142,6 +142,7 @@ def _scan(config: WalkConfig, epsilon: float, horizon: int | None, mode: int,
     MODE_AVERAGED compares the Cesaro averages with uniform, MODE_INSTANTANEOUS
     each P(., t) with the limit of the parity of t.  A scan given stop_below
     ends at its first value below it, and then only the trace is meaningful.
+    A non-finite TV value raises NumericalCheckError.
     """
     _check_epsilon(epsilon)
     n = config.n_nodes
@@ -155,6 +156,11 @@ def _scan(config: WalkConfig, epsilon: float, horizon: int | None, mode: int,
         targets = np.stack([_limit(n, 0), _limit(n, 1)])
     tv = _momentum_path(config, _kernels.tv_scan, horizon, targets, mode=mode,
                         stop_below=stop_below)
+    # tv >= epsilon is false for NaN, so a NaN trace would read as mixed
+    bad = np.flatnonzero(~np.isfinite(tv))
+    if len(bad):
+        raise NumericalCheckError(f"non-finite total variation {float(tv[bad[0]])!r} "
+                                  f"at step {bad[0] + 1}")
     above = np.flatnonzero(tv >= epsilon)
     last = int(above[-1]) + 1 if len(above) else 1
     converged = len(above) == 0 or last < horizon

@@ -40,7 +40,7 @@ from .core import COIN_STATES, NumericalCheckError, WalkConfig, _check_count, co
 from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import _pair_momenta, all_pair_matrices
 from .spectral import VERDICTS, eigenvalues, spectral_structure
-from .verify import CHECK_NAMES, run_checks
+from .verify import CHECK_NAMES, PROFILES, run_checks
 
 USAGE_ERROR = 2
 NUMERICAL_ERROR = 3
@@ -182,19 +182,22 @@ def _table(template: str, columns):
     in chunks of _CHUNK_ROWS rows.
 
     template holds one ``%d``, ``%.16e`` or ``%s`` field per column and no
-    other ``%``; columns are equally long 1-d arrays of ints, floats and
-    labels.  Each chunk is laid out as a byte matrix, one row per table row,
-    whose fields are NUL-padded to the chunk's widest; deleting the NULs
-    leaves the bytes of the ``%`` rendering.
+    other ``%``; columns are arrays of ints, floats and labels that broadcast
+    together, and the table's rows are their broadcast entries in C order,
+    taken in chunks along the leading axis, so a broadcast column is never
+    built in full.  Each chunk is laid out as a byte matrix, one row per
+    table row, whose fields are NUL-padded to the chunk's widest; deleting
+    the NULs leaves the bytes of the ``%`` rendering.
     """
     literals = [np.frombuffer(s.encode("ascii"), np.uint8) for s in _FIELD.split(template)]
     render = [_RENDER[field] for field in _FIELD.findall(template)]
-    total = len(columns[0])
-    for start in range(0, total, _CHUNK_ROWS):
-        stop = min(start + _CHUNK_ROWS, total)
-        fields = [fn(column[start:stop]) for fn, column in zip(render, columns)]
+    columns = np.broadcast_arrays(*columns)
+    shape = columns[0].shape
+    step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
+    for start in range(0, shape[0], step):
+        fields = [fn(column[start:start + step].ravel()) for fn, column in zip(render, columns)]
         width = sum(map(len, literals)) + sum(f.shape[1] for f in fields)
-        buf = np.empty((stop - start, width), np.uint8)
+        buf = np.empty((len(fields[0]), width), np.uint8)
         at = 0
         for literal, field in zip(literals, fields + [None]):
             buf[:, at:at + len(literal)] = literal
@@ -224,7 +227,9 @@ def _emit_rows(columns, indent: int):
 def _emit_json(value, indent: int = 0):
     """Yield the JSON text of value as ASCII byte chunks.  A tuple of numpy
     columns, such as the mixing ``tv_trace``, is a table: a list of rows,
-    rendered by :func:`_table`."""
+    rendered by :func:`_table`.  A non-finite float is written as
+    ``json.dumps`` writes it (NaN, Infinity, -Infinity), which ``json.loads``
+    reads back."""
     pad = "  " * indent
     if isinstance(value, tuple) and value and isinstance(value[0], np.ndarray):
         yield from _emit_rows(value, indent)
@@ -242,7 +247,7 @@ def _emit_json(value, indent: int = 0):
     elif isinstance(value, (int, np.integer)):
         yield str(int(value)).encode()
     elif isinstance(value, (float, np.floating)):
-        yield _fmt(value).encode()
+        yield (_fmt(value) if math.isfinite(value) else json.dumps(float(value))).encode()
     else:
         yield json.dumps(value).encode()
 
@@ -390,9 +395,9 @@ def cmd_simulate(args) -> int:
     if len(bad):
         raise NumericalCheckError(f"probabilities at t={bad[0]} sum to "
                                   f"{float(trajectory[bad[0]].sum())!r}, not 1")
-    t, x = np.divmod(np.arange(trajectory.size), config.n_nodes)
     _write(resolved["output"], b"t,x,p,method\n",
-           _table(f"%d,%d,%.16e,{resolved['method']}\n", (t, x, trajectory.ravel())))
+           _table(f"%d,%d,%.16e,{resolved['method']}\n",
+                  (np.arange(steps + 1)[:, None], np.arange(config.n_nodes), trajectory)))
     if args.manifest:
         _write_manifest(args.manifest, "simulate", resolved, [resolved["output"]])
     return 0
@@ -548,9 +553,12 @@ def build_parser() -> argparse.ArgumentParser:
     mix.set_defaults(handler=cmd_mixing)
 
     ver = commands.add_parser("verify", help="run the named property checks")
+    quick, full = PROFILES["quick"], PROFILES["default"]
     ver.add_argument("--quick", action="store_true",
-                     help="reduced sizes: about 0.45 s instead of about 1.1 s "
-                          "on a 2-core VM")
+                     help=f"reduced sizes: oracle walks up to N = {quick.oracle_max_nodes} "
+                          f"over {quick.oracle_max_steps} steps and {quick.random_tuples} "
+                          f"random pairs, instead of N = {full.oracle_max_nodes}, "
+                          f"{full.oracle_max_steps} steps and {full.random_tuples} pairs")
     ver.add_argument("--check", action="append", metavar="NAME",
                      help=f"run only the named check (repeatable); "
                           f"one of: {', '.join(CHECK_NAMES)}")

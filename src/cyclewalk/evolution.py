@@ -87,10 +87,11 @@ def _check_probabilities(probs: np.ndarray):
 def _check_density(rho: np.ndarray):
     """Hermitian and unit trace to 1e-11, PSD to -1e-9."""
     herm = np.abs(rho - rho.conj().T).max()
-    if herm > 1e-11:
+    # written as not (... <= ...) so that a NaN state fails before eigvalsh
+    if not herm <= 1e-11:
         raise NumericalCheckError(f"density operator not Hermitian: {herm:.3e}")
     tr = np.trace(rho)
-    if abs(tr - 1.0) > 1e-11:
+    if not abs(tr - 1.0) <= 1e-11:
         raise NumericalCheckError(f"density operator trace {complex(tr)!r}, not 1")
     min_eig = float(np.linalg.eigvalsh(rho).min())
     if min_eig < -1e-9:

@@ -118,16 +118,33 @@ def _keep_coherence(step):
     return lambda rho, mask, *args: step(rho, np.maximum(mask, 1e-4), *args)
 
 
+def _nan(fn):
+    """Every entry of the input NaN: a measure that drops NaN would pass."""
+    return lambda *args: fn(*args) * np.nan
+
+
 #: criterion -> (check it breaks, or None for the spectrum CLI summary;
 #: module and name of the input replaced; how the input is broken)
 _MUTANTS = {
+    "unitality": ("unitality", verify, "build_kraus_family",
+                  lambda fn: lambda rates: (1 + 1e-13) * fn(rates)),
     "closedform": ("closedform", verify, "superop_closed_form", _shift_first_entry),
+    "charpoly": ("charpoly", verify, "char_poly", lambda fn: lambda *a: fn(*a) + 1e-9),
+    "contraction-nan": ("contraction", verify, "superop_definitional", _nan),
     "oracle": ("oracle", verify, "fourier_trajectory",
                lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
     "oracle-density": ("oracle", evolution, "_density_step", _depolarise),
+    "oracle-nan": ("oracle", verify, "fourier_trajectory", _nan),
     "classical": ("classical", evolution, "_density_step", _keep_coherence),
+    "limits-nan": ("limits", verify, "fourier_trajectory", _nan),
+    # only the resolvent side of the identity takes L^tau from matrix_power
+    "geosum": ("geosum", np.linalg, "matrix_power",
+               lambda fn: lambda m, k: (1 + 1e-8) * fn(m, k)),
     "mixbound": ("mixbound", verify, "uniform_deviation_bound",
                  lambda fn: lambda *a: 0.0 * fn(*a)),
+    "mixbound-nan": ("mixbound", verify, "time_averaged_snapshots", _nan),
+    # a horizon 1000 times too short, so no crossing is found
+    "averaged": ("averaged", verify, "default_horizon", lambda fn: lambda *a: fn(*a) // 1000),
     "spectrum": ("spectrum", verify, "eigenvalues", _misplace_unit_eigenvalues),
     "spectrum-oracle": ("spectrum", verify, "superop_definitional",
                         lambda fn: lambda *a: 1.01 * fn(*a)),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from cyclewalk import _kernels
 from cyclewalk import (
     WalkConfig,
     coin_state,
@@ -22,6 +23,7 @@ from cyclewalk.analysis import (
     steps_to_uniform,
     time_averaged_snapshots,
 )
+from cyclewalk.core import NumericalCheckError
 from cyclewalk.evolution import _density_stack, position_marginal
 
 
@@ -176,6 +178,18 @@ def test_averaged_time_below_rejects_bad_horizon():
     for horizon in (0, -5):
         with pytest.raises(ValueError, match="horizon must be >= 1"):
             averaged_time_below(_cfg(5, 0.2), 0.01, horizon=horizon)
+
+
+@pytest.mark.parametrize("scan", [mixing_time_averaged, mixing_time_instantaneous,
+                                  averaged_time_below])
+def test_scans_reject_a_non_finite_trace(monkeypatch, scan):
+    # tv >= epsilon is false for NaN: an all-NaN trace would read as mixed at 1
+    def nan_after_two(matrices, v0, horizon, *args, **kwargs):
+        return np.array([1.0, 0.5, np.nan] + [0.0] * (horizon - 3)), 0.0
+
+    monkeypatch.setattr(_kernels, "tv_scan", nan_after_two)
+    with pytest.raises(NumericalCheckError, match=r"^non-finite total variation nan at step 3$"):
+        scan(_cfg(5, 0.3), 0.05, 40)
 
 
 def test_scans_reject_nonpositive_or_nonfinite_epsilon():

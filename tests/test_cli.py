@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cyclewalk import WalkConfig, classical_reference, coin_state, eigenvalues
-from cyclewalk import cli
+from cyclewalk import _kernels, cli, verify
 from cyclewalk.cli import _emit_json, main
 from cyclewalk.core import NumericalCheckError
 from cyclewalk.evolution import direct_trajectory, fourier_trajectory, position_marginal
@@ -63,6 +63,12 @@ def test_emit_json_golden_bytes():
     assert _json(_emit_payload(columns)) == _EMIT_EXPECTED
     empty = (np.empty(0, dtype=np.int64), np.empty(0))
     assert _json({"tv_trace": empty}) == '{\n  "tv_trace": []\n}'
+
+
+def test_emit_json_writes_non_finite_floats_as_json_dumps_does():
+    text = _json({"nan": np.nan, "inf": float("inf"), "minus_inf": np.float64(-np.inf)})
+    assert text == '{\n  "nan": NaN,\n  "inf": Infinity,\n  "minus_inf": -Infinity\n}'
+    assert json.loads(text)["minus_inf"] == -np.inf
 
 
 def test_simulate_shape_and_normalization(tmp_path, capsys):
@@ -359,6 +365,17 @@ def test_verify_subset_and_exit_code(tmp_path, capsys):
     assert report["all_passed"] is True
 
 
+def test_a_failing_verify_report_with_a_nan_measure_is_valid_json(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setattr(verify, "fourier_trajectory",
+                        lambda config, steps: np.full((steps + 1, config.n_nodes), np.nan))
+    out = tmp_path / "verify.json"
+    code, _, _ = _run(capsys, "verify", "--quick", "--check", "oracle", "--output", str(out))
+    assert code == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["passed"] is False and math.isnan(check["measure"])
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify", "--check", "nonsense")
     assert code == 2
@@ -423,6 +440,60 @@ def test_initial_coin_quadruple_renormalizes_with_warning(tmp_path, capsys):
             assert code == 2
             assert "finite" in err
             assert stdout == ""
+
+
+_SCAN = ("mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05",
+         "--horizon", "40")
+_SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
+
+
+@pytest.mark.parametrize("argv, expected", [
+    ((*_SIMULATE, "--config", "{tmp}/run.cfg"),
+     "{tmp}/run.cfg:2: expected key=value, got 'steps 3'"),
+    ((*_SIMULATE, "--initial-coin", "1,0,0"),
+     "initial coin must be one of ['balanced', 'down', 'up'] or re,im,re,im; got '1,0,0'"),
+    ((*_SIMULATE, "--initial-coin", "0,0,0,0"), "initial coin must be nonzero"),
+    ((*_SCAN, "--target", "final"),
+     "target must be 'averaged' or 'instantaneous', got 'final'"),
+    ((*_SCAN, "--bound", "always"), "bound must be 'auto', 'require' or 'off', got 'always'"),
+    ((*_SCAN, "--bound", "require", "--target", "instantaneous"),
+     "analytic bound unavailable: instantaneous target"),
+    ((*_SCAN, "--output", "{tmp}/mixing.json"),
+     {"nodes": 5, "decoherence": 0.3, "epsilon": 0.05, "target": "averaged", "horizon": 40,
+      "initial-coin": "up", "bound": "auto", "trace-stride": 1,
+      "output": "{tmp}/mixing.json"}),
+    (("verify", "--check", "unitality", "--check", "charpoly", "--output", "{tmp}/v.json"),
+     {"output": "{tmp}/v.json", "profile": "default", "checks": ["unitality", "charpoly"]}),
+    (("verify", "--quick", "--output", "{tmp}/v.json"),
+     {"output": "{tmp}/v.json", "profile": "quick", "checks": verify.CHECK_NAMES}),
+], ids=["config-line", "coin-parts", "zero-coin", "target", "bound", "bound-instantaneous",
+        "mixing-manifest", "verify-manifest", "verify-quick-manifest"])
+def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
+    """A bad option exits 2 with its message alone; a good run writes a
+    manifest that records its resolved settings."""
+    (tmp_path / "run.cfg").write_text("nodes=5\nsteps 3\n")
+    manifest = tmp_path / "manifest.json"
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    code, out, err = _run(capsys, *argv, "--manifest", str(manifest))
+    if isinstance(expected, str):
+        assert (code, out, err) == (2, "", f"error: {expected.format(tmp=tmp_path)}\n")
+        assert not manifest.exists()
+    else:
+        assert code == 0
+        data = json.loads(manifest.read_text())
+        assert data["command"] == argv[0]
+        assert data["settings"] == {key: value.format(tmp=tmp_path) if isinstance(value, str)
+                                    else value for key, value in expected.items()}
+
+
+def test_mixing_with_a_nan_trace_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(_kernels, "tv_scan",
+                        lambda matrices, v0, horizon, *a, **k: (np.full(horizon, np.nan), 0.0))
+    code, out, err = _run(capsys, *_SCAN, "--output", str(tmp_path / "mixing.json"),
+                          "--manifest", str(tmp_path / "manifest.json"))
+    assert (code, out) == (cli.NUMERICAL_ERROR, "")
+    assert err == "numerical assertion failed: non-finite total variation nan at step 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_manifest_contents(tmp_path, capsys):

@@ -137,32 +137,36 @@ def test_negative_time_rejected():
 
 
 @pytest.mark.parametrize("pair", [(1, 3), (3, 1)], ids=["not-evolved", "evolved"])
-@pytest.mark.parametrize("kind", ["real", "imaginary"])
+@pytest.mark.parametrize("kind", ["real", "imaginary", "nan"])
 def test_symmetry_guard_catches_one_perturbed_pair(monkeypatch, pair, kind):
     # (1, 3) has difference 3 > N//2 and is only read by the symmetry check;
     # (3, 1) has difference 2 and is evolved
     n = 5
     cfg = _cfg(n, 0.3, "balanced")
     assert _momentum_path(cfg, _kernels.distribution_trajectory, 3).shape == (4, n)
+    shift = {"real": 1e-6, "imaginary": 1e-6j, "nan": np.nan}[kind]
 
     def perturbed(config):
         matrices, d_index = all_pair_matrices(config)
         k, k_prime = pair
-        matrices[k * n + k_prime, 1, 2] += 1e-6 if kind == "real" else 1e-6j
+        matrices[k * n + k_prime, 1, 2] += shift
         return matrices, d_index
 
     monkeypatch.setattr(evolution, "all_pair_matrices", perturbed)
-    with pytest.raises(NumericalCheckError, match=r"pair symmetry defect 1\.000e-06"):
+    defect = "nan" if kind == "nan" else r"1\.000e-06"
+    with pytest.raises(NumericalCheckError, match=rf"^pair symmetry defect {defect} "):
         _momentum_path(cfg, _kernels.distribution_trajectory, 3)
 
 
 def test_symmetry_guard_catches_an_imaginary_initial_vector(monkeypatch):
     # every pair starts from this v0, so v0 - conj v0 of the conjugate pair
-    # is twice its imaginary part
-    monkeypatch.setattr(evolution, "pauli_decompose",
-                        lambda m: pauli_decompose(m) + [0, 1e-6j, 0, 0])
-    with pytest.raises(NumericalCheckError, match=r"pair symmetry defect 2\.000e-06"):
-        _momentum_path(_cfg(5, 0.3), _kernels.distribution_trajectory, 3)
+    # is twice its imaginary part; a NaN there is the second of the
+    # defect's three terms
+    for imag, defect in ((1e-6, r"2\.000e-06"), (np.nan, "nan")):
+        monkeypatch.setattr(evolution, "pauli_decompose",
+                            lambda m: pauli_decompose(m) + [0, complex(0.0, imag), 0, 0])
+        with pytest.raises(NumericalCheckError, match=rf"^pair symmetry defect {defect} "):
+            _momentum_path(_cfg(5, 0.3), _kernels.distribution_trajectory, 3)
 
 
 def _shift(n):
@@ -252,5 +256,8 @@ def test_density_operator_validation():
         _check_density(bad)
     with pytest.raises(NumericalCheckError, match="not Hermitian"):
         _check_density(np.array([[0.5, 1.0], [0.0, 0.5]], dtype=complex))
+    # a NaN state fails the Hermitian test, before eigvalsh could see it
+    with pytest.raises(NumericalCheckError, match=r"^density operator not Hermitian: nan$"):
+        _check_density(np.diag([np.nan, 1.0]).astype(complex))
     with pytest.raises(NumericalCheckError, match="trace"):
         _check_density(np.eye(2, dtype=complex))
