@@ -251,9 +251,13 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
 
     Only meaningful where I - L is invertible: raises ValueError when the
     condition number of any I - L exceeds 1e12, as on the diagonal pairs
-    k = k', whose map has a fixed point.
+    k = k', whose map has a fixed point.  A stack with a NaN or infinite
+    entry has no condition number (its SVD does not converge), and its
+    deviation is NaN.
     """
     _check_count("tau", tau, 1)
+    if not np.isfinite(matrix).all():
+        return float("nan")
     eye = np.eye(4, dtype=np.complex128)
     cond = np.linalg.cond(eye - matrix)
     if not np.all(cond <= 1e12):

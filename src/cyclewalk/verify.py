@@ -23,7 +23,8 @@ from .analysis import (
     uniform_deviation_bound,
     verify_geometric_sum,
 )
-from .core import WalkConfig, build_kraus_family, coin_state, pauli_compose, pauli_decompose
+from .core import (NumericalCheckError, WalkConfig, build_kraus_family, coin_state,
+                   pauli_compose, pauli_decompose)
 from .evolution import _classical_step, _density_marginals, fourier_trajectory
 from .fourier import _pair_momenta, superop_closed_form, superop_definitional
 from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
@@ -141,10 +142,14 @@ def check_charpoly(profile: VerifyProfile):
 
 def check_spectrum(profile: VerifyProfile):
     nodes = range(3, profile.spectrum_max_nodes + 1)
-    structures = [spectral_structure(eigenvalues(
-        superop_definitional(*_pair_momenta(n), n, p), n), n, p)
-        for n in nodes for p in (0.1, 0.3, 0.5, 0.9)]
-    radius = np.max([structure["max_radius"] for structure in structures])
+    try:
+        structures = [spectral_structure(eigenvalues(
+            superop_definitional(*_pair_momenta(n), n, p), n), n, p)
+            for n in nodes for p in (0.1, 0.3, 0.5, 0.9)]
+        radius = np.max([structure["max_radius"] for structure in structures])
+    except NumericalCheckError:
+        # the eigensolver cannot take a stack with a NaN entry: there is no radius
+        structures, radius = [], np.nan
     # spectral_structure's verdicts bound the radius; the measure only has to be a number
     return _result("spectrum", 4 * sum(n * n for n in nodes), radius - 1.0, np.inf,
                    "unit disk, +-1 placement and multiplicity over all pairs; "

@@ -140,6 +140,7 @@ _MUTANTS = {
     # only the resolvent side of the identity takes L^tau from matrix_power
     "geosum": ("geosum", np.linalg, "matrix_power",
                lambda fn: lambda m, k: (1 + 1e-8) * fn(m, k)),
+    "geosum-nan": ("geosum", verify, "superop_definitional", _nan),
     "mixbound": ("mixbound", verify, "uniform_deviation_bound",
                  lambda fn: lambda *a: 0.0 * fn(*a)),
     "mixbound-nan": ("mixbound", verify, "time_averaged_snapshots", _nan),
@@ -148,6 +149,7 @@ _MUTANTS = {
     "spectrum": ("spectrum", verify, "eigenvalues", _misplace_unit_eigenvalues),
     "spectrum-oracle": ("spectrum", verify, "superop_definitional",
                         lambda fn: lambda *a: 1.01 * fn(*a)),
+    "spectrum-nan": ("spectrum", verify, "superop_definitional", _nan),
     "spectrum-summary": (None, cli, "eigenvalues", _misplace_unit_eigenvalues),
     "spectrum-stray": ("spectrum", verify, "eigenvalues", _stray_unit_eigenvalue),
     "spectrum-summary-stray": (None, cli, "eigenvalues", _stray_unit_eigenvalue),

@@ -300,6 +300,14 @@ def test_geometric_sum_stack_equals_per_matrix_calls(tau):
     assert verify_geometric_sum(stack.reshape(2, 3, 4, 4), tau) == max(singles)
 
 
+def test_geometric_sum_of_a_nan_stack_is_nan():
+    # np.linalg.cond cannot take it (its SVD does not converge)
+    stack = _pair_stack([(7, 1, 3, 0.4), (9, 8, 1, 0.2)])
+    stack[1, 2, 3] = np.nan
+    assert np.isnan(verify_geometric_sum(stack, 10))
+    assert np.isnan(verify_geometric_sum(np.full((4, 4), np.inf), 1))
+
+
 def test_geometric_sum_stack_rejects_any_diagonal_pair():
     stack = _pair_stack([(7, 1, 3, 0.4), (5, 2, 2, 0.4), (9, 8, 1, 0.2)])
     with pytest.raises(ValueError, match="invertible"):

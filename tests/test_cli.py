@@ -376,6 +376,27 @@ def test_a_failing_verify_report_with_a_nan_measure_is_valid_json(tmp_path, caps
     assert check["passed"] is False and math.isnan(check["measure"])
 
 
+def test_nan_pair_matrices_fail_geosum_and_spectrum_with_a_nan_measure(tmp_path, capsys,
+                                                                     monkeypatch):
+    # the SVD behind geosum's condition number and the eigensolver behind
+    # spectrum both reject NaN; the checks report it, the spectrum command exits 3
+    build = verify.superop_definitional
+    monkeypatch.setattr(verify, "superop_definitional", lambda *a: build(*a) * np.nan)
+    monkeypatch.setattr(cli, "all_pair_matrices",
+                        lambda config: (all_pair_matrices(config)[0] * np.nan, None))
+    out = tmp_path / "verify.json"
+    code, _, _ = _run(capsys, "verify", "--quick", "--check", "geosum", "--check", "spectrum",
+                      "--output", str(out))
+    assert code == 1
+    checks = json.loads(out.read_text())["checks"]
+    assert [c["name"] for c in checks] == ["spectrum", "geosum"]
+    assert all(c["passed"] is False and math.isnan(c["measure"]) for c in checks)
+    code, _, err = _run(capsys, "spectrum", "--nodes", "5", "--decoherence", "0.3",
+                        "--output", str(tmp_path / "spectrum.csv"))
+    assert code == cli.NUMERICAL_ERROR
+    assert "eigensolver failed on the pair stack (N=5)" in err
+
+
 def test_verify_unknown_check_is_usage_error(capsys):
     code, _, err = _run(capsys, "verify", "--check", "nonsense")
     assert code == 2

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from cyclewalk import _kernels, evolution
+from cyclewalk import _kernels, evolution, verify
 from cyclewalk import (
     NumericalCheckError,
     WalkConfig,
@@ -22,6 +22,10 @@ from cyclewalk.fourier import all_pair_matrices
 
 def _cfg(n, p, coin="up"):
     return WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
+
+
+_CUSTOM_COIN = np.array([0.6 + 0.28j, -0.3 + 0.68j])
+_CUSTOM_COIN /= np.linalg.norm(_CUSTOM_COIN)
 
 
 def _direct(config, t):
@@ -203,10 +207,8 @@ def test_direct_step_matches_walk_unitary_and_kraus_form(n, p, coin):
 
 @pytest.mark.parametrize("n", [2, 3, 8, 9])
 def test_density_stack_equals_single_configuration_runs(n):
-    custom = np.array([0.6 + 0.28j, -0.3 + 0.68j])
-    custom /= np.linalg.norm(custom)
     configs = [_cfg(n, p, coin) for p in (0.0, 0.37, 1.0)
-               for coin in ("up", "balanced", custom)]
+               for coin in ("up", "balanced", _CUSTOM_COIN)]
     singles = [list(direct_trajectory(cfg, 25)) for cfg in configs]
     for t, stack in enumerate(evolution._density_stack(configs, 25)):
         for c, single in enumerate(singles):
@@ -215,6 +217,69 @@ def test_density_stack_equals_single_configuration_runs(n):
     assert marginals.shape == (len(configs), 26, n)
     for c, single in enumerate(singles):
         assert np.array_equal(marginals[c], [position_marginal(rho).probs for rho in single])
+
+
+def _gather_step(rho, mask, src, sign):
+    """The oracle step as one row and one column gather of V on a complex
+    (C, 2N, 2N) stack and an exact halving: the reference the BLAS step
+    must reproduce bit for bit."""
+    rho = rho * mask
+    rho = rho[:, src] + sign[:, None] * rho[:, src + 1]
+    rho = rho[:, :, src] + sign * rho[:, :, src + 1]
+    rho *= 0.5
+    return rho
+
+
+def _gather_stack(configs, t):
+    """Yield the complex stacks rho_c(0), ..., rho_c(t) of _gather_step."""
+    n = configs[0].n_nodes
+    x, coin = np.divmod(np.arange(2 * n), 2)
+    # (V r)[2x] = r[2(x-1)] + r[2(x-1)+1] and (V r)[2x+1] = r[2(x+1)] - r[2(x+1)+1]
+    src = 2 * ((x - 1 + 2 * coin) % n)
+    sign = 1.0 - 2.0 * coin
+    rates = np.array([config.decoherence_rate for config in configs])
+    mask = np.where(coin[:, None] == coin, 1.0, 1.0 - rates[:, None, None])
+    rho = np.stack([evolution._initial_density(config) for config in configs])
+    yield rho
+    for _ in range(t):
+        rho = _gather_step(rho, mask, src, sign)
+        yield rho
+
+
+def _gather_marginals(configs, t):
+    """_density_marginals read from _gather_stack."""
+    diag = np.stack([np.diagonal(rho, axis1=1, axis2=2).real
+                     for rho in _gather_stack(configs, t)], axis=1)
+    probs = diag[..., 0::2] + diag[..., 1::2]
+    evolution._check_probabilities(probs)
+    return probs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 7, 12, 24, 49])
+def test_blas_step_is_bit_identical_to_the_gather_step(n):
+    steps = 60
+    configs = [_cfg(n, p, coin) for p in (0.0, 0.1, 0.5, 1.0)
+               for coin in ("up", "balanced", _CUSTOM_COIN)]
+    assert np.array_equal(evolution._density_marginals(configs, steps),
+                          _gather_marginals(configs, steps))
+    for stack, reference in zip(evolution._density_stack(configs, steps),
+                                _gather_stack(configs, steps), strict=True):
+        assert np.array_equal(stack, reference)
+    for config in configs:
+        for rho, (reference,) in zip(direct_trajectory(config, steps),
+                                     _gather_stack([config], steps), strict=True):
+            assert np.array_equal(rho, reference)
+
+
+@pytest.mark.parametrize("name", ["oracle", "classical"])
+def test_oracle_reports_are_those_of_the_gather_step(monkeypatch, name):
+    check = getattr(verify, f"check_{name}")
+    report = check(verify.PROFILES["quick"])
+    calls = []
+    monkeypatch.setattr(verify, "_density_marginals",
+                        lambda configs, t: calls.append(t) or _gather_marginals(configs, t))
+    assert check(verify.PROFILES["quick"]) == report
+    assert calls
 
 
 def test_density_marginals_are_validated(monkeypatch):

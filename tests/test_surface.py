@@ -150,6 +150,14 @@ def test_mixing_scans_share_one_driver():
     assert not hasattr(_kernels, "_averages")
 
 
+def test_density_step_takes_rho_and_mask_first():
+    # the oracle-density and classical acceptance mutants wrap the step as
+    # step(rho, mask, *args) and change only those two
+    from cyclewalk import evolution
+
+    assert list(inspect.signature(evolution._density_step).parameters)[:2] == ["rho", "mask"]
+
+
 def test_benchmark_verify_checks_match_the_package(perfbench):
     checks, _ = perfbench
     assert list(checks.VERIFY_CHECKS) == verify.CHECK_NAMES
