@@ -51,24 +51,26 @@ class MixingReport:
     tv_trace[i] is the total variation at tau = i + 1 (averaged target) or at
     t = i + 1 (instantaneous target).  mixing_time is the largest scanned tau
     with TV(tau) >= epsilon, so TV < epsilon at every later scanned tau; it
-    is 1 when no scanned tau reaches epsilon.  When that tau is the horizon,
-    mixing_time is None and converged is False, else converged is True.
+    is 1 when no scanned tau reaches epsilon, and None when it is the horizon.
     """
 
     epsilon: float
     mixing_time: int | None
     tv_trace: np.ndarray
     horizon: int
-    converged: bool
     bound_value: float | None = None
+
+    @property
+    def converged(self) -> bool:
+        return self.mixing_time is not None
 
     def trace_cells(self, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
         """Every stride-th (t, tv) pair (stride >= 1) as two columns, the
         int times and their float TV values; the final entry is always
-        kept."""
+        kept, and a stride beyond the trace gives its first and last."""
         _check_count("stride", stride, 1)
-        stride = int(stride)
         last = len(self.tv_trace)
+        stride = min(int(stride), max(last, 1))
         times = np.arange(1, last + 1, stride)
         if len(times) and times[-1] != last:
             times = np.append(times, last)
@@ -163,9 +165,9 @@ def _scan(config: WalkConfig, epsilon: float, horizon: int | None, mode: int,
                                   f"at step {bad[0] + 1}")
     above = np.flatnonzero(tv >= epsilon)
     last = int(above[-1]) + 1 if len(above) else 1
-    converged = len(above) == 0 or last < horizon
-    return MixingReport(epsilon=float(epsilon), mixing_time=last if converged else None,
-                        tv_trace=tv, horizon=int(horizon), converged=converged)
+    return MixingReport(epsilon=float(epsilon),
+                        mixing_time=None if len(above) and last >= horizon else last,
+                        tv_trace=tv, horizon=int(horizon))
 
 
 def mixing_time_averaged(config: WalkConfig, epsilon: float,
@@ -272,15 +274,15 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     return float(np.abs(explicit - resolvent).max())
 
 
-def steps_to_uniform(config: WalkConfig, tol: float = 1e-6) -> int:
-    """Step count T with r^T <= tol / N^2, r the measured non-persistent
+def steps_to_uniform(config: WalkConfig) -> int:
+    """Step count T with r^T <= 1e-6 / N^2, r the measured non-persistent
     spectral radius: an estimate, not a bound, since it ignores the
     non-normality of the pair matrices (the defective pairs at p = 0.5, say),
-    so nothing certifies P past T within tol of its limit.  Requires p > 0."""
+    so nothing certifies P past T within 1e-6 of its limit.  Requires p > 0."""
     if config.decoherence_rate == 0.0:
         raise ValueError("no decay at p = 0; the distribution keeps oscillating")
     radius = 1.0 - spectral_gap(config)
     if radius <= 0.0:
         return 1
     n = config.n_nodes
-    return max(1, math.ceil(math.log(tol / (n * n)) / math.log(radius)))
+    return max(1, math.ceil(math.log(1e-6 / (n * n)) / math.log(radius)))

@@ -254,12 +254,13 @@ def _emit_json(value, indent: int = 0):
 
 def _check_writable(*paths):
     """Raise now the OSError that writing any of paths ('-' and empty paths
-    aside) would raise once the work is done; no file is changed, and none
-    is left behind.  A named pipe or device is not opened before it is
-    written: opening a pipe waits for a reader, and closing it ends one."""
+    aside) would raise once the work is done, or a ValueError if two name one
+    file; no file is changed or left behind.  A named pipe or device is not
+    opened early: opening a pipe waits for a reader, and closing it ends one."""
+    paths = [path for path in paths if path and path != "-"]
+    if len({os.path.realpath(path) for path in paths}) < len(paths):
+        raise ValueError(f"two destinations name the same file: {', '.join(paths)}")
     for path in paths:
-        if not path or path == "-":
-            continue
         try:
             with open(path, "xb"):
                 pass
@@ -417,12 +418,12 @@ def cmd_spectrum(args) -> int:
                         decoherence_rate=resolved["decoherence"])
     _check_writable(resolved["output"], resolved["summary"], args.manifest)
     n, p = config.n_nodes, config.decoherence_rate
-    spectra = eigenvalues(all_pair_matrices(config)[0], n)
+    spectra = eigenvalues(all_pair_matrices(config)[0])
     # one row per pair: k, k', class, radius, then re, im of each eigenvalue
     columns = (*_pair_momenta(n), spectra.classification, spectra.spectral_radius,
                *spectra.eigenvalues.view(np.float64).T)
     summary = {"nodes": n, "decoherence": p, "pairs": n * n,
-               **spectral_structure(spectra, n, p)}
+               **spectral_structure(spectra, p)}
     _write(resolved["output"], b"k,k_prime,classification,spectral_radius,"
            b"eig1_re,eig1_im,eig2_re,eig2_im,eig3_re,eig3_im,eig4_re,eig4_im\n",
            _table("%d,%d,%s" + ",%.16e" * 9 + "\n", columns))

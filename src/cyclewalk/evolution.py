@@ -200,18 +200,17 @@ def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
 def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     """t steps of the classical +-1 chain (probability 1/2 each) from node 0;
     the p = 1 walk's position marginal must match this exactly."""
+    return PositionDistribution(probs=_classical_chain(n_nodes, t)[-1])
+
+
+def _classical_chain(n_nodes: int, t: int) -> np.ndarray:
+    """Steps 0..t of the classical +-1 chain from node 0, shape (t+1, N): a step
+    sends half of each node's mass each way (np.roll, without its call cost)."""
     _check_momenta(n_nodes)
     _check_count("t", t, 0)
-    probs = np.zeros(int(n_nodes))
-    probs[0] = 1.0
-    for _ in range(int(t)):
-        probs = _classical_step(probs)
-    return PositionDistribution(probs=probs)
-
-
-def _classical_step(probs: np.ndarray) -> np.ndarray:
-    """One step of the classical +-1 chain: half of each node's mass moves
-    forward, half backward (np.roll's result, without its per-call cost)."""
-    forward = np.concatenate((probs[-1:], probs[:-1]))
-    backward = np.concatenate((probs[1:], probs[:1]))
-    return 0.5 * forward + 0.5 * backward
+    chain = np.zeros((int(t) + 1, int(n_nodes)))
+    chain[0, 0] = 1.0
+    for before, after in zip(chain, chain[1:]):
+        after[:] = (0.5 * np.concatenate((before[-1:], before[:-1]))
+                    + 0.5 * np.concatenate((before[1:], before[:1])))
+    return chain

@@ -12,14 +12,15 @@ k*N + k'), diagonalises it in one call and returns one
 Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
 (exactly on diagonal pairs k = k') and -1 (exactly on antipodal pairs
-|k' - k| = N/2, even N).  All other pairs decay geometrically; the spectral
-gap of the walk is taken over those non-persistent pairs.  Only
-:func:`spectral_structure` rules on this structure, for the ``spectrum``
-summary, the ``spectrum`` verify check and :func:`spectral_gap` alike.
+|k' - k| = N/2, even N); all other pairs decay, and the spectral gap is taken
+over them.  Only :func:`spectral_structure` rules on this structure, for the
+``spectrum`` summary and check and :func:`spectral_gap`, by one rule: within
+UNIT_MODULUS_TOL of +1, of -1 or of |z| = 1 is +1, -1 or unit modulus.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,9 +58,13 @@ class SpectrumReport:
 
     eigenvalues: np.ndarray
     spectral_radius: np.ndarray
-    has_unit_eigenvalue: np.ndarray
-    has_minus_one: np.ndarray
     classification: np.ndarray
+
+
+def _unit_flags(eig: np.ndarray):
+    """The one +-1 rule: masks of eig within UNIT_MODULUS_TOL of +1, -1 and |z| = 1."""
+    return tuple(np.abs(gap) < UNIT_MODULUS_TOL
+                 for gap in (eig - 1.0, eig + 1.0, np.abs(eig) - 1.0))
 
 
 def classify_pair(k, k_prime, n_nodes: int):
@@ -96,19 +101,19 @@ def char_poly(k, k_prime, n_nodes, rate) -> np.ndarray:
         1.0, q * cp - cm, -2.0 * q * cp * cm, q * (cp - q * cm), q * q), axis=-1)
 
 
-def eigenvalues(matrices: np.ndarray, n_nodes: int) -> SpectrumReport:
+def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
     """Spectra of an (N^2, 4, 4) stack laid out as
     :func:`~cyclewalk.fourier.all_pair_matrices` lays it out (pair (k, k')
-    at row k*N + k'), from one batched eigensolve, as one
-    :class:`SpectrumReport` with one entry per row.
+    at row k*N + k', N read from the stack; any other shape raises
+    ValueError), from one batched eigensolve, as one :class:`SpectrumReport`.
 
     Each row of eigenvalues is put in canonical order, by real part and then
     by imaginary part, both keys rounded to 9 decimals (the values are not),
     so equal spectra give equal rows whatever order the eigensolver returned.
     """
+    n_nodes = math.isqrt(len(matrices))
     if matrices.shape != (n_nodes * n_nodes, 4, 4):
-        raise ValueError(f"expected an ({n_nodes * n_nodes}, 4, 4) pair stack, "
-                         f"got shape {matrices.shape}")
+        raise ValueError(f"expected an (N^2, 4, 4) pair stack, got shape {matrices.shape}")
     try:
         eig = np.linalg.eigvals(matrices)
     except np.linalg.LinAlgError as exc:
@@ -120,26 +125,24 @@ def eigenvalues(matrices: np.ndarray, n_nodes: int) -> SpectrumReport:
     return SpectrumReport(
         eigenvalues=eig,
         spectral_radius=np.abs(eig).max(axis=1),
-        has_unit_eigenvalue=np.abs(eig - 1.0).min(axis=1) < UNIT_MODULUS_TOL,
-        has_minus_one=np.abs(eig + 1.0).min(axis=1) < UNIT_MODULUS_TOL,
         classification=classify_pair(*_pair_momenta(n_nodes), n_nodes))
 
 
-def spectral_structure(spectra: SpectrumReport, n_nodes: int, rate: float) -> dict:
-    """The ``spectrum`` summary record of one walk's pair stack at cycle length
-    N and rate p: class counts, largest radii and the VERDICTS.  All radii lie
-    in the unit disk, generic ones below 1 (p > 0); for 0 < p < 1, +1 and -1
-    sit by class, -1 never double, and no other eigenvalue has unit modulus."""
+def spectral_structure(spectra: SpectrumReport, rate: float) -> dict:
+    """The ``spectrum`` summary record of one walk's pair stack at rate p:
+    class counts, largest radii and the VERDICTS.  All radii lie in the unit
+    disk, generic ones below 1 (p > 0); for 0 < p < 1, +1 and -1 sit by class,
+    -1 never double, and no other eigenvalue has unit modulus."""
     classes, radius, eig = spectra.classification, spectra.spectral_radius, spectra.eigenvalues
-    k, k_prime = _pair_momenta(n_nodes)
+    n = math.isqrt(len(eig))
     # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
-    slope = char_poly(k, k_prime, n_nodes, rate)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
-    stray_unit = ((np.abs(np.abs(eig) - 1.0) < UNIT_MODULUS_TOL)
-                  & (np.minimum(np.abs(eig - 1.0), np.abs(eig + 1.0)) > 1e-8))
+    slope = char_poly(*_pair_momenta(n), n, rate)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
+    plus, minus, unit = _unit_flags(eig)
+    has_minus = minus.any(axis=1)
     # +1 off the diagonal pairs, -1 off the antipodal ones, stray unit moduli, double -1s
-    misplaced = ((spectra.has_unit_eigenvalue != (classes == CLASS_DIAGONAL))
-                 | (spectra.has_minus_one != (classes == CLASS_ANTIPODAL))
-                 | stray_unit.any(axis=1) | (spectra.has_minus_one & (np.abs(slope) <= 1e-10)))
+    misplaced = ((plus.any(axis=1) != (classes == CLASS_DIAGONAL))
+                 | (has_minus != (classes == CLASS_ANTIPODAL))
+                 | (unit & ~plus & ~minus).any(axis=1) | (has_minus & (np.abs(slope) <= 1e-10)))
     checked = bool(0.0 < rate < 1.0)
     max_radius = float(radius.max())
     max_radius_generic = float(radius.max(where=classes == CLASS_GENERIC, initial=0.0))
@@ -166,8 +169,7 @@ def spectral_gap(config: WalkConfig) -> float:
     the other pairs too, so there is no decay: the gap is 0.0, returned
     without an eigensolve.
     """
-    n, p = config.n_nodes, config.decoherence_rate
-    if p == 0.0:
+    if config.decoherence_rate == 0.0:
         return 0.0
-    spectra = eigenvalues(all_pair_matrices(config)[0], n)
-    return 1.0 - spectral_structure(spectra, n, p)["max_radius_generic"]
+    spectra = eigenvalues(all_pair_matrices(config)[0])
+    return 1.0 - spectral_structure(spectra, config.decoherence_rate)["max_radius_generic"]

@@ -25,7 +25,7 @@ from .analysis import (
 )
 from .core import (NumericalCheckError, WalkConfig, build_kraus_family, coin_state,
                    pauli_compose, pauli_decompose)
-from .evolution import _classical_step, _density_marginals, fourier_trajectory
+from .evolution import _classical_chain, _density_marginals, fourier_trajectory
 from .fourier import _pair_momenta, superop_closed_form, superop_definitional
 from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
 
@@ -144,7 +144,7 @@ def check_spectrum(profile: VerifyProfile):
     nodes = range(3, profile.spectrum_max_nodes + 1)
     try:
         structures = [spectral_structure(eigenvalues(
-            superop_definitional(*_pair_momenta(n), n, p), n), n, p)
+            superop_definitional(*_pair_momenta(n), n, p)), p)
             for n in nodes for p in (0.1, 0.3, 0.5, 0.9)]
         radius = np.max([structure["max_radius"] for structure in structures])
     except NumericalCheckError:
@@ -200,11 +200,7 @@ def check_classical(profile: VerifyProfile):
     deviations = []
     for n in range(2, profile.oracle_max_nodes + 1):
         (marginals,) = _density_marginals([_config(n, 1.0)], steps)
-        # the chain is stepped alongside the walk, as classical_reference steps it
-        chain = [np.eye(n)[0]]
-        for _ in range(steps):
-            chain.append(_classical_step(chain[-1]))
-        deviations.append(np.max(np.abs(marginals - np.stack(chain))))
+        deviations.append(np.max(np.abs(marginals - _classical_chain(n, steps))))
     return _result("classical", len(deviations), np.max(deviations), 1e-12,
                    "p=1 marginals vs the +-1/2 chain, tol 1e-12")
 
@@ -214,7 +210,7 @@ def check_limits(profile: VerifyProfile):
     for n in profile.limit_nodes:
         for p in profile.limit_rates:
             cfg = _config(n, p)
-            t_star = steps_to_uniform(cfg, tol=1e-6)
+            t_star = steps_to_uniform(cfg)
             # even cycles alternate between two limits: check one of each
             times = (t_star,) if n % 2 else (t_star, t_star + 1)
             traj = fourier_trajectory(cfg, times[-1])

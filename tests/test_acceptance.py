@@ -14,7 +14,7 @@ from cyclewalk import cli, evolution, verify
 from cyclewalk.analysis import limiting_distribution, steps_to_uniform
 from cyclewalk.core import WalkConfig
 from cyclewalk.evolution import position_marginal
-from cyclewalk.spectral import CLASS_GENERIC
+from cyclewalk.spectral import CLASS_DIAGONAL, CLASS_GENERIC
 
 PROFILE = verify.PROFILES["default"]
 MIXBOUND_PROFILE = dataclasses.replace(
@@ -40,7 +40,7 @@ def test_acceptance_instantaneous_limits():
     worst = 0.0
     for n, p in ((3, 0.5), (4, 0.5)):
         cfg = WalkConfig(n_nodes=n, decoherence_rate=p)
-        t_star = steps_to_uniform(cfg, tol=1e-6)
+        t_star = steps_to_uniform(cfg)
         *_, (rho,) = evolution._density_stack([cfg], t_star)
         direct = position_marginal(rho)
         limit = limiting_distribution(cfg, "odd" if t_star % 2 else "even")
@@ -78,21 +78,30 @@ def _shift_first_entry(build):
 
 
 def _misplace_unit_eigenvalues(eigenvalues):
-    def misplaced(matrices, n_nodes):
-        r = eigenvalues(matrices, n_nodes)
-        return dataclasses.replace(r, has_unit_eigenvalue=~r.has_unit_eigenvalue)
+    """The +1 eigenvalue of every diagonal pair moved to 1 - 1e-6, so that no
+    pair has +1 and none has another unit modulus."""
+    def misplaced(matrices):
+        r = eigenvalues(matrices)
+        eig = r.eigenvalues.copy()
+        eig[(r.classification == CLASS_DIAGONAL)[:, None] & (np.abs(eig - 1.0) < 1e-6)] -= 1e-6
+        return dataclasses.replace(r, eigenvalues=eig)
     return misplaced
 
 
-def _stray_unit_eigenvalue(eigenvalues):
-    """One generic pair's eigenvalue set to 1j, a unit modulus away from +-1;
-    its radius and +-1 flags stay as they were."""
-    def strayed(matrices, n_nodes):
-        r = eigenvalues(matrices, n_nodes)
-        eig = r.eigenvalues.copy()
-        eig[np.flatnonzero(r.classification == CLASS_GENERIC)[0], 0] = 1j
-        return dataclasses.replace(r, eigenvalues=eig)
-    return strayed
+def _generic_eigenvalue(value):
+    """One generic pair's eigenvalue set to value; its radius stays as it was."""
+    def mutate(eigenvalues):
+        def strayed(matrices):
+            r = eigenvalues(matrices)
+            eig = r.eigenvalues.copy()
+            eig[np.flatnonzero(r.classification == CLASS_GENERIC)[0], 0] = value
+            return dataclasses.replace(r, eigenvalues=eig)
+        return strayed
+    return mutate
+
+
+#: A unit modulus 5e-9 from +1: neither +1 nor -1 under the one +-1 rule.
+_SEAM = (1 - 5e-10) * np.exp(5e-9j)
 
 
 def _spectrum_summary_placement_ok(tmp_path):
@@ -151,8 +160,10 @@ _MUTANTS = {
                         lambda fn: lambda *a: 1.01 * fn(*a)),
     "spectrum-nan": ("spectrum", verify, "superop_definitional", _nan),
     "spectrum-summary": (None, cli, "eigenvalues", _misplace_unit_eigenvalues),
-    "spectrum-stray": ("spectrum", verify, "eigenvalues", _stray_unit_eigenvalue),
-    "spectrum-summary-stray": (None, cli, "eigenvalues", _stray_unit_eigenvalue),
+    "spectrum-stray": ("spectrum", verify, "eigenvalues", _generic_eigenvalue(1j)),
+    "spectrum-summary-stray": (None, cli, "eigenvalues", _generic_eigenvalue(1j)),
+    "spectrum-seam": ("spectrum", verify, "eigenvalues", _generic_eigenvalue(_SEAM)),
+    "spectrum-summary-seam": (None, cli, "eigenvalues", _generic_eigenvalue(_SEAM)),
 }
 
 

@@ -149,6 +149,11 @@ def test_trace_cells_thins_and_rejects_nonpositive_stride():
     for stride in (0, -3):
         with pytest.raises(ValueError, match=r"^stride must be >= 1, got -?\d+$"):
             report.trace_cells(stride)
+    # a stride past the trace keeps its first and last entries
+    for stride in (10, 11, 2**63, 10**30):
+        times, values = report.trace_cells(stride)
+        assert times.tolist() == [1, 10]
+        assert values.tolist() == report.tv_trace[[0, 9]].tolist()
 
 
 def test_instantaneous_mixing_even_cycle_with_parity_target():
@@ -329,7 +334,7 @@ def test_steps_to_uniform_reaches_tolerance():
     from cyclewalk import fourier_trajectory
 
     cfg = _cfg(3, 0.5)
-    t_star = steps_to_uniform(cfg, tol=1e-6)
+    t_star = steps_to_uniform(cfg)
     dist = fourier_trajectory(cfg, t_star)[t_star]
     assert np.abs(dist - 1.0 / 3).max() < 1e-6
     with pytest.raises(ValueError):

@@ -240,7 +240,7 @@ def test_spectrum_rows_match_per_cell_formatting(tmp_path, capsys):
     code, _, _ = _run(capsys, "spectrum", "--nodes", str(n), "--decoherence", str(p),
                       "--output", str(out))
     assert code == 0
-    spectra = eigenvalues(all_pair_matrices(WalkConfig(n_nodes=n, decoherence_rate=p))[0], n)
+    spectra = eigenvalues(all_pair_matrices(WalkConfig(n_nodes=n, decoherence_rate=p))[0])
     lines = out.read_text().split("\n")
     assert lines[0].startswith("k,k_prime,classification,spectral_radius,eig1_re")
     assert lines[-1] == "" and len(lines) == n * n + 2
@@ -333,6 +333,15 @@ def test_mixing_rejects_nonfinite_epsilon_and_nonpositive_stride(capsys):
         assert code == 2
         assert "trace-stride" in err
         assert out == ""
+
+
+def test_mixing_stride_past_the_horizon_gives_the_rows_of_the_horizon(capsys):
+    scan = ("mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05",
+            "--horizon", "50", "--trace-stride")
+    code, expected, _ = _run(capsys, *scan, "50")
+    assert code == 0
+    for stride in (str(2**63), str(10**30)):
+        assert _run(capsys, *scan, stride) == (0, expected, "")
 
 
 def test_mixing_coherent_even_cycle_instantaneous_does_not_converge(tmp_path, capsys):
@@ -479,6 +488,11 @@ _SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
     ((*_SCAN, "--bound", "always"), "bound must be 'auto', 'require' or 'off', got 'always'"),
     ((*_SCAN, "--bound", "require", "--target", "instantaneous"),
      "analytic bound unavailable: instantaneous target"),
+    ((*_SIMULATE, "--output", "{tmp}/manifest.json"),
+     "two destinations name the same file: {tmp}/manifest.json, {tmp}/manifest.json"),
+    (("spectrum", "--nodes", "5", "--decoherence", "0.3", "--output", "{tmp}/dup.txt",
+      "--summary", "{tmp}/./dup.txt"),
+     "two destinations name the same file: {tmp}/dup.txt, {tmp}/./dup.txt, {tmp}/manifest.json"),
     ((*_SCAN, "--output", "{tmp}/mixing.json"),
      {"nodes": 5, "decoherence": 0.3, "epsilon": 0.05, "target": "averaged", "horizon": 40,
       "initial-coin": "up", "bound": "auto", "trace-stride": 1,
@@ -488,7 +502,7 @@ _SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
     (("verify", "--quick", "--output", "{tmp}/v.json"),
      {"output": "{tmp}/v.json", "profile": "quick", "checks": verify.CHECK_NAMES}),
 ], ids=["config-line", "coin-parts", "zero-coin", "target", "bound", "bound-instantaneous",
-        "mixing-manifest", "verify-manifest", "verify-quick-manifest"])
+        "simulate-output-is-manifest", "spectrum-output-is-summary", "mixing-manifest", "verify-manifest", "verify-quick-manifest"])
 def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
     """A bad option exits 2 with its message alone; a good run writes a
     manifest that records its resolved settings."""
@@ -498,7 +512,7 @@ def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
     code, out, err = _run(capsys, *argv, "--manifest", str(manifest))
     if isinstance(expected, str):
         assert (code, out, err) == (2, "", f"error: {expected.format(tmp=tmp_path)}\n")
-        assert not manifest.exists()
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
     else:
         assert code == 0
         data = json.loads(manifest.read_text())
@@ -624,8 +638,8 @@ def test_a_numerical_failure_leaves_the_files_it_always_left(tmp_path, capsys, m
     def failing(*args, **kwargs):
         raise NumericalCheckError("pair symmetry defect")
 
-    def no_placement(spectra, n, p):
-        return {**spectral_structure(spectra, n, p), VERDICTS[-1]: False}
+    def no_placement(spectra, p):
+        return {**spectral_structure(spectra, p), VERDICTS[-1]: False}
 
     monkeypatch.setattr(cli, "fourier_trajectory", failing)
     monkeypatch.setattr(cli, "mixing_time_averaged", failing)

@@ -64,7 +64,14 @@ def _cosines(k, kp, n):
 
 def _definitional_spectra(n, p):
     """SpectrumReport of the whole definitional stack at N = n and rate p."""
-    return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), n, p), n)
+    return eigenvalues(superop_definitional(*np.divmod(np.arange(n * n), n), n, p))
+
+
+def _has_plus_minus_one(spectra):
+    """Per pair, whether the one +-1 rule of :mod:`cyclewalk.spectral` finds
+    +1 and whether it finds -1 among its eigenvalues."""
+    plus, minus, _ = spectral._unit_flags(spectra.eigenvalues)
+    return plus.any(axis=1), minus.any(axis=1)
 
 
 def test_char_poly_matches_determinant_samples():
@@ -126,16 +133,17 @@ def test_boundary_value_factorizations():
 
 def test_eigenvalue_report_diagonal_pair():
     spectra, q = _definitional_spectra(7, 0.5), 3 * 7 + 3
+    has_plus, has_minus = _has_plus_minus_one(spectra)
     assert spectra.classification[q] == CLASS_DIAGONAL
-    assert spectra.has_unit_eigenvalue[q]
-    assert not spectra.has_minus_one[q]
+    assert has_plus[q]
+    assert not has_minus[q]
     assert np.abs(spectra.eigenvalues[q] - 1.0).min() <= 1e-9
 
 
 def test_eigenvalue_report_antipodal_pair():
     spectra, q = _definitional_spectra(6, 0.5), 1 * 6 + 4
     assert spectra.classification[q] == CLASS_ANTIPODAL
-    assert spectra.has_minus_one[q]
+    assert _has_plus_minus_one(spectra)[1][q]
     eig = spectra.eigenvalues[q]
     others = eig[np.abs(eig + 1.0) > 1e-9]
     assert np.all(np.abs(others) < 1.0)
@@ -144,9 +152,9 @@ def test_eigenvalue_report_antipodal_pair():
 def test_eigenvalues_reject_a_stack_outside_the_pair_layout():
     matrices, _ = all_pair_matrices(_cfg(4, 0.5))
     with pytest.raises(ValueError):
-        eigenvalues(matrices[:-1], 4)
+        eigenvalues(matrices[:-1])
     with pytest.raises(ValueError):
-        eigenvalues(matrices, 5)
+        eigenvalues(matrices[:, :3])
 
 
 def test_odd_cycle_off_diagonal_pairs_contract_strictly():
@@ -171,29 +179,32 @@ def test_classification_sweep_small_cycles():
             assert np.all(spectra.spectral_radius <= 1.0 + 1e-10)
             expected = [classify_pair(*divmod(q, n), n) for q in range(n * n)]
             assert spectra.classification.tolist() == expected
-            assert np.array_equal(spectra.has_unit_eigenvalue,
-                                  np.equal(expected, CLASS_DIAGONAL))
-            assert np.array_equal(spectra.has_minus_one, np.equal(expected, CLASS_ANTIPODAL))
-            assert spectral_structure(spectra, n, p)["persistent_eigenvalue_placement_ok"]
+            has_plus, has_minus = _has_plus_minus_one(spectra)
+            assert np.array_equal(has_plus, np.equal(expected, CLASS_DIAGONAL))
+            assert np.array_equal(has_minus, np.equal(expected, CLASS_ANTIPODAL))
+            assert spectral_structure(spectra, p)["persistent_eigenvalue_placement_ok"]
 
 
 def test_spectral_structure_rejects_stray_unit_moduli_and_double_minus_one(monkeypatch):
     n, p = 6, 0.5
-    spectra = eigenvalues(all_pair_matrices(_cfg(n, p))[0], n)
-    record = spectral_structure(spectra, n, p)
+    spectra = eigenvalues(all_pair_matrices(_cfg(n, p))[0])
+    record = spectral_structure(spectra, p)
     assert record["persistent_eigenvalue_placement_ok"] is True
     assert [record[f"count_{c}"] for c in ("diagonal", "antipodal", "generic")] == [6, 6, 24]
     eig = spectra.eigenvalues.copy()
-    eig[1, 0] = 1j  # pair (0, 1) is generic
-    stray = dataclasses.replace(spectra, eigenvalues=eig)
-    assert spectral_structure(stray, n, p)["persistent_eigenvalue_placement_ok"] is False
+    # pair (0, 1) is generic; (1 - 5e-10) e^(5e-9 i) has unit modulus but is
+    # 5e-9 from +1, so the one +-1 rule counts it as neither +1 nor -1
+    for value in (1j, (1 - 5e-10) * np.exp(5e-9j)):
+        eig[1, 0] = value
+        stray = dataclasses.replace(spectra, eigenvalues=eig)
+        assert spectral_structure(stray, p)["persistent_eigenvalue_placement_ok"] is False
     # x^2 (x + 1)^2 has f'(-1) = 0, so each -1 of an antipodal pair is double
     monkeypatch.setattr(spectral, "char_poly",
                         lambda *args: np.tile([1.0, 2.0, 1.0, 0.0, 0.0], (n * n, 1)))
-    assert spectral_structure(spectra, n, p)["persistent_eigenvalue_placement_ok"] is False
+    assert spectral_structure(spectra, p)["persistent_eigenvalue_placement_ok"] is False
     # placement is only ruled on for 0 < p < 1
     for rate in (0.0, 1.0):
-        record = spectral_structure(stray, n, rate)
+        record = spectral_structure(stray, rate)
         assert record["persistent_eigenvalue_placement_checked"] is False
         assert record["persistent_eigenvalue_placement_ok"] is True
 
@@ -262,7 +273,8 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
     # pair alone gives, put in canonical order
     for n, p in ((2, 0.5), (6, 0.3), (7, 0.0), (8, 1.0)):
         cfg = _cfg(n, p)
-        spectra = eigenvalues(all_pair_matrices(cfg)[0], n)
+        spectra = eigenvalues(all_pair_matrices(cfg)[0])
+        has_plus, has_minus = _has_plus_minus_one(spectra)
         assert spectra.eigenvalues.shape == (n * n, 4)
         for k in range(n):
             for kp in range(n):
@@ -271,8 +283,8 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
                 single = single[np.argsort(single.round(9), kind="stable")]
                 assert np.array_equal(spectra.eigenvalues[q], single)
                 assert spectra.spectral_radius[q] == np.abs(single).max()
-                assert spectra.has_unit_eigenvalue[q] == (np.abs(single - 1.0).min() < 1e-9)
-                assert spectra.has_minus_one[q] == (np.abs(single + 1.0).min() < 1e-9)
+                assert has_plus[q] == (np.abs(single - 1.0).min() < 1e-9)
+                assert has_minus[q] == (np.abs(single + 1.0).min() < 1e-9)
                 assert spectra.classification[q] == classify_pair(k, kp, n)
 
 
@@ -299,8 +311,8 @@ def test_eigenvalue_rows_agree_between_constructions():
     for n in range(2, 17):
         for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
             tol = 1e-7 if p == 0.5 else 1e-12
-            closed = eigenvalues(all_pair_matrices(_cfg(n, p))[0], n).eigenvalues
-            einsum = eigenvalues(_definitional_stack(n, p), n).eigenvalues
+            closed = eigenvalues(all_pair_matrices(_cfg(n, p))[0]).eigenvalues
+            einsum = eigenvalues(_definitional_stack(n, p)).eigenvalues
             assert np.abs(closed - einsum).max() <= tol
             keys = np.round(closed, 9)
             order = np.lexsort((keys.imag, keys.real), axis=1)

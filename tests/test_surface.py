@@ -1,6 +1,7 @@
 """The public surface of the package, and the names the benchmark in
 ``perfbench/`` looks up in it."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -87,6 +88,34 @@ def test_spectral_structure_is_decided_only_in_spectral():
         bound = {name for name in vars(module)
                  if name in ("UNIT_DISK_TOL", "UNIT_MODULUS_TOL") or name.startswith("CLASS_")}
         assert not bound, f"{module.__name__}: {sorted(bound)}"
+
+
+def test_each_fact_is_stated_once():
+    # N comes from the pair stack, the scan tolerance is a constant, a
+    # report stores only what was measured, the classical chain is stepped
+    # only in evolution, and the +-1 tolerance appears once in the +-1 rule
+    import dataclasses
+
+    from cyclewalk import analysis, evolution, spectral
+
+    assert list(inspect.signature(spectral.eigenvalues).parameters) == ["matrices"]
+    assert list(inspect.signature(spectral.spectral_structure).parameters) == ["spectra", "rate"]
+    assert list(inspect.signature(analysis.steps_to_uniform).parameters) == ["config"]
+    assert [f.name for f in dataclasses.fields(spectral.SpectrumReport)] == [
+        "eigenvalues", "spectral_radius", "classification"]
+    assert [f.name for f in dataclasses.fields(analysis.MixingReport)] == [
+        "epsilon", "mixing_time", "tv_trace", "horizon", "bound_value"]
+    assert not hasattr(evolution, "_classical_step")
+    from_evolution = {name for name, value in vars(verify).items()
+                      if getattr(value, "__module__", None) == evolution.__name__}
+    assert from_evolution == {"_classical_chain", "_density_marginals", "fourier_trajectory"}
+    tree = ast.parse(inspect.getsource(spectral))
+    reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id == "UNIT_MODULUS_TOL" and isinstance(node.ctx, ast.Load)]
+    rule = ast.parse(inspect.getsource(spectral._unit_flags))
+    assert len(reads) == 1 and any(node.id == "UNIT_MODULUS_TOL" for node in ast.walk(rule)
+                                   if isinstance(node, ast.Name))
+    assert 1e-8 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
 
 
 def _load(name, monkeypatch):
