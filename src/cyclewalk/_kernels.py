@@ -1,9 +1,10 @@
 """The momentum-path evolution engine and its three reductions.
 
-Every kernel takes the (N^2, 4, 4) pair stack in the layout of
-:func:`cyclewalk.fourier.all_pair_matrices` and v0, the Pauli 4-vector of
-the initial coin operator that every pair starts from; N, the grouping by
-momentum difference and the phases follow from the stack alone.
+Every kernel takes the (N^2, 4, 4) pair stack and v0, the Pauli 4-vector
+of the initial coin operator that every pair starts from.  The stack's
+contract is owned by :mod:`cyclewalk.fourier`: N, the evolved half and its
+conjugate partners come from its helpers, which reject any other shape, and
+the phases follow from N.
 
 One private generator, :func:`_evolve`, evolves the Pauli 4-vectors of the
 momentum pairs and folds their traces back into position distributions
@@ -14,36 +15,31 @@ one real product with a table of w_d cos and -w_d sin (w_d = 1 for d = 0 and
 d = N/2, 2 otherwise).  U = diag(1, i, -i, -i) makes every pair matrix real,
 R = U L U^-1, so the engine runs in real arithmetic on the re/im columns of
 the state U v.  Before the first step it computes the symmetry defect, the
-largest |L_{k',k} - conj L_{k,k'}|, 2 |imag v0| and |imag(U L U^-1)|, which
-is zero up to rounding whenever the reduction is exact, and raises
-NumericalCheckError when it exceeds SYMMETRY_DEFECT_LIMIT or is NaN: an
-inconsistent stack fails in setup, not after a scan of up to 10^6 steps.
+largest |L_{k',k} - conj L_{k,k'}|, 2 |imag v0| and |imag(U L U^-1)|, from
+the evolved half and its partners alone, and raises NumericalCheckError
+when it exceeds SYMMETRY_DEFECT_LIMIT or is NaN: an inconsistent stack
+fails in setup, not after a scan of up to 10^6 steps.
 
 The engine works in blocks of B steps.  Setup builds, per pair, the rows
 e0^T R^j (j < B) by doubling: rows m..2m-1 are rows 0..m-1 times R^m, and
-R^(2m) = (R^m)^2, so B rows cost about 2 log2(B) batched 4x4 products, not
-B.  The power R^B, the product of the squares of B's binary digits, is
-formed only when a second block will run.  One block then costs one batched
-product per difference d (the traces of B steps, summed over the d-group),
-one table product and one R^B step, whatever B is.  The stream ends at the
-last step a caller asks for, and it alone cuts the last block there.  The
-Cesaro sum is linear in each pair's state, so for the averages row j becomes
-e0^T (R^0 + ... + R^j): a block's product then gives the partial sums of its
-distributions, and one carried N-vector, the last sum of the block before,
-completes them.  The public kernels are folds over these streams: the full
-trajectory, the total-variation scan behind the mixing times (up to 10^6
-steps), and Cesaro averages at chosen window lengths.  Each returns its
-result with the symmetry defect.
+R^(2m) = (R^m)^2, so B rows cost about 2 log2(B) batched 4x4 products.  The
+power R^B is formed only when a second block will run.  One block then
+costs one batched product per difference d, one table product and one R^B
+step, whatever B is; the last block is cut at the last step a caller asks
+for.  For the Cesaro averages row j becomes e0^T (R^0 + ... + R^j): a
+block's product then gives the partial sums of its distributions, and one
+carried N-vector completes them.  The public kernels are folds over these
+streams: the full trajectory, the total-variation scan behind the mixing
+times (up to 10^6 steps), and Cesaro averages at chosen window lengths.
+Each returns its result with the symmetry defect.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .core import NumericalCheckError, _check_count
-from .fourier import _pair_momenta
+from .fourier import _evolved_pairs, _stack_nodes
 
 __all__ = [
     "distribution_trajectory",
@@ -68,12 +64,10 @@ SYMMETRY_DEFECT_LIMIT = 1e-8
 #: tolerance in the package.
 FLUSH_TOL = 1e-280
 
-#: Largest number of steps per block.  It binds only below N = 16, and there
-#: it bounds peak memory: the `verify limits` trajectories (N <= 11, up to
-#: 8906 steps) would otherwise fill the whole row buffer.  Peak RSS of the
-#: default `verify`, in-process: 38.8 MB at 64, 39.5 MB at 256, 40.3 MB at
-#: 512 and 40.8 MB uncapped; the 162000-step scan at N = 9 runs no faster at
-#: 512 than at 256.
+#: Largest number of steps per block.  It binds only below N = 16, where it
+#: bounds peak memory: the `verify limits` trajectories (N <= 11, up to 8906
+#: steps) would otherwise fill the whole row buffer.  A cap of 512 runs the
+#: 162000-step scan at N = 9 no faster.
 MAX_BLOCK = 256
 #: Target size of the buffer of precomputed rows, whose 4 real components
 #: take 32 bytes per evolved pair and step; keeps large cycles cache-friendly
@@ -103,26 +97,23 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i) for
     s = t..t+b-1.
 
-    P is real, so the trace sum of difference N - d is the conjugate of that
-    of d: only the (N//2 + 1)*N pairs with d <= N//2 are evolved, in d-major
-    order.  B is :func:`_block_size` of that pair count, but at most
-    steps + 1, so a short run is one block; b = B except in the last block,
-    which is cut so that the rows end at t = steps.
-
-    The reduction is exact when L_{k',k} = conj L_{k,k'} and v0 is real; the
-    symmetry defect, the largest deviation from either identity and from a
-    real U L U^-1, is checked against SYMMETRY_DEFECT_LIMIT before any step.
+    Only the evolved half of the stack is read, in d-major order, and its
+    partners for the symmetry defect, which is checked against
+    SYMMETRY_DEFECT_LIMIT before any step.  B is :func:`_block_size` of the
+    evolved pair count, but at most steps + 1, so a short run is one block;
+    b = B except in the last block, which is cut so that the rows end at
+    t = steps.
     """
-    n = math.isqrt(len(matrices))
+    n = _stack_nodes(matrices)
     half = n // 2 + 1
-    k, k_prime = _pair_momenta(n)
-    # the conjugate partner of pair (k, k') is (k', k)
-    partner = k_prime * n + k
-    # kept[d*N + k] = k*N + (k - d) mod N is the row of pair (k, k - d)
-    momenta = np.arange(n)
-    kept = (momenta * n + (momenta - np.arange(half)[:, None]) % n).ravel()
-    realified = matrices[kept] * (_REALIFY[:, None] / _REALIFY)
-    defect = float(np.max([np.abs(matrices[partner] - matrices.conj()).max(),
+    evolved, partners = _evolved_pairs(n)
+    kept = matrices[evolved]
+    # every other pair is the partner of an evolved one, and its
+    # |L_{k',k} - conj L_{k,k'}| is the same number read from the other end
+    asymmetry = matrices[partners]
+    asymmetry -= kept.conj()
+    realified = kept * (_REALIFY[:, None] / _REALIFY)
+    defect = float(np.max([np.abs(asymmetry).max(),
                            2.0 * np.abs(v0.imag).max(),
                            np.abs(realified.imag).max()]))
     # written as not (... <= ...) so that a NaN defect fails it
@@ -137,7 +128,7 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     # which the block products run about 10% faster on (N = 9)
     u = np.tile(v0 * _REALIFY, (half, n, 1)).transpose(0, 2, 1)
     state = np.stack([u.real, u.imag], axis=1)
-    block = max(1, min(steps + 1, _block_size(len(kept))))
+    block = max(1, min(steps + 1, _block_size(len(evolved))))
     # rows[j, d, i, k] = (e0^T R^j)_i is the first row of R^j, and also of
     # L^j U^-1, since U's first entry is 1; by doubling, rows m..2m-1 are
     # rows 0..m-1 times square = R^m, for m = 1, 2, 4, ...
@@ -166,7 +157,7 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     # P(x) = (1/N^2) sum_d w_d (cos(2 pi x d/N) re g[d] - sin(2 pi x d/N) im g[d]),
     # with w_d = 2 for the d whose conjugate N - d is not evolved, 1 for the
     # self-conjugate d = 0 and d = N/2; the rows of table run over (d, re/im)
-    phase = np.exp(2j * np.pi * np.outer(momenta, np.arange(half)) / n)
+    phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(half)) / n)
     weight = np.where(2 * np.arange(half) % n == 0, 1.0, 2.0)
     table = np.stack([weight * phase.real,
                       -weight * phase.imag], axis=-1).reshape(n, 2 * half).T
@@ -187,9 +178,10 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
 def distribution_trajectory(matrices, v0, steps):
     """P(x, t) for t = 0..steps, shape (steps+1, N), plus the symmetry
     defect."""
+    n = _stack_nodes(matrices)
     _check_count("steps", steps, 0)
     steps = int(steps)
-    out = np.empty((steps + 1, math.isqrt(len(matrices))))
+    out = np.empty((steps + 1, n))
     for t, dists, defect in _evolve(matrices, v0, steps):
         out[t:t + len(dists)] = dists
     return out, defect
@@ -210,9 +202,9 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     The scan ends after the first value below stop_below.
     Returns (tv, symmetry defect).
     """
+    n = _stack_nodes(matrices)
     _check_count("horizon", horizon, 1)
     horizon = int(horizon)
-    n = math.isqrt(len(matrices))
     targets = np.asarray(targets)
     np.broadcast_to(targets, (2, n))   # rejects every other shape
     # only a parity pair is gathered per row; one distribution broadcasts
@@ -238,11 +230,12 @@ def averaged_snapshots(matrices, v0, taus):
     taus must be integers >= 1, sorted ascending.  Returns (len(taus), N)
     plus the symmetry defect.
     """
+    n = _stack_nodes(matrices)
     _check_count("taus", taus, 1)
     taus = np.asarray(taus, dtype=np.int64)
     if len(taus) == 0 or np.any(np.diff(taus) <= 0):
         raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
-    out = np.empty((len(taus), math.isqrt(len(matrices))))
+    out = np.empty((len(taus), n))
     for t, averages, defect in _evolve(matrices, v0, int(taus[-1]) - 1, MODE_AVERAGED):
         # taus ending in this block: tau - 1 in [t, t + len(averages))
         hit = (taus > t) & (taus <= t + len(averages))

@@ -15,7 +15,7 @@ checks epsilon and the horizon, picks the target and applies this rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,7 +58,6 @@ class MixingReport:
     mixing_time: int | None
     tv_trace: np.ndarray
     horizon: int
-    bound_value: float | None = None
 
     @property
     def converged(self) -> bool:
@@ -179,11 +178,7 @@ def mixing_time_averaged(config: WalkConfig, epsilon: float,
     scan may legitimately fail to converge, which is reported rather than
     raised.
     """
-    report = _scan(config, epsilon, horizon, _kernels.MODE_AVERAGED)
-    if report.mixing_time is None or bound_unavailable_reasons(config):
-        return report
-    return replace(report, bound_value=uniform_deviation_bound(
-        report.mixing_time, config.n_nodes, config.decoherence_rate))
+    return _scan(config, epsilon, horizon, _kernels.MODE_AVERAGED)
 
 
 def mixing_time_instantaneous(config: WalkConfig, epsilon: float,

@@ -3,9 +3,9 @@
 Outputs are deterministic: CSV for time series, JSON for reports, floats
 rendered with 17 significant digits in lowercase scientific notation, no
 wall-clock content.  Exit codes: 0 success, 1 verification failure, 2 usage
-or configuration error (including an input too large to allocate or an
-output path that cannot be written, checked before any work), 3 internal
-numerical assertion.
+or configuration error (including an input too large to allocate, an
+output path that cannot be written, checked before any work, and a closed
+stdout), 3 internal numerical assertion.
 
 The three data tables, the `simulate` and `spectrum` CSVs and the mixing
 ``tv_trace``, stream through one renderer, :func:`_table`: a row template
@@ -35,6 +35,7 @@ from .analysis import (
     bound_unavailable_reasons,
     mixing_time_averaged,
     mixing_time_instantaneous,
+    uniform_deviation_bound,
 )
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, _check_count, coin_state
 from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
@@ -465,20 +466,20 @@ def cmd_mixing(args) -> int:
     config = WalkConfig(n_nodes=resolved["nodes"],
                         decoherence_rate=resolved["decoherence"],
                         initial_coin=coin)
-    if resolved["bound"] == "require":
-        problems = bound_unavailable_reasons(config)
-        if resolved["target"] != "averaged":
-            problems.append("instantaneous target")
-        if problems:
-            raise ValueError("analytic bound unavailable: " + ", ".join(problems))
+    problems = bound_unavailable_reasons(config)
+    if resolved["target"] != "averaged":
+        problems.append("instantaneous target")
+    if resolved["bound"] == "require" and problems:
+        raise ValueError("analytic bound unavailable: " + ", ".join(problems))
     _check_writable(resolved["output"], args.manifest)
     if resolved["target"] == "averaged":
         report = mixing_time_averaged(config, resolved["epsilon"], resolved["horizon"])
     else:
         report = mixing_time_instantaneous(config, resolved["epsilon"], resolved["horizon"])
     bound = None
-    if resolved["bound"] != "off" and report.bound_value is not None:
-        bound = {"tau": report.mixing_time, "value": report.bound_value}
+    if resolved["bound"] != "off" and not problems and report.converged:
+        bound = {"tau": report.mixing_time, "value": uniform_deviation_bound(
+            report.mixing_time, config.n_nodes, config.decoherence_rate)}
     payload = {
         "epsilon": report.epsilon,
         "horizon": report.horizon,
@@ -502,13 +503,11 @@ def cmd_verify(args) -> int:
     resolved = _resolve(args, VERIFY_FIELDS)
     _check_writable(resolved["output"], args.manifest)
     profile = "quick" if args.quick else "default"
-    names = args.check if args.check else None
-    report = run_checks(names=names, profile=profile)
+    report = run_checks(names=args.check, profile=profile)
     _write(resolved["output"], _emit_json(report), b"\n")
     if args.manifest:
-        settings = dict(resolved)
-        settings["profile"] = profile
-        settings["checks"] = names or CHECK_NAMES
+        settings = {**resolved, "profile": profile,
+                    "checks": [check["name"] for check in report["checks"]]}
         _write_manifest(args.manifest, "verify", settings, [resolved["output"]])
     return 0 if report["all_passed"] else 1
 
@@ -569,20 +568,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _fail(code: int, message: str) -> int:
+    """Flush stdout, write message to stderr, and return code.  A stream
+    that cannot take its part, such as a pipe whose reader has gone, is
+    pointed at os.devnull instead, so that the flush at exit cannot fail."""
+    for stream, text in ((sys.stdout, ""), (sys.stderr, message + "\n")):
+        try:
+            print(text, end="", file=stream, flush=True)
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+    return code
+
+
 def main(argv=None) -> int:
+    """Run the command line argv and return its exit code.  A closed stdout
+    is an output that cannot be written, exit code 2, also when only the
+    final flush finds it closed."""
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_ERROR
-    try:
-        return args.handler(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = exc.code if isinstance(exc.code, int) else USAGE_ERROR
+        else:
+            code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except (ValueError, OSError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
+        return _fail(USAGE_ERROR, f"error: {exc}")
     except NumericalCheckError as exc:
-        print(f"numerical assertion failed: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
+        return _fail(NUMERICAL_ERROR, f"numerical assertion failed: {exc}")
 
 
 if __name__ == "__main__":

@@ -1,4 +1,5 @@
-"""Momentum-space machinery: the per-pair decoherence superoperator.
+"""Momentum-space machinery: the per-pair decoherence superoperator and the
+pair stack.
 
 For each momentum pair (k, k') the one-step action on coin operators is
 
@@ -6,28 +7,26 @@ For each momentum pair (k, k') the one-step action on coin operators is
 
 a linear (not trace-preserving, unless k = k') map represented here as a 4x4
 complex matrix in the Pauli basis.  It depends only on (k, k', N, p), so
-pair matrices are plain arrays: both constructions take numbers or
-broadcastable arrays of all four and return the broadcast shape + (4, 4), so
-one call builds a whole stack, even one that mixes cycle lengths and rates.
-The closed form is written in cos/sin of 2 pi (k' +- k)/N; the
-definitional one applies the Kraus conjugation above to each Pauli basis
-element.  Of its four 2x2 products only the last, by C_{k'}^dag, adds two
-nonzero terms per entry: A_n, sigma_j and A_n^dag are diagonal or signed
-permutations, so each entry of the first three is one product plus exact
-zeros, and is formed entrywise with the bits a matrix product gives.  The
-last stays on BLAS, whose rounding of the sum the tests pin, as one call
-per pair over all 3 x 4 Kraus-Pauli images.  The engine evolves the
-closed form, built for all N^2 pairs of one walk at once by
-:func:`all_pair_matrices`, the one function here that takes a
-:class:`~cyclewalk.core.WalkConfig`; the definitional construction is the
-oracle that the ``closedform``, ``charpoly`` and ``spectrum`` verify checks
-inspect, each over its whole pair sample in one call.  The closed form also
-keeps the persistent structure exact: on diagonal pairs the first row is
-exactly (1, 0, 0, 0), so the trace of every diagonal pair stays exactly 1
-for all t.
+both constructions take numbers or broadcastable arrays of all four and
+return the broadcast shape + (4, 4): one call builds a whole stack, even one
+that mixes cycle lengths and rates.  The engine evolves the closed form; the
+definitional one, the Kraus conjugation above, is the oracle of the
+``closedform``, ``charpoly`` and ``spectrum`` verify checks.  On diagonal
+pairs the closed form's first row is exactly (1, 0, 0, 0), so the trace of
+every diagonal pair stays exactly 1 for all t.
+
+This module owns the pair stack: the (N^2, 4, 4) array of all pairs of one
+walk, pair (k, k') at row k*N + k', that :func:`all_pair_matrices` builds.
+Its consumers, the engine in :mod:`cyclewalk._kernels` and
+:mod:`cyclewalk.spectral`, take N from :func:`_stack_nodes`, which rejects
+every other shape, and the rows of the evolved half, the pairs (k, k - d)
+with d = 0..N//2, and of their conjugate partners (k - d, k) from
+:func:`_evolved_pairs`; no other module forms a row.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -51,6 +50,27 @@ def _pair_momenta(n_nodes: int):
     """(k, k') of every pair of the N-cycle, pair (k, k') at row k*N + k':
     the layout of :func:`all_pair_matrices` and of every stack built from it."""
     return np.divmod(np.arange(n_nodes * n_nodes, dtype=np.int64), n_nodes)
+
+
+def _stack_nodes(stack, tail=(4, 4)) -> int:
+    """N of a pair stack, an array of shape (N^2,) + tail with N >= 2: by
+    default the (N^2, 4, 4) pair matrices.  Any other shape raises
+    ValueError."""
+    shape = np.shape(stack)
+    n = math.isqrt(shape[0]) if shape else 0
+    if n < 2 or shape != (n * n, *tail):
+        raise ValueError(f"expected an (N^2{''.join(f', {m}' for m in tail)}) pair stack, "
+                         f"got shape {shape}")
+    return n
+
+
+def _evolved_pairs(n_nodes: int):
+    """Rows of the pairs (k, k - d) mod N for d = 0..N//2, d-major (entry
+    d*N + k), and the rows of their conjugate partners (k - d, k).  Every
+    pair outside this half is the partner of one inside it."""
+    k = np.arange(n_nodes, dtype=np.int64)
+    k_minus_d = (k - np.arange(n_nodes // 2 + 1)[:, None]) % n_nodes
+    return (k * n_nodes + k_minus_d).ravel(), (k_minus_d * n_nodes + k).ravel()
 
 
 def _pair_angles(k, k_prime, n_nodes):
@@ -128,9 +148,8 @@ def all_pair_matrices(config: WalkConfig):
 
     Returns (matrices, d_index): matrices has shape (N^2, 4, 4) with pair
     (k, k') stored at row k*N + k'; d_index[q] = (k - k') mod N is the
-    momentum difference of pair q.  The engine works the grouping out from
-    this layout and never reads d_index, which stays for the tests and
-    ``perfbench/``, which index or unpack the pair.
+    momentum difference of pair q, which the engine never reads: it stays
+    for the tests and ``perfbench/``.
     """
     n = config.n_nodes
     k, k_prime = _pair_momenta(n)

@@ -3,11 +3,9 @@ and the persistent-eigenvalue classification.
 
 :func:`char_poly` broadcasts over arrays of (k, k', N, p) and
 :func:`classify_pair` over momentum-index arrays, like the pair
-constructions of :mod:`cyclewalk.fourier`;
-:func:`eigenvalues` takes a whole stack in the
-:func:`~cyclewalk.fourier.all_pair_matrices` layout (pair (k, k') at row
-k*N + k'), diagonalises it in one call and returns one
-:class:`SpectrumReport` whose fields are arrays over the pairs.
+constructions of :mod:`cyclewalk.fourier`; :func:`eigenvalues` takes a
+whole pair stack, whose contract fourier owns, diagonalises it in one call
+and returns one :class:`SpectrumReport` of arrays over the pairs.
 
 Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
@@ -20,13 +18,12 @@ UNIT_MODULUS_TOL of +1, of -1 or of |z| = 1 is +1, -1 or unit modulus.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import NumericalCheckError, WalkConfig, _check_momenta
-from .fourier import _pair_angles, _pair_momenta, all_pair_matrices
+from .fourier import _pair_angles, _pair_momenta, _stack_nodes, all_pair_matrices
 
 __all__ = [
     "SpectrumReport",
@@ -102,18 +99,14 @@ def char_poly(k, k_prime, n_nodes, rate) -> np.ndarray:
 
 
 def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
-    """Spectra of an (N^2, 4, 4) stack laid out as
-    :func:`~cyclewalk.fourier.all_pair_matrices` lays it out (pair (k, k')
-    at row k*N + k', N read from the stack; any other shape raises
+    """Spectra of an (N^2, 4, 4) pair stack (any other shape raises
     ValueError), from one batched eigensolve, as one :class:`SpectrumReport`.
 
     Each row of eigenvalues is put in canonical order, by real part and then
     by imaginary part, both keys rounded to 9 decimals (the values are not),
     so equal spectra give equal rows whatever order the eigensolver returned.
     """
-    n_nodes = math.isqrt(len(matrices))
-    if matrices.shape != (n_nodes * n_nodes, 4, 4):
-        raise ValueError(f"expected an (N^2, 4, 4) pair stack, got shape {matrices.shape}")
+    n_nodes = _stack_nodes(matrices)
     try:
         eig = np.linalg.eigvals(matrices)
     except np.linalg.LinAlgError as exc:
@@ -134,7 +127,7 @@ def spectral_structure(spectra: SpectrumReport, rate: float) -> dict:
     disk, generic ones below 1 (p > 0); for 0 < p < 1, +1 and -1 sit by class,
     -1 never double, and no other eigenvalue has unit modulus."""
     classes, radius, eig = spectra.classification, spectra.spectral_radius, spectra.eigenvalues
-    n = math.isqrt(len(eig))
+    n = _stack_nodes(eig, tail=(4,))
     # f'(-1) = -4 + 3 a3 - 2 a2 + a1 for f = x^4 + a3 x^3 + a2 x^2 + a1 x + a0
     slope = char_poly(*_pair_momenta(n), n, rate)[:, :4] @ np.array([-4.0, 3.0, -2.0, 1.0])
     plus, minus, unit = _unit_flags(eig)

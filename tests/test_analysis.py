@@ -258,7 +258,7 @@ def test_bound_applies_to_up_under_a_global_phase():
         assert bound_unavailable_reasons(cfg) == []
         report = mixing_time_averaged(cfg, 0.05, horizon=2000)
         up = mixing_time_averaged(_cfg(9, 0.2), 0.05, horizon=2000)
-        assert report.bound_value == up.bound_value is not None
+        assert report.mixing_time == up.mixing_time is not None
         assert np.abs(report.tv_trace - up.tv_trace).max() <= 1e-12
     tilted = WalkConfig(n_nodes=9, decoherence_rate=0.2,
                         initial_coin=[np.cos(1e-3), np.sin(1e-3)])

@@ -2,7 +2,10 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -501,8 +504,13 @@ _SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
      {"output": "{tmp}/v.json", "profile": "default", "checks": ["unitality", "charpoly"]}),
     (("verify", "--quick", "--output", "{tmp}/v.json"),
      {"output": "{tmp}/v.json", "profile": "quick", "checks": verify.CHECK_NAMES}),
+    # the manifest lists the checks that ran, once each, in the order they ran
+    (("verify", "--quick", "--check", "closedform", "--check", "unitality", "--check",
+      "unitality", "--output", "{tmp}/v.json"),
+     {"output": "{tmp}/v.json", "profile": "quick", "checks": ["unitality", "closedform"]}),
 ], ids=["config-line", "coin-parts", "zero-coin", "target", "bound", "bound-instantaneous",
-        "simulate-output-is-manifest", "spectrum-output-is-summary", "mixing-manifest", "verify-manifest", "verify-quick-manifest"])
+        "simulate-output-is-manifest", "spectrum-output-is-summary", "mixing-manifest", "verify-manifest", "verify-quick-manifest",
+        "verify-repeated-checks-manifest"])
 def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
     """A bad option exits 2 with its message alone; a good run writes a
     manifest that records its resolved settings."""
@@ -630,6 +638,28 @@ def test_a_named_pipe_destination_is_first_opened_to_be_written(tmp_path, capsys
     run.join(timeout=10)
     assert not run.is_alive() and result == [cli.USAGE_ERROR]
     assert "No such file or directory" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("merged", [True, False], ids=["stderr-into-stdout", "stderr-apart"])
+@pytest.mark.parametrize("horizon, lines_read", [(100000, 1), (40, 0)],
+                         ids=["closed-while-writing", "closed-before-the-final-flush"])
+def test_a_closed_stdout_pipe_exits_2(merged, horizon, lines_read):
+    # the reader of stdout goes away after lines_read lines, so a write of
+    # the 5 MB trace fails, or only the flush of the buffered 2 kB one; the
+    # error line reaches stderr only if stderr is not that pipe, and no
+    # traceback or "Exception ignored" text follows it
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cyclewalk.cli", "mixing", "--nodes", "9", "--decoherence",
+         "0.2", "--epsilon", "0.01", "--horizon", str(horizon)],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT if merged else subprocess.PIPE,
+        env={**env, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+    for _ in range(lines_read):
+        proc.stdout.readline()
+    proc.stdout.close()
+    err = b"" if merged else proc.stderr.read()
+    assert proc.wait(timeout=60) == cli.USAGE_ERROR
+    assert err == (b"" if merged else b"error: [Errno 32] Broken pipe\n")
 
 
 def test_a_numerical_failure_leaves_the_files_it_always_left(tmp_path, capsys, monkeypatch):

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 import cyclewalk._kernels as kernels
-from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, mixing_time_averaged,
-                       pauli_decompose, superop_definitional)
+from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, eigenvalues,
+                       mixing_time_averaged, pauli_decompose, superop_definitional)
 from cyclewalk.fourier import all_pair_matrices
 
 
@@ -362,3 +362,60 @@ def test_symmetry_guard_fires_before_the_first_block(size, fails):
         t, rows, defect = next(blocks)
         assert t == 0 and rows.shape == (_engine_block(n), n)
         assert defect == pytest.approx(1e-12, rel=1e-3)
+
+
+#: stacks whose first axis is no square N^2 >= 4, or whose pairs are not 4x4
+_MALFORMED = [(10, 4, 4), (9, 3, 3), (8, 4, 4), (17, 4, 4)]
+_CONSUMERS = {
+    "distribution_trajectory": lambda m, v0: kernels.distribution_trajectory(m, v0, 3),
+    "tv_scan": lambda m, v0: kernels.tv_scan(m, v0, 3, np.full(3, 1.0 / 3)),
+    "averaged_snapshots": lambda m, v0: kernels.averaged_snapshots(m, v0, [1, 2]),
+    "eigenvalues": lambda m, v0: eigenvalues(m),
+}
+
+
+@pytest.mark.parametrize("consumer", _CONSUMERS)
+@pytest.mark.parametrize("shape", _MALFORMED, ids=str)
+def test_every_pair_stack_consumer_rejects_a_malformed_stack_alike(consumer, shape):
+    message = f"expected an (N^2, 4, 4) pair stack, got shape {shape}"
+    with pytest.raises(ValueError) as raised:
+        _CONSUMERS[consumer](np.zeros(shape, dtype=complex), np.array([0.5, 0, 0, 0.5]))
+    assert str(raised.value) == message
+
+
+def _full_stack_defect(matrices, d_index, v0):
+    """The symmetry defect read from all N^2 pairs: the largest
+    |L_{k',k} - conj L_{k,k'}| over every pair, 2 |imag v0| and |imag U L U^-1|
+    over the pairs with difference d <= N//2."""
+    n = math.isqrt(len(matrices))
+    # the transpose of the grid of rows maps each pair to its partner
+    partner = np.arange(n * n).reshape(n, n).T.ravel()
+    realify = np.array([1.0, 1j, -1j, -1j])
+    realified = matrices[d_index <= n // 2] * (realify[:, None] / realify)
+    return float(np.max([np.abs(matrices[partner] - matrices.conj()).max(),
+                         2.0 * np.abs(v0.imag).max(), np.abs(realified.imag).max()]))
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.37, 0.5, 1.0])
+def test_the_evolved_half_gives_the_full_stack_defect_bit_for_bit(p):
+    rng = np.random.default_rng(11)
+    for n in range(2, 40):
+        cfg, matrices, v0 = _inputs(n, p, "balanced")
+        d_index = all_pair_matrices(cfg)[1]
+        matrices = matrices + 1e-12 * (rng.standard_normal(matrices.shape)
+                                       + 1j * rng.standard_normal(matrices.shape))
+        _, defect = kernels.distribution_trajectory(matrices, v0, 0)
+        assert defect == _full_stack_defect(matrices, d_index, v0), n
+
+
+def test_a_nan_in_a_never_evolved_pair_fails_setup():
+    # (1, 3) at N = 5 has difference 3 > N//2; only its partner (3, 1) is evolved
+    n = 5
+    cfg, matrices, v0 = _inputs(n, 0.3)
+    k, k_prime = np.divmod(np.arange(n * n), n)
+    never_evolved = np.flatnonzero((k == 1) & (k_prime == 3))
+    assert all_pair_matrices(cfg)[1][never_evolved] == [3]
+    matrices[never_evolved, 2, 1] = np.nan
+    assert math.isnan(_full_stack_defect(matrices, all_pair_matrices(cfg)[1], v0))
+    with pytest.raises(NumericalCheckError, match=r"^pair symmetry defect nan "):
+        kernels.distribution_trajectory(matrices, v0, 5)

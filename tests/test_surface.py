@@ -104,7 +104,7 @@ def test_each_fact_is_stated_once():
     assert [f.name for f in dataclasses.fields(spectral.SpectrumReport)] == [
         "eigenvalues", "spectral_radius", "classification"]
     assert [f.name for f in dataclasses.fields(analysis.MixingReport)] == [
-        "epsilon", "mixing_time", "tv_trace", "horizon", "bound_value"]
+        "epsilon", "mixing_time", "tv_trace", "horizon"]
     assert not hasattr(evolution, "_classical_step")
     from_evolution = {name for name, value in vars(verify).items()
                       if getattr(value, "__module__", None) == evolution.__name__}
@@ -116,6 +116,33 @@ def test_each_fact_is_stated_once():
     assert len(reads) == 1 and any(node.id == "UNIT_MODULUS_TOL" for node in ast.walk(rule)
                                    if isinstance(node, ast.Name))
     assert 1e-8 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+
+
+def _layout_reads(source):
+    """Lines of source that read N off a stack with isqrt, or form a pair
+    row k*N + k' (a sum with a product by n or n_nodes)."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if "isqrt" in (getattr(node, "attr", None), getattr(node, "id", None)):
+            lines.append(node.lineno)
+        elif isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add):
+            lines += [node.lineno for side in (node.left, node.right)
+                      if isinstance(side, ast.BinOp) and isinstance(side.op, ast.Mult)
+                      and {"n", "n_nodes"} & {getattr(x, "id", None)
+                                              for x in (side.left, side.right)}]
+    return lines
+
+
+def test_the_pair_stack_layout_is_stated_only_in_fourier():
+    # fourier owns the (N^2, 4, 4) stack: its N, its rows and the conjugate
+    # partners of the evolved half; every other module asks it
+    from cyclewalk import fourier
+
+    assert sorted(_layout_reads("m = math.isqrt(len(s))\nrow = k * n + k_prime\n")) == [1, 2]
+    for info in pkgutil.iter_modules(cyclewalk.__path__):
+        module = importlib.import_module(f"cyclewalk.{info.name}")
+        reads = _layout_reads(inspect.getsource(module))
+        assert bool(reads) == (module is fourier), f"{module.__name__}: lines {reads}"
 
 
 def _load(name, monkeypatch):
