@@ -2,12 +2,14 @@
 
 Each check exercises one verifiable property of the walk at configurable
 sizes and reports the measured worst deviation.  Checks are deterministic
-(fixed RNG seeds, no wall-clock content), so two runs of the same profile
-produce byte-identical reports.
+(sampled cases come from fixed seeds of the stdlib ``random.random`` stream,
+no wall-clock content), so two runs of the same profile produce
+byte-identical reports.
 """
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 
 import numpy as np
@@ -86,14 +88,24 @@ PROFILES = {
 }
 
 
-def _random_tuples(count: int, max_nodes: int):
-    """Arrays k, k', N, p of count random pairs with 2 <= N <= max_nodes."""
-    rng = np.random.default_rng(2024)
-    draws = []
-    for _ in range(count):
-        n = int(rng.integers(2, max_nodes + 1))
-        draws.append((int(rng.integers(n)), int(rng.integers(n)), n, float(rng.uniform(0, 1))))
-    return tuple(map(np.array, zip(*draws)))
+def _sample_pairs(seed: int, count: int, nodes: tuple, rates=(0.0, 1.0), extra: int = 0):
+    """count random pairs: arrays k, k', N, p with low <= N <= high for
+    nodes = (low, high), 0 <= k, k' < N and a <= p < b for rates = (a, b),
+    and a (count, extra) array of further uniforms in [0, 1).
+
+    Every value comes from random.Random(seed).random(), the one stdlib
+    stream kept the same across Python versions, drawn pair by pair in the
+    order N, k, k', p, extras: integers as floor(u * n), rates as
+    a + (b - a) * u.  floor(u * n) < n for every u < 1 and n < 2**53.
+    """
+    width = 4 + extra
+    stream = random.Random(seed)
+    u = np.array([stream.random() for _ in range(count * width)]).reshape(count, width)
+    low, high = nodes
+    n = low + np.floor(u[:, 0] * (high - low + 1)).astype(np.int64)
+    k, k_prime = np.floor(u[:, 1:3] * n[:, None]).astype(np.int64).T
+    low_rate, high_rate = rates
+    return (k, k_prime, n, low_rate + (high_rate - low_rate) * u[:, 3]), u[:, 4:]
 
 
 def _config(n, p, coin="up"):
@@ -123,7 +135,7 @@ def check_unitality(profile: VerifyProfile):
 
 
 def check_closedform(profile: VerifyProfile):
-    pairs = _random_tuples(profile.random_tuples, 32)
+    pairs, _ = _sample_pairs(2024, profile.random_tuples, (2, 32))
     deviation = np.abs(superop_definitional(*pairs) - superop_closed_form(*pairs))
     return _result("closedform", len(pairs[0]), np.max(deviation), 1e-12,
                    "definitional vs closed-form matrices, tol 1e-12")
@@ -132,7 +144,7 @@ def check_closedform(profile: VerifyProfile):
 def check_charpoly(profile: VerifyProfile):
     nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     vander = np.vander(nodes, 5)
-    pairs = _random_tuples(profile.random_tuples, 32)
+    pairs, _ = _sample_pairs(2024, profile.random_tuples, (2, 32))
     matrices = superop_definitional(*pairs)[:, None]
     dets = np.linalg.det(nodes[:, None, None] * np.eye(4) - matrices)
     fitted = np.linalg.solve(vander, dets[..., None])[..., 0]
@@ -158,25 +170,17 @@ def check_spectrum(profile: VerifyProfile):
 
 
 def check_contraction(profile: VerifyProfile):
-    rng = np.random.default_rng(11)
-    draws = []
-    for _ in range(40):
-        n = int(rng.integers(2, 17))
-        k, kp = int(rng.integers(n)), int(rng.integers(n))
-        p = float(rng.uniform(0, 1))
-        draws.append((k, kp, n, p, rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))))
-    *pairs, operands = zip(*draws)
-    matrices = superop_definitional(*map(np.array, pairs))
-    norms = []
-    for matrix, p, operand in zip(matrices, pairs[3], operands):
-        image = pauli_compose(matrix @ pauli_decompose(operand))
-        before = np.vdot(operand, operand).real
-        q = 1.0 - p
-        identity = (q * q * before
-                    + (2 * p - p * p) * (abs(operand[0, 0]) ** 2 + abs(operand[1, 1]) ** 2))
-        norms.append((before, np.vdot(image, image).real, identity))
-    before, after, identity = np.array(norms).T
-    return _result("contraction", len(draws), np.max(after - before), 1e-12,
+    pairs, u = _sample_pairs(11, 40, (2, 16), extra=8)
+    # real and imaginary parts of each 2x2 operand uniform in [-1, 1)
+    operands = (2 * u[:, :4] - 1 + 1j * (2 * u[:, 4:] - 1)).reshape(-1, 2, 2)
+    coefficients = pauli_decompose(operands)[..., None]
+    images = pauli_compose((superop_definitional(*pairs) @ coefficients)[..., 0])
+    p = pairs[3]
+    before = np.sum(np.abs(operands) ** 2, axis=(-2, -1))
+    after = np.sum(np.abs(images) ** 2, axis=(-2, -1))
+    diagonal = np.abs(operands[:, 0, 0]) ** 2 + np.abs(operands[:, 1, 1]) ** 2
+    identity = (1.0 - p) ** 2 * before + (2 * p - p * p) * diagonal
+    return _result("contraction", len(operands), np.max(after - before), 1e-12,
                    "Frobenius contraction and exact norm identity on random "
                    "operands; measure = max(|LB|^2 - |B|^2)",
                    ok=np.all(after <= before + 1e-12)
@@ -223,16 +227,10 @@ def check_limits(profile: VerifyProfile):
 
 
 def check_geosum(profile: VerifyProfile):
-    rng = np.random.default_rng(5)
-    draws = []
-    for _ in range(profile.geosum_pairs):
-        n = int(rng.integers(3, 17))
-        k = int(rng.integers(n))
-        kp = int(rng.integers(n))
-        if kp == k:
-            kp = (k + 1) % n
-        draws.append((k, kp, n, float(rng.uniform(0.05, 1.0))))
-    matrices = superop_definitional(*map(np.array, zip(*draws)))
+    (k, k_prime, n, p), _ = _sample_pairs(5, profile.geosum_pairs, (3, 16), (0.05, 1.0))
+    # a diagonal pair has the eigenvalue 1, where the resolvent form is singular
+    k_prime = np.where(k_prime == k, (k + 1) % n, k_prime)
+    matrices = superop_definitional(k, k_prime, n, p)
     deviations = [verify_geometric_sum(matrices, tau) for tau in profile.geosum_taus]
     return _result("geosum", len(matrices) * len(deviations), np.max(deviations), 1e-10,
                    "explicit power sum vs resolvent form, tol 1e-10")

@@ -69,6 +69,52 @@ def test_pair_sample_checks_build_their_stack_in_one_call(monkeypatch, name):
     assert len(calls) == 1 and len(calls[0][0]) == PROFILE.random_tuples
 
 
+def _sampled(monkeypatch, name, profile):
+    """The (k, k', N, p) arrays check_<name> builds its pair stack from, and
+    the 2x2 operands it expands in the Pauli basis (None if it expands none)."""
+    pairs, operands = [], []
+    build, decompose = verify.superop_definitional, verify.pauli_decompose
+    monkeypatch.setattr(verify, "superop_definitional",
+                        lambda *args: pairs.append(args) or build(*args))
+    monkeypatch.setattr(verify, "pauli_decompose",
+                        lambda m: operands.append(m) or decompose(m))
+    assert getattr(verify, f"check_{name}")(profile)["passed"]
+    (sample,) = pairs
+    return sample, (operands[0] if operands else None)
+
+
+def test_sampled_cases_are_one_seeded_stdlib_stream(monkeypatch):
+    first, extra = verify._sample_pairs(11, 40, (2, 16), extra=8)
+    second, extra_again = verify._sample_pairs(11, 40, (2, 16), extra=8)
+    for a, b in zip((*first, extra), (*second, extra_again)):
+        assert np.array_equal(a, b)
+    assert extra.shape == (40, 8)
+    # the first pair of the seed-2024 sample is built from
+    # random.Random(2024).random() alone; randrange, randint or gauss draw
+    # other values
+    (k, k_prime, n, p), _ = _sampled(monkeypatch, "closedform", PROFILE)
+    assert (int(k[0]), int(k_prime[0]), int(n[0]), float(p[0])) == (11, 4, 16, 0.8872982690000151)
+
+
+@pytest.mark.parametrize("profile", ["default", "quick"])
+@pytest.mark.parametrize("name, nodes, rates", [
+    ("closedform", (2, 32), (0.0, 1.0)),
+    ("contraction", (2, 16), (0.0, 1.0)),
+    ("geosum", (3, 16), (0.05, 1.0)),
+])
+def test_sampled_cases_stay_in_their_ranges(monkeypatch, profile, name, nodes, rates):
+    (k, k_prime, n, p), operands = _sampled(monkeypatch, name, verify.PROFILES[profile])
+    assert np.all((nodes[0] <= n) & (n <= nodes[1]))
+    assert np.all((0 <= k) & (k < n) & (0 <= k_prime) & (k_prime < n))
+    assert np.all((rates[0] <= p) & (p < rates[1]))
+    if name == "geosum":
+        assert np.all(k != k_prime)
+    if name == "contraction":
+        assert operands.shape == (40, 2, 2)
+        for part in (operands.real, operands.imag):
+            assert np.all((-1 <= part) & (part < 1))
+
+
 def _shift_first_entry(build):
     def shifted(k, k_prime, n_nodes, rate):
         matrix = build(k, k_prime, n_nodes, rate).copy()
@@ -139,6 +185,9 @@ _MUTANTS = {
                   lambda fn: lambda rates: (1 + 1e-13) * fn(rates)),
     "closedform": ("closedform", verify, "superop_closed_form", _shift_first_entry),
     "charpoly": ("charpoly", verify, "char_poly", lambda fn: lambda *a: fn(*a) + 1e-9),
+    # |LB|^2 grows by about 2e-6 |LB|^2: off the exact norm identity
+    "contraction": ("contraction", verify, "superop_definitional",
+                    lambda fn: lambda *a: (1 + 1e-6) * fn(*a)),
     "contraction-nan": ("contraction", verify, "superop_definitional", _nan),
     "oracle": ("oracle", verify, "fourier_trajectory",
                lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),

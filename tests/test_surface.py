@@ -5,7 +5,9 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import os
 import pkgutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -116,6 +118,40 @@ def test_each_fact_is_stated_once():
     assert len(reads) == 1 and any(node.id == "UNIT_MODULUS_TOL" for node in ast.walk(rule)
                                    if isinstance(node, ast.Name))
     assert 1e-8 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
+
+
+def test_no_module_names_numpy_random():
+    # the sampled verify cases come from the stdlib stream, so importing the
+    # package never loads numpy's random subpackage
+    for path in sorted(Path(cyclewalk.__file__).parent.glob("*.py")):
+        source = path.read_text()
+        assert "np.random" not in source and "numpy.random" not in source, path.name
+
+
+_SMALL_RUNS = {
+    "verify-quick": ("verify", "--quick", "--output", "{tmp}/verify.json"),
+    "verify-sampled": ("verify", "--check", "closedform", "--check", "contraction",
+                       "--check", "geosum", "--output", "{tmp}/verify.json"),
+    "mixing": ("mixing", "--nodes", "5", "--decoherence", "0.3", "--epsilon", "0.05",
+               "--horizon", "40", "--output", "{tmp}/mixing.json"),
+    "simulate": ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2",
+                 "--output", "{tmp}/simulate.csv"),
+    "spectrum": ("spectrum", "--nodes", "5", "--decoherence", "0.3",
+                 "--output", "{tmp}/spectrum.csv"),
+}
+
+
+@pytest.mark.parametrize("run", _SMALL_RUNS)
+def test_commands_leave_numpy_random_unloaded(tmp_path, run):
+    argv = [arg.format(tmp=tmp_path) for arg in _SMALL_RUNS[run]]
+    script = ("import sys\n"
+              "from cyclewalk import cli\n"
+              "code = cli.main(sys.argv[1:])\n"
+              "print(code, 'numpy.random' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                          text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": str(Path(cyclewalk.__file__).parents[1])})
+    assert proc.stdout.split()[-2:] == ["0", "False"], proc.stdout + proc.stderr
 
 
 def _layout_reads(source):
