@@ -12,26 +12,33 @@ through the cyclic phase sum.  P is real, so the trace sum g[N - d] of the
 pairs with momentum difference N - d is the conjugate of g[d]: only the
 (N//2 + 1)*N pairs with d = 0..N//2 are evolved, and the phase sum becomes
 one real product with a table of w_d cos and -w_d sin (w_d = 1 for d = 0 and
-d = N/2, 2 otherwise).  U = diag(1, i, -i, -i) makes every pair matrix real,
-R = U L U^-1, so the engine runs in real arithmetic on the re/im columns of
-the state U v.  Before the first step it computes the symmetry defect, the
-largest |L_{k',k} - conj L_{k,k'}|, 2 |imag v0| and |imag(U L U^-1)|, from
-the evolved half and its partners alone, and raises NumericalCheckError
-when it exceeds SYMMETRY_DEFECT_LIMIT or is NaN: an inconsistent stack
-fails in setup, not after a scan of up to 10^6 steps.
+d = N/2, 2 otherwise).  The realification U = diag(1, i, -i, -i) of
+:mod:`cyclewalk.fourier` makes every pair matrix real, R = U L U^-1, so the
+engine runs in real arithmetic on the re/im columns of the state U v.
+Before the first step it computes the symmetry defect, the largest
+|L_{k',k} - conj L_{k,k'}|, 2 |imag v0| and the residue of the
+realification, from the evolved half and its partners alone, and raises
+NumericalCheckError when it exceeds SYMMETRY_DEFECT_LIMIT or is NaN: an
+inconsistent stack fails in setup, not after a scan of up to 10^6 steps.
+
+v0 may also be a (C, 4) stack of C initial coins.  They share the whole
+setup, the gather, the defect, the realification, the rows and R^B; only
+the state and the trace sums gain a C axis, and each coin's distributions
+are bit for bit those of its own run.
 
 The engine works in blocks of B steps.  Setup builds, per pair, the rows
 e0^T R^j (j < B) by doubling: rows m..2m-1 are rows 0..m-1 times R^m, and
 R^(2m) = (R^m)^2, so B rows cost about 2 log2(B) batched 4x4 products.  The
 power R^B is formed only when a second block will run.  One block then
-costs one batched product per difference d, one table product and one R^B
-step, whatever B is; the last block is cut at the last step a caller asks
-for.  For the Cesaro averages row j becomes e0^T (R^0 + ... + R^j): a
-block's product then gives the partial sums of its distributions, and one
-carried N-vector completes them.  The public kernels are folds over these
-streams: the full trajectory, the total-variation scan behind the mixing
-times (up to 10^6 steps), and Cesaro averages at chosen window lengths.
-Each returns its result with the symmetry defect.
+costs, per coin, one batched product per difference d and one table
+product, and one R^B step, whatever B is; the last block is cut at the last
+step a caller asks for.  For the Cesaro averages row j becomes
+e0^T (R^0 + ... + R^j): a block's product then gives the partial sums of
+its distributions, and one carried N-vector completes them.  The public
+kernels are folds over these streams: the full trajectory, the
+total-variation scan behind the mixing times (up to 10^6 steps), and Cesaro
+averages at chosen window lengths.  Each returns its result with the
+symmetry defect.
 """
 
 from __future__ import annotations
@@ -39,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import NumericalCheckError, _check_count
-from .fourier import _evolved_pairs, _stack_nodes
+from .fourier import _REALIFY, _evolved_pairs, _realified, _stack_nodes
 
 __all__ = [
     "distribution_trajectory",
@@ -74,10 +81,6 @@ MAX_BLOCK = 256
 #: (N=101 evolves 5151 pairs and gets B=6).
 ROW_BUFFER_BYTES = 2 ** 20
 
-#: U = diag(1, i, -i, -i) makes every pair matrix real: R = U L U^-1.  U only
-#: multiplies entries by 1, -1 or +-i, which is exact.
-_REALIFY = np.array([1.0, 1j, -1j, -1j])
-
 
 def _block_size(pairs: int) -> int:
     """Steps per block for a stack of this many evolved pair matrices."""
@@ -93,9 +96,9 @@ def _flush(a):
 
 def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     """Yield (t, rows, symmetry defect) for t = 0, B, 2B, ... <= steps, where
-    rows is a (b, N) array: P(., t..t+b-1) for MODE_INSTANTANEOUS, or for
-    MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i) for
-    s = t..t+b-1.
+    rows is a (b, N) array, or (C, b, N) for a (C, 4) stack v0:
+    P(., t..t+b-1) for MODE_INSTANTANEOUS, or for MODE_AVERAGED the Cesaro
+    averages (1/(s+1)) sum_{i<=s} P(., i) for s = t..t+b-1.
 
     Only the evolved half of the stack is read, in d-major order, and its
     partners for the symmetry defect, which is checked against
@@ -105,6 +108,10 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     t = steps.
     """
     n = _stack_nodes(matrices)
+    v0 = np.asarray(v0)
+    if v0.shape[-1:] != (4,) or v0.ndim > 2:
+        raise ValueError(f"expected a (4,) or (C, 4) Pauli vector v0, got shape {v0.shape}")
+    coins = v0.reshape(-1, 4)
     half = n // 2 + 1
     evolved, partners = _evolved_pairs(n)
     kept = matrices[evolved]
@@ -112,22 +119,20 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     # |L_{k',k} - conj L_{k,k'}| is the same number read from the other end
     asymmetry = matrices[partners]
     asymmetry -= kept.conj()
-    realified = kept * (_REALIFY[:, None] / _REALIFY)
-    defect = float(np.max([np.abs(asymmetry).max(),
-                           2.0 * np.abs(v0.imag).max(),
-                           np.abs(realified.imag).max()]))
+    realified, residue = _realified(kept)
+    defect = float(np.max([np.abs(asymmetry).max(), 2.0 * np.abs(v0.imag).max(), residue]))
     # written as not (... <= ...) so that a NaN defect fails it
     if not defect <= SYMMETRY_DEFECT_LIMIT:
         raise NumericalCheckError(f"pair symmetry defect {defect:.3e} (superoperator "
                                   "construction is inconsistent)")
     # group-major, then component-major, then k: R[d, i, j, k] and
-    # state[d, re/im, i, k] for pair (k, k - d)
-    realified = np.ascontiguousarray(
-        realified.real.reshape(half, n, 4, 4).transpose(0, 2, 3, 1))
+    # state[d, (coin, re/im), i, k] for pair (k, k - d)
+    realified = np.ascontiguousarray(realified.reshape(half, n, 4, 4).transpose(0, 2, 3, 1))
     # every pair starts from U v0; the state is stored with i varying fastest,
     # which the block products run about 10% faster on (N = 9)
-    u = np.tile(v0 * _REALIFY, (half, n, 1)).transpose(0, 2, 1)
-    state = np.stack([u.real, u.imag], axis=1)
+    u = coins * _REALIFY
+    state = np.empty((half, 2 * len(coins), 4, n))
+    state[:] = np.stack([u.real, u.imag], axis=1).reshape(-1, 4, 1)
     block = max(1, min(steps + 1, _block_size(len(evolved))))
     # rows[j, d, i, k] = (e0^T R^j)_i is the first row of R^j, and also of
     # L^j U^-1, since U's first entry is 1; by doubling, rows m..2m-1 are
@@ -165,26 +170,36 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     for t in range(0, steps + 1, block):
         if t:
             state = _flush(np.einsum("dijk,drjk->drik", power, state))
-        # one product per group d sums the traces of its N pairs
-        g = 2.0 * np.matmul(state.reshape(half, 2, 4 * n), rows).reshape(2 * half, block)
-        dists = ((g.T @ table) / float(n * n))[:steps + 1 - t]
+        dists = []
+        for r in range(0, 2 * len(coins), 2):
+            # one product per group d sums the traces of its N pairs, per
+            # coin: one product of all coins would round differently in BLAS
+            g = 2.0 * np.matmul(state[:, r:r + 2].reshape(half, 2, 4 * n), rows)
+            dists.append((g.reshape(2 * half, block).T @ table)[:steps + 1 - t] / float(n * n))
+        dists = dists[0] if v0.ndim == 1 else np.stack(dists)
         if mode == MODE_AVERAGED:
             dists = dists + carry
-            carry = dists[-1]
-            dists = dists / np.arange(t + 1, t + 1 + len(dists))[:, None]
+            carry = dists[..., -1:, :]
+            dists = dists / np.arange(t + 1, t + 1 + dists.shape[-2])[:, None]
         yield t, dists, defect
 
 
 def distribution_trajectory(matrices, v0, steps):
-    """P(x, t) for t = 0..steps, shape (steps+1, N), plus the symmetry
-    defect."""
+    """P(x, t) for t = 0..steps, shape (steps+1, N), or (C, steps+1, N) for
+    a (C, 4) stack v0 of C initial coins, plus the symmetry defect."""
     n = _stack_nodes(matrices)
     _check_count("steps", steps, 0)
     steps = int(steps)
-    out = np.empty((steps + 1, n))
+    out = np.empty(np.shape(v0)[:-1] + (steps + 1, n))
     for t, dists, defect in _evolve(matrices, v0, steps):
-        out[t:t + len(dists)] = dists
+        out[..., t:t + dists.shape[-2], :] = dists
     return out, defect
+
+
+def _one_coin(v0):
+    """Reject every v0 but one Pauli 4-vector with ValueError."""
+    if np.shape(v0) != (4,):
+        raise ValueError(f"expected one (4,) Pauli vector v0, got shape {np.shape(v0)}")
 
 
 def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
@@ -203,6 +218,7 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     Returns (tv, symmetry defect).
     """
     n = _stack_nodes(matrices)
+    _one_coin(v0)
     _check_count("horizon", horizon, 1)
     horizon = int(horizon)
     targets = np.asarray(targets)
@@ -231,6 +247,7 @@ def averaged_snapshots(matrices, v0, taus):
     plus the symmetry defect.
     """
     n = _stack_nodes(matrices)
+    _one_coin(v0)
     _check_count("taus", taus, 1)
     taus = np.asarray(taus, dtype=np.int64)
     if len(taus) == 0 or np.any(np.diff(taus) <= 0):

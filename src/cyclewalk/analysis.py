@@ -10,6 +10,8 @@ only up to the scanned horizon, which is recorded with the result.  All
 three scans (:func:`mixing_time_averaged`, :func:`mixing_time_instantaneous`
 and :func:`averaged_time_below`) run through one private driver, which
 checks epsilon and the horizon, picks the target and applies this rule.
+:func:`verify_geometric_sum` takes its power sum and resolvent on the real
+realified pair matrices R = U L U^-1 of :mod:`cyclewalk.fourier`.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import numpy as np
 from . import _kernels
 from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta
 from .evolution import PositionDistribution, _momentum_path
+from .fourier import _realified
 from .spectral import spectral_gap
 
 __all__ = [
@@ -246,6 +249,12 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     (I - L)^{-1} (I - L^tau) for a 4x4 pair matrix L, or the largest over a
     (..., 4, 4) stack of them.
 
+    Both sides are taken in real arithmetic, on fourier's realified
+    R = U L U^-1: U is diagonal with entries of modulus 1, so the deviation
+    of each entry keeps its modulus.  A matrix whose realification leaves an
+    imaginary residue above ``SYMMETRY_DEFECT_LIMIT`` is no pair matrix, and
+    its deviation is NaN.
+
     Only meaningful where I - L is invertible: raises ValueError when the
     condition number of any I - L exceeds 1e12, as on the diagonal pairs
     k = k', whose map has a fixed point.  A stack with a NaN or infinite
@@ -255,12 +264,15 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     _check_count("tau", tau, 1)
     if not np.isfinite(matrix).all():
         return float("nan")
-    eye = np.eye(4, dtype=np.complex128)
+    matrix, residue = _realified(matrix)
+    if not residue <= _kernels.SYMMETRY_DEFECT_LIMIT:
+        return float("nan")
+    eye = np.eye(4)
     cond = np.linalg.cond(eye - matrix)
     if not np.all(cond <= 1e12):
         raise ValueError(f"geometric-sum identity needs I - L invertible, "
                          f"cond(I - L) = {np.max(cond):.3e}")
-    explicit = np.zeros(np.shape(matrix), dtype=np.complex128)
+    explicit = np.zeros(np.shape(matrix))
     power = eye
     for _ in range(int(tau)):
         explicit += power

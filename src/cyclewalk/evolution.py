@@ -33,10 +33,14 @@ That rests on L_{k',k} = conj L_{k,k'} and a Hermitian initial coin
 operator.  The kernels take the pair stack and the Pauli vector v0 of that
 operator, and before the first step they check the largest deviation from
 it, the symmetry defect, against SYMMETRY_DEFECT_LIMIT, so an inconsistent
-construction fails before a long scan starts.
+construction fails before a long scan starts.  The kernels also take a
+(C, 4) stack of C such vectors: walks that differ only in their initial
+coin share one engine call, each with the bits of its own run.
 The two paths must agree to near machine precision; the test suite binds
-them together entrywise.  Step counts and the chain's N go through the input
-rules of :mod:`cyclewalk.core`: a non-integer count raises ValueError.
+them together entrywise.  The classical chain steps several cycle lengths
+at once, laid end to end in one row.  Step counts and the chain's N go
+through the input rules of :mod:`cyclewalk.core`: a non-integer count
+raises ValueError.
 """
 
 from __future__ import annotations
@@ -181,14 +185,17 @@ def _density_marginals(configs, t: int) -> np.ndarray:
     return probs
 
 
+def _pauli_vector(config: WalkConfig) -> np.ndarray:
+    """v0 of a walk: the Pauli 4-vector of its initial coin projector."""
+    return pauli_decompose(np.outer(config.initial_coin, config.initial_coin.conj()))
+
+
 def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
     """Result of a ``_kernels`` reduction (passed as ``_kernels.<name>``, looked
     up at call time) on this walk's pairs; the kernel raises
     NumericalCheckError before its first step when their symmetry defect
     exceeds ``_kernels.SYMMETRY_DEFECT_LIMIT``."""
-    projector = np.outer(config.initial_coin, config.initial_coin.conj())
-    return kernel(all_pair_matrices(config)[0], pauli_decompose(projector),
-                  *args, **kwargs)[0]
+    return kernel(all_pair_matrices(config)[0], _pauli_vector(config), *args, **kwargs)[0]
 
 
 def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
@@ -197,20 +204,43 @@ def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
     return _momentum_path(config, _kernels.distribution_trajectory, int(t_max))
 
 
+def _fourier_trajectories(configs, t_max: int) -> np.ndarray:
+    """P_c(x, t) for t = 0..t_max of C walks that share one cycle length N
+    and rate p, shape (C, t_max+1, N): their initial coins are evolved in
+    one engine call, each bit for bit as :func:`fourier_trajectory` evolves
+    it alone."""
+    _check_count("t_max", t_max, 0)
+    first = configs[0]
+    if any((cfg.n_nodes, cfg.decoherence_rate) != (first.n_nodes, first.decoherence_rate)
+           for cfg in configs):
+        raise ValueError("walks evolved together must share N and p")
+    v0 = np.stack([_pauli_vector(cfg) for cfg in configs])
+    return _kernels.distribution_trajectory(all_pair_matrices(first)[0], v0, int(t_max))[0]
+
+
 def classical_reference(n_nodes: int, t: int) -> PositionDistribution:
     """t steps of the classical +-1 chain (probability 1/2 each) from node 0;
     the p = 1 walk's position marginal must match this exactly."""
-    return PositionDistribution(probs=_classical_chain(n_nodes, t)[-1])
+    (chain,) = _classical_chain([n_nodes], t)
+    return PositionDistribution(probs=chain[-1])
 
 
-def _classical_chain(n_nodes: int, t: int) -> np.ndarray:
-    """Steps 0..t of the classical +-1 chain from node 0, shape (t+1, N): a step
-    sends half of each node's mass each way (np.roll, without its call cost)."""
-    _check_momenta(n_nodes)
+def _classical_chain(nodes, t: int) -> list:
+    """Steps 0..t of the classical +-1 chain from node 0 on each cycle
+    length in nodes, one (t+1, N) array per N.  The chains are laid end to
+    end in one row and stepped together: a step sends half of each node's
+    mass each way, 0.5 * left + 0.5 * right, with one gather of both
+    neighbours per step."""
+    _check_momenta(nodes)
     _check_count("t", t, 0)
-    chain = np.zeros((int(t) + 1, int(n_nodes)))
-    chain[0, 0] = 1.0
+    nodes = [int(n) for n in nodes]
+    starts = np.cumsum([0] + nodes)
+    # the left and right neighbour of every node, indexed into the row
+    neighbours = np.concatenate([start + (np.arange(n) + np.array([[-1], [1]])) % n
+                                 for start, n in zip(starts, nodes)], axis=1)
+    chain = np.zeros((int(t) + 1, starts[-1]))
+    chain[0, starts[:-1]] = 1.0
     for before, after in zip(chain, chain[1:]):
-        after[:] = (0.5 * np.concatenate((before[-1:], before[:-1]))
-                    + 0.5 * np.concatenate((before[1:], before[:1])))
-    return chain
+        left, right = before[neighbours]
+        after[:] = 0.5 * left + 0.5 * right
+    return np.split(chain, starts[1:-1], axis=1)

@@ -22,6 +22,13 @@ Its consumers, the engine in :mod:`cyclewalk._kernels` and
 every other shape, and the rows of the evolved half, the pairs (k, k - d)
 with d = 0..N//2, and of their conjugate partners (k - d, k) from
 :func:`_evolved_pairs`; no other module forms a row.
+
+It also owns U = diag(1, i, -i, -i), which makes every pair matrix real:
+R = U L U^-1 has real entries, since U only multiplies entries by 1, -1 or
++-i, which is exact.  :func:`_realified` gives R and the largest imaginary
+part the product left, its residue; the engine evolves R, the eigenvalues
+are those of R, and the geometric sum is taken over R, all in real
+arithmetic, and each holds the residue to ``SYMMETRY_DEFECT_LIMIT``.
 """
 
 from __future__ import annotations
@@ -44,6 +51,11 @@ __all__ = [
     "superop_closed_form",
     "all_pair_matrices",
 ]
+
+#: The diagonal of U, which makes every pair matrix real: R = U L U^-1.
+_REALIFY = np.array([1.0, 1j, -1j, -1j])
+#: Pair matrices realified per pass: bounds the complex temporary to 1 MB.
+_REALIFY_CHUNK = 4096
 
 
 def _pair_momenta(n_nodes: int):
@@ -71,6 +83,23 @@ def _evolved_pairs(n_nodes: int):
     k = np.arange(n_nodes, dtype=np.int64)
     k_minus_d = (k - np.arange(n_nodes // 2 + 1)[:, None]) % n_nodes
     return (k * n_nodes + k_minus_d).ravel(), (k_minus_d * n_nodes + k).ravel()
+
+
+def _realified(stack):
+    """R = U L U^-1 for every L of a (..., 4, 4) stack, as a real array of
+    the same shape, and the residue: the largest |imag| the product leaves,
+    NaN if an entry is NaN.  The product is taken in bounded chunks, so no
+    complex temporary of the whole stack is made."""
+    stack = np.asarray(stack)
+    flat = stack.reshape(-1, 4, 4)
+    real = np.empty(flat.shape)
+    ratio = _REALIFY[:, None] / _REALIFY
+    residues = []
+    for start in range(0, len(flat), _REALIFY_CHUNK):
+        chunk = flat[start:start + _REALIFY_CHUNK] * ratio
+        real[start:start + len(chunk)] = chunk.real
+        residues.append(np.abs(chunk.imag).max())
+    return real.reshape(stack.shape), np.max(residues)
 
 
 def _pair_angles(k, k_prime, n_nodes):

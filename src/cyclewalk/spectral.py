@@ -4,8 +4,10 @@ and the persistent-eigenvalue classification.
 :func:`char_poly` broadcasts over arrays of (k, k', N, p) and
 :func:`classify_pair` over momentum-index arrays, like the pair
 constructions of :mod:`cyclewalk.fourier`; :func:`eigenvalues` takes a
-whole pair stack, whose contract fourier owns, diagonalises it in one call
-and returns one :class:`SpectrumReport` of arrays over the pairs.
+whole pair stack, whose contract fourier owns, diagonalises it in batched
+calls and returns one :class:`SpectrumReport` of arrays over the pairs.
+The eigensolve is real: it runs on fourier's realified stack R = U L U^-1,
+which has the same spectra and real entries.
 
 Every pair matrix is a Frobenius contraction, so all eigenvalues lie in the
 closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
@@ -22,8 +24,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._kernels import SYMMETRY_DEFECT_LIMIT
 from .core import NumericalCheckError, WalkConfig, _check_momenta
-from .fourier import _pair_angles, _pair_momenta, _stack_nodes, all_pair_matrices
+from .fourier import (_REALIFY_CHUNK, _pair_angles, _pair_momenta, _realified, _stack_nodes,
+                      all_pair_matrices)
 
 __all__ = [
     "SpectrumReport",
@@ -100,18 +104,36 @@ def char_poly(k, k_prime, n_nodes, rate) -> np.ndarray:
 
 def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
     """Spectra of an (N^2, 4, 4) pair stack (any other shape raises
-    ValueError), from one batched eigensolve, as one :class:`SpectrumReport`.
+    ValueError), as one :class:`SpectrumReport`.
+
+    The eigensolve is real and batched: it takes the realified stack
+    R = U L U^-1 of :mod:`cyclewalk.fourier`, whose spectra are those of the
+    pair matrices, one chunk of up to 4096 pairs per call.
+    A stack the eigensolver cannot take (NaN or inf entries), or one whose
+    realification leaves an imaginary residue above SYMMETRY_DEFECT_LIMIT,
+    raises NumericalCheckError.
 
     Each row of eigenvalues is put in canonical order, by real part and then
     by imaginary part, both keys rounded to 9 decimals (the values are not),
     so equal spectra give equal rows whatever order the eigensolver returned.
     """
     n_nodes = _stack_nodes(matrices)
-    try:
-        eig = np.linalg.eigvals(matrices)
-    except np.linalg.LinAlgError as exc:
-        raise NumericalCheckError(
-            f"eigensolver failed on the pair stack (N={n_nodes}): {exc}") from exc
+    eig = np.empty((len(matrices), 4), dtype=np.complex128)
+    residues = []
+    # chunk by chunk, so that no real copy of a large stack is made whole
+    for start in range(0, len(matrices), _REALIFY_CHUNK):
+        realified, residue = _realified(matrices[start:start + _REALIFY_CHUNK])
+        residues.append(residue)
+        try:
+            eig[start:start + len(realified)] = np.linalg.eigvals(realified)
+        except np.linalg.LinAlgError as exc:
+            raise NumericalCheckError(
+                f"eigensolver failed on the pair stack (N={n_nodes}): {exc}") from exc
+    residue = np.max(residues)
+    # written as not (... <= ...) so that a NaN residue fails it
+    if not residue <= SYMMETRY_DEFECT_LIMIT:
+        raise NumericalCheckError(f"pair stack (N={n_nodes}) is not real under U: "
+                                  f"imaginary residue {residue:.3e}")
     # numpy orders complex numbers by real part, then imaginary part
     order = eig.round(9).argsort(axis=-1, kind="stable")
     eig = eig[np.arange(len(eig))[:, None], order]

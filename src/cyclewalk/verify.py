@@ -27,7 +27,8 @@ from .analysis import (
 )
 from .core import (NumericalCheckError, WalkConfig, build_kraus_family, coin_state,
                    pauli_compose, pauli_decompose)
-from .evolution import _classical_chain, _density_marginals, fourier_trajectory
+from .evolution import (_classical_chain, _density_marginals, _fourier_trajectories,
+                        fourier_trajectory)
 from .fourier import _pair_momenta, superop_closed_form, superop_definitional
 from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
 
@@ -191,20 +192,21 @@ def check_oracle(profile: VerifyProfile):
     steps = profile.oracle_max_steps
     deviations = []
     for n in range(3, profile.oracle_max_nodes + 1):
-        configs = [_config(n, p, coin) for p in (0.0, 0.1, 0.5, 1.0)
-                   for coin in ("up", "balanced")]
-        deviations += [np.max(np.abs(fourier_trajectory(cfg, steps) - direct))
-                       for cfg, direct in zip(configs, _density_marginals(configs, steps))]
+        walks = [[_config(n, p, coin) for coin in ("up", "balanced")]
+                 for p in (0.0, 0.1, 0.5, 1.0)]
+        # the two coins of each (N, p) share one engine call
+        momentum = np.concatenate([_fourier_trajectories(coins, steps) for coins in walks])
+        direct = _density_marginals([cfg for coins in walks for cfg in coins], steps)
+        deviations += [np.max(np.abs(a - b)) for a, b in zip(momentum, direct)]
     return _result("oracle", len(deviations), np.max(deviations), 1e-10,
                    "momentum path vs density-matrix path, entrywise tol 1e-10")
 
 
 def check_classical(profile: VerifyProfile):
     steps = profile.oracle_max_steps
-    deviations = []
-    for n in range(2, profile.oracle_max_nodes + 1):
-        (marginals,) = _density_marginals([_config(n, 1.0)], steps)
-        deviations.append(np.max(np.abs(marginals - _classical_chain(n, steps))))
+    nodes = range(2, profile.oracle_max_nodes + 1)
+    deviations = [np.max(np.abs(_density_marginals([_config(n, 1.0)], steps)[0] - chain))
+                  for n, chain in zip(nodes, _classical_chain(nodes, steps))]
     return _result("classical", len(deviations), np.max(deviations), 1e-12,
                    "p=1 marginals vs the +-1/2 chain, tol 1e-12")
 

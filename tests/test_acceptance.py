@@ -178,6 +178,16 @@ def _nan(fn):
     return lambda *args: fn(*args) * np.nan
 
 
+def _off_real(build):
+    """i 1e-6 added to one entry: U = diag(1, i, -i, -i) no longer makes the
+    stack real, so a real-arithmetic check would drop that part unseen."""
+    def shifted(*args):
+        matrices = build(*args)
+        matrices.reshape(-1, 4, 4)[-1, 1, 2] += 1e-6j
+        return matrices
+    return shifted
+
+
 #: criterion -> (check it breaks, or None for the spectrum CLI summary;
 #: module and name of the input replaced; how the input is broken)
 _MUTANTS = {
@@ -189,16 +199,17 @@ _MUTANTS = {
     "contraction": ("contraction", verify, "superop_definitional",
                     lambda fn: lambda *a: (1 + 1e-6) * fn(*a)),
     "contraction-nan": ("contraction", verify, "superop_definitional", _nan),
-    "oracle": ("oracle", verify, "fourier_trajectory",
-               lambda fn: lambda cfg, t: fn(cfg, t) + 1e-9),
+    "oracle": ("oracle", verify, "_fourier_trajectories",
+               lambda fn: lambda configs, t: fn(configs, t) + 1e-9),
     "oracle-density": ("oracle", evolution, "_density_step", _depolarise),
-    "oracle-nan": ("oracle", verify, "fourier_trajectory", _nan),
+    "oracle-nan": ("oracle", verify, "_fourier_trajectories", _nan),
     "classical": ("classical", evolution, "_density_step", _keep_coherence),
     "limits-nan": ("limits", verify, "fourier_trajectory", _nan),
     # only the resolvent side of the identity takes L^tau from matrix_power
     "geosum": ("geosum", np.linalg, "matrix_power",
                lambda fn: lambda m, k: (1 + 1e-8) * fn(m, k)),
     "geosum-nan": ("geosum", verify, "superop_definitional", _nan),
+    "geosum-realify": ("geosum", verify, "superop_definitional", _off_real),
     "mixbound": ("mixbound", verify, "uniform_deviation_bound",
                  lambda fn: lambda *a: 0.0 * fn(*a)),
     "mixbound-nan": ("mixbound", verify, "time_averaged_snapshots", _nan),
@@ -208,6 +219,7 @@ _MUTANTS = {
     "spectrum-oracle": ("spectrum", verify, "superop_definitional",
                         lambda fn: lambda *a: 1.01 * fn(*a)),
     "spectrum-nan": ("spectrum", verify, "superop_definitional", _nan),
+    "spectrum-realify": ("spectrum", verify, "superop_definitional", _off_real),
     "spectrum-summary": (None, cli, "eigenvalues", _misplace_unit_eigenvalues),
     "spectrum-stray": ("spectrum", verify, "eigenvalues", _generic_eigenvalue(1j)),
     "spectrum-summary-stray": (None, cli, "eigenvalues", _generic_eigenvalue(1j)),

@@ -313,6 +313,16 @@ def test_geometric_sum_of_a_nan_stack_is_nan():
     assert np.isnan(verify_geometric_sum(np.full((4, 4), np.inf), 1))
 
 
+def test_geometric_sum_of_a_stack_not_real_under_u_is_nan():
+    # both sides are taken on the real U L U^-1, which would drop an
+    # imaginary part unseen; past SYMMETRY_DEFECT_LIMIT there is no measure
+    stack = _pair_stack([(7, 1, 3, 0.4), (9, 8, 1, 0.2)])
+    stack[1, 0, 0] += 1e-9j
+    assert verify_geometric_sum(stack, 10) <= 1e-12
+    stack[1, 0, 0] += 1e-6j
+    assert np.isnan(verify_geometric_sum(stack, 10))
+
+
 def test_geometric_sum_stack_rejects_any_diagonal_pair():
     stack = _pair_stack([(7, 1, 3, 0.4), (5, 2, 2, 0.4), (9, 8, 1, 0.2)])
     with pytest.raises(ValueError, match="invertible"):

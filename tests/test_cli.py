@@ -379,8 +379,8 @@ def test_verify_subset_and_exit_code(tmp_path, capsys):
 
 def test_a_failing_verify_report_with_a_nan_measure_is_valid_json(tmp_path, capsys,
                                                                   monkeypatch):
-    monkeypatch.setattr(verify, "fourier_trajectory",
-                        lambda config, steps: np.full((steps + 1, config.n_nodes), np.nan))
+    monkeypatch.setattr(verify, "_fourier_trajectories", lambda configs, steps: np.full(
+        (len(configs), steps + 1, configs[0].n_nodes), np.nan))
     out = tmp_path / "verify.json"
     code, _, _ = _run(capsys, "verify", "--quick", "--check", "oracle", "--output", str(out))
     assert code == 1

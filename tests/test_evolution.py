@@ -126,6 +126,37 @@ def test_classical_reference_small_cases():
     assert np.allclose(classical_reference(4, 2).probs, [0.5, 0, 0.5, 0])
 
 
+def _rolled_chain(n, t):
+    """t steps of the +-1/2 chain from node 0, one np.roll pair per step."""
+    chain = [np.eye(n)[0]]
+    for _ in range(t):
+        chain.append(0.5 * np.roll(chain[-1], 1) + 0.5 * np.roll(chain[-1], -1))
+    return np.array(chain)
+
+
+def test_classical_chains_stepped_together_are_each_chain_bit_for_bit():
+    nodes = [2, 3, 4, 7, 12, 5]
+    chains = evolution._classical_chain(nodes, 90)
+    assert [chain.shape for chain in chains] == [(91, n) for n in nodes]
+    for n, chain in zip(nodes, chains):
+        assert np.array_equal(chain, _rolled_chain(n, 90)), n
+        (alone,) = evolution._classical_chain([n], 90)
+        assert np.array_equal(chain, alone)
+    assert np.array_equal(classical_reference(7, 90).probs, _rolled_chain(7, 90)[-1])
+
+
+def test_coins_of_one_walk_evolve_together_as_alone():
+    for n, p in ((3, 0.0), (8, 0.5), (9, 1.0)):
+        configs = [_cfg(n, p, coin) for coin in ("up", "balanced", _CUSTOM_COIN)]
+        together = evolution._fourier_trajectories(configs, 70)
+        for config, trajectory in zip(configs, together, strict=True):
+            assert np.array_equal(trajectory, fourier_trajectory(config, 70))
+    with pytest.raises(ValueError, match="share N and p"):
+        evolution._fourier_trajectories([_cfg(5, 0.3), _cfg(5, 0.4)], 3)
+    with pytest.raises(ValueError, match="share N and p"):
+        evolution._fourier_trajectories([_cfg(5, 0.3), _cfg(6, 0.3)], 3)
+
+
 def test_classical_reference_validates_arguments():
     with pytest.raises(ValueError):
         classical_reference(4, -1)

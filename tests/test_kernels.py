@@ -419,3 +419,98 @@ def test_a_nan_in_a_never_evolved_pair_fails_setup():
     assert math.isnan(_full_stack_defect(matrices, all_pair_matrices(cfg)[1], v0))
     with pytest.raises(NumericalCheckError, match=r"^pair symmetry defect nan "):
         kernels.distribution_trajectory(matrices, v0, 5)
+
+
+# ---------------------------------------------------------------------------
+# several initial coins in one engine call
+# ---------------------------------------------------------------------------
+
+_COINS = ["up", "balanced", _CUSTOM_COIN]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 8, 9])
+def test_each_coin_of_a_stack_evolves_as_its_own_run_bit_for_bit(n, p, block):
+    # even N has the self-conjugate difference d = N/2; the fixture forces
+    # blocks short enough that the run crosses block boundaries
+    runs = [_inputs(n, p, coin) for coin in _COINS]
+    matrices = runs[0][1]
+    v0 = np.stack([coin_v0 for _, _, coin_v0 in runs])
+    for steps in sorted({0, block - 1, block, 2 * block + 3}):
+        together, defect = kernels.distribution_trajectory(matrices, v0, steps)
+        assert together.shape == (len(_COINS), steps + 1, n)
+        alone = [kernels.distribution_trajectory(matrices, coin_v0, steps)
+                 for _, _, coin_v0 in runs]
+        for column, (traj, _) in zip(together, alone):
+            assert np.array_equal(column, traj)
+        assert defect == max(coin_defect for _, coin_defect in alone)
+
+
+def test_a_coin_stack_shares_one_setup(monkeypatch):
+    calls = []
+    monkeypatch.setattr(kernels, "_evolved_pairs",
+                        lambda n, real=kernels._evolved_pairs: calls.append(n) or real(n))
+    _, matrices, v0 = _inputs(5, 0.3)
+    kernels.distribution_trajectory(matrices, np.stack([v0, v0, v0]), 20)
+    assert calls == [5]
+
+
+@pytest.mark.parametrize("call", [
+    lambda m, v0: kernels.tv_scan(m, v0, 5, np.full(4, 0.25)),
+    lambda m, v0: kernels.averaged_snapshots(m, v0, [1, 2]),
+], ids=["tv_scan", "averaged_snapshots"])
+def test_scans_take_one_coin(call):
+    _, matrices, v0 = _inputs(4, 0.5)
+    message = r"^expected one \(4,\) Pauli vector v0, got shape \(2, 4\)"
+    with pytest.raises(ValueError, match=message):
+        call(matrices, np.stack([v0, v0]))
+
+
+@pytest.mark.parametrize("shape", [(3,), (2, 2, 4), (4, 2)], ids=str)
+def test_engine_rejects_a_malformed_coin_stack(shape):
+    _, matrices, _ = _inputs(4, 0.5)
+    with pytest.raises(ValueError, match=r"^expected a \(4,\) or \(C, 4\) Pauli vector v0"):
+        kernels.distribution_trajectory(matrices, np.zeros(shape), 3)
+
+
+@pytest.mark.parametrize("p", [0.0, 0.1, 0.37, 0.5, 1.0])
+def test_the_realification_residue_is_the_engines_old_term_bit_for_bit(p):
+    # the engine's third defect term is |imag(U L U^-1)| over the evolved
+    # half; fourier's chunked helper gives bit for bit the number and the
+    # real part that one complex product of the whole half gives
+    from cyclewalk import fourier
+
+    rng = np.random.default_rng(12)
+    realify = np.array([1.0, 1j, -1j, -1j])
+    for n in range(2, 40):
+        _, matrices, _ = _inputs(n, p, "balanced")
+        matrices = matrices + 1e-12 * (rng.standard_normal(matrices.shape)
+                                       + 1j * rng.standard_normal(matrices.shape))
+        kept = matrices[fourier._evolved_pairs(n)[0]]
+        product = kept * (realify[:, None] / realify)
+        real, residue = fourier._realified(kept)
+        assert residue == np.abs(product.imag).max(), n
+        assert np.array_equal(real, product.real), n
+
+
+def test_the_defect_holds_the_realification_residue():
+    # i 1e-6 on pair (3, 1) and -i 1e-6 on its partner (1, 3) keep
+    # L_{k',k} = conj L_{k,k'}, but U L U^-1 is no longer real
+    n = 5
+    _, matrices, v0 = _inputs(n, 0.3, "balanced")
+    matrices[3 * n + 1, 1, 2] += 1e-6j
+    matrices[1 * n + 3, 1, 2] -= 1e-6j
+    with pytest.raises(NumericalCheckError, match=r"^pair symmetry defect 1\.000e-06 "):
+        kernels.distribution_trajectory(matrices, v0, 5)
+
+
+def test_the_realification_is_taken_in_bounded_chunks(monkeypatch):
+    from cyclewalk import fourier
+
+    _, matrices, _ = _inputs(9, 0.3)
+    whole = fourier._realified(matrices)
+    monkeypatch.setattr(fourier, "_REALIFY_CHUNK", 7)
+    chunked = fourier._realified(matrices)
+    assert np.array_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
+    matrices[80, 3, 0] = np.nan
+    assert math.isnan(fourier._realified(matrices)[1])

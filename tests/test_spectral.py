@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from cyclewalk import (
+    NumericalCheckError,
     WalkConfig,
     build_kraus_family,
     char_poly,
@@ -268,9 +269,13 @@ def test_spectral_gap_construction_independent():
     assert abs(gap - (1.0 - definitional_radius)) <= 1e-10
 
 
+#: U = diag(1, i, -i, -i): U L U^-1 is real for every pair matrix L.
+_REALIFY = np.array([1.0, 1j, -1j, -1j])
+
+
 def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
-    # one batched eigensolve gives each pair the eigenvalues a solve of that
-    # pair alone gives, put in canonical order
+    # one batched eigensolve gives each pair the eigenvalues a real solve of
+    # that pair's realification U L U^-1 alone gives, put in canonical order
     for n, p in ((2, 0.5), (6, 0.3), (7, 0.0), (8, 1.0)):
         cfg = _cfg(n, p)
         spectra = eigenvalues(all_pair_matrices(cfg)[0])
@@ -279,13 +284,43 @@ def test_eigenvalue_reports_match_per_pair_eigensolves_exactly():
         for k in range(n):
             for kp in range(n):
                 q = k * n + kp
-                single = np.linalg.eigvals(superop_closed_form(k, kp, n, p))
+                realified = superop_closed_form(k, kp, n, p) * (_REALIFY[:, None] / _REALIFY)
+                assert not realified.imag.any()
+                single = np.linalg.eigvals(realified.real).astype(complex)
                 single = single[np.argsort(single.round(9), kind="stable")]
                 assert np.array_equal(spectra.eigenvalues[q], single)
                 assert spectra.spectral_radius[q] == np.abs(single).max()
                 assert has_plus[q] == (np.abs(single - 1.0).min() < 1e-9)
                 assert has_minus[q] == (np.abs(single + 1.0).min() < 1e-9)
                 assert spectra.classification[q] == classify_pair(k, kp, n)
+
+
+_SOLVER_FAILED = r"^eigensolver failed on the pair stack \(N={n}\)"
+
+
+def test_eigenvalues_reject_a_stack_that_is_not_real_under_u():
+    matrices = all_pair_matrices(_cfg(5, 0.3))[0]
+    matrices[7, 1, 2] += 1e-9j   # residue 1e-9: within SYMMETRY_DEFECT_LIMIT
+    eigenvalues(matrices)
+    matrices[7, 1, 2] += 0.999e-6j
+    with pytest.raises(NumericalCheckError, match=r"^pair stack \(N=5\) is not real under U: "
+                                                  r"imaginary residue 1\.000e-06"):
+        eigenvalues(matrices)
+    matrices[7, 1, 2] = np.nan
+    with pytest.raises(NumericalCheckError, match=_SOLVER_FAILED.format(n=5)):
+        eigenvalues(matrices)
+
+
+def test_eigenvalues_are_solved_in_chunks_alike(monkeypatch):
+    # a large stack is realified and solved chunk by chunk; a pair's
+    # eigenvalues do not depend on the chunk it falls in
+    matrices = all_pair_matrices(_cfg(9, 0.37))[0]
+    whole = eigenvalues(matrices).eigenvalues
+    monkeypatch.setattr(spectral, "_REALIFY_CHUNK", 10)
+    assert np.array_equal(eigenvalues(matrices).eigenvalues, whole)
+    matrices[75, 0, 0] = np.nan
+    with pytest.raises(NumericalCheckError, match=_SOLVER_FAILED.format(n=9)):
+        eigenvalues(matrices)
 
 
 def _definitional_stack(n, p):

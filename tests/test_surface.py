@@ -110,7 +110,8 @@ def test_each_fact_is_stated_once():
     assert not hasattr(evolution, "_classical_step")
     from_evolution = {name for name, value in vars(verify).items()
                       if getattr(value, "__module__", None) == evolution.__name__}
-    assert from_evolution == {"_classical_chain", "_density_marginals", "fourier_trajectory"}
+    assert from_evolution == {"_classical_chain", "_density_marginals",
+                              "_fourier_trajectories", "fourier_trajectory"}
     tree = ast.parse(inspect.getsource(spectral))
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
              and node.id == "UNIT_MODULUS_TOL" and isinstance(node.ctx, ast.Load)]
@@ -179,6 +180,33 @@ def test_the_pair_stack_layout_is_stated_only_in_fourier():
         module = importlib.import_module(f"cyclewalk.{info.name}")
         reads = _layout_reads(inspect.getsource(module))
         assert bool(reads) == (module is fourier), f"{module.__name__}: lines {reads}"
+
+
+def _realifications(source):
+    """Lines of source that write out the diagonal of U = diag(1, i, -i, -i)
+    as a list or tuple literal."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.List, ast.Tuple)):
+            try:
+                values = ast.literal_eval(node)
+            except ValueError:
+                continue
+            if list(values) == [1, 1j, -1j, -1j]:
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_realification_is_stated_only_in_fourier():
+    # fourier owns U, which makes every pair matrix real; the engine, the
+    # eigensolve and the geometric sum take it, or the realified stack, from there
+    from cyclewalk import fourier
+
+    assert _realifications("u = np.array([1.0, 1j, -1j, -1j])\nv = (1, 2j)\n") == [1]
+    for info in pkgutil.iter_modules(cyclewalk.__path__):
+        module = importlib.import_module(f"cyclewalk.{info.name}")
+        lines = _realifications(inspect.getsource(module))
+        assert len(lines) == (module is fourier), f"{module.__name__}: lines {lines}"
 
 
 def _load(name, monkeypatch):
