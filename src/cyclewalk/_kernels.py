@@ -46,7 +46,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import NumericalCheckError, _check_count
-from .fourier import _REALIFY, _evolved_pairs, _realified, _stack_nodes
+from .fourier import SYMMETRY_DEFECT_LIMIT, _REALIFY, _evolved_pairs, _realified, _stack_nodes
 
 __all__ = [
     "distribution_trajectory",
@@ -58,9 +58,6 @@ __all__ = [
 
 MODE_AVERAGED = 0
 MODE_INSTANTANEOUS = 1
-
-#: A pair symmetry defect above this aborts a run before its first step.
-SYMMETRY_DEFECT_LIMIT = 1e-8
 
 #: Pair vectors decay geometrically, and components that drift into the
 #: subnormal range can stay there for thousands of steps, where CPU

@@ -24,7 +24,7 @@ import numpy as np
 from . import _kernels
 from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta
 from .evolution import PositionDistribution, _momentum_path
-from .fourier import _realified
+from .fourier import SYMMETRY_DEFECT_LIMIT, _realified
 from .spectral import spectral_gap
 
 __all__ = [
@@ -265,7 +265,7 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     if not np.isfinite(matrix).all():
         return float("nan")
     matrix, residue = _realified(matrix)
-    if not residue <= _kernels.SYMMETRY_DEFECT_LIMIT:
+    if not residue <= SYMMETRY_DEFECT_LIMIT:
         return float("nan")
     eye = np.eye(4)
     cond = np.linalg.cond(eye - matrix)

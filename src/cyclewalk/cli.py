@@ -7,6 +7,15 @@ or configuration error (including an input too large to allocate, an
 output path that cannot be written, checked before any work, and a closed
 stdout), 3 internal numerical assertion.
 
+Each option is declared once, in its command's field table, with its rule:
+the tuple of values it accepts or the minimum of a count.  ``_resolve``
+holds a flag and a config-file value to that rule alike, and one table,
+``_COMMANDS``, builds every subcommand from the field tables.  The
+destination rule, ``_check_writable``, runs before the work: ``-`` is
+stdout and may be named once; an empty path names no file, so ``--output
+""`` is refused, while ``--summary ""`` means stderr and ``--manifest ""``
+means no manifest; no two destinations may name one file.
+
 The three data tables, the `simulate` and `spectrum` CSVs and the mixing
 ``tv_trace``, stream through one renderer, :func:`_table`: a row template
 over int, float and label columns, written in chunks of _CHUNK_ROWS rows
@@ -253,15 +262,21 @@ def _emit_json(value, indent: int = 0):
         yield json.dumps(value).encode()
 
 
-def _check_writable(*paths):
-    """Raise now the OSError that writing any of paths ('-' and empty paths
-    aside) would raise once the work is done, or a ValueError if two name one
-    file; no file is changed or left behind.  A named pipe or device is not
-    opened early: opening a pipe waits for a reader, and closing it ends one."""
-    paths = [path for path in paths if path and path != "-"]
-    if len({os.path.realpath(path) for path in paths}) < len(paths):
-        raise ValueError(f"two destinations name the same file: {', '.join(paths)}")
-    for path in paths:
+def _check_writable(output, *extra):
+    """The destination rule, checked before any work.  The destinations are
+    output and each non-empty extra path (an empty extra path names none);
+    '-' is stdout.  Raise ValueError if two of them are '-' or two name one
+    file, and otherwise the OSError that writing a file destination would
+    raise once the work is done; no file is changed or left behind.  A named
+    pipe or device is not opened early: opening a pipe waits for a reader,
+    and closing it ends one."""
+    paths = [output, *filter(None, extra)]
+    files = [path for path in paths if path != "-"]
+    if len(paths) - len(files) > 1:
+        raise ValueError("two destinations name stdout ('-')")
+    if len({os.path.realpath(path) for path in files}) < len(files):
+        raise ValueError(f"two destinations name the same file: {', '.join(files)}")
+    for path in files:
         try:
             with open(path, "xb"):
                 pass
@@ -300,21 +315,27 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve(args, fields: dict):
-    """Merge CLI flags (highest precedence), config file, and defaults."""
+    """Merge CLI flags (highest precedence), config file, and defaults, and
+    hold each value to its option's rule."""
     file_values = _load_config_file(args.config) if args.config else {}
     unknown = set(file_values) - set(fields)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     resolved = {}
-    for key, (convert, default, required, _help) in fields.items():
-        attr = key.replace("-", "_")
-        value = getattr(args, attr)
+    for key, (convert, default, required, _help, *rule) in fields.items():
+        value = getattr(args, key.replace("-", "_"))
         if value is None and key in file_values:
             value = convert(file_values[key])
         if value is None:
             value = default
         if value is None and required:
             raise ValueError(f"missing required option --{key}")
+        if rule and isinstance(rule[0], tuple):
+            if value not in rule[0]:
+                *choices, last = map(repr, rule[0])
+                raise ValueError(f"{key} must be {', '.join(choices)} or {last}, got {value!r}")
+        elif rule:
+            _check_count(key, value, rule[0])
         resolved[key] = value
     return resolved
 
@@ -348,45 +369,55 @@ def _parse_coin(spec: str) -> np.ndarray:
     return vec / norm
 
 
-def _write_manifest(path, command: str, settings: dict, outputs: list):
+def _write_manifest(args, settings: dict, *outputs):
+    """Write the run manifest to --manifest, unless it is absent or empty;
+    outputs are the destinations written, an empty one naming none."""
+    if not args.manifest:
+        return
     manifest = {
-        "command": command,
+        "command": args.command,
         "settings": settings,
         "deterministic": True,
         "rng": "none",
         "version": __version__,
         "timestamp": datetime.now(timezone.utc).isoformat(),
-        "outputs": list(outputs),
+        "outputs": list(filter(None, outputs)),
     }
-    _write(path, _emit_json(manifest), b"\n")
+    _write(args.manifest, _emit_json(manifest), b"\n")
+
+
+def _walk(resolved: dict) -> WalkConfig:
+    """The walk of the resolved nodes, decoherence and initial coin ('up'
+    for a command without that option)."""
+    return WalkConfig(n_nodes=resolved["nodes"], decoherence_rate=resolved["decoherence"],
+                      initial_coin=_parse_coin(resolved.get("initial-coin", "up")))
 
 
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
-# each option: (convert, default, required, help text)
+# each option: (convert, default, required, help text[, rule]); the rule is
+# the tuple of values the option accepts or the minimum of a count
+_NODES = (int, None, True, "cycle length N")
+_DECOHERENCE = (float, None, True, "coin measurement rate p in [0,1]")
+_COIN = (str, "up", False, "up | down | balanced | re,im,re,im")
+
 SIMULATE_FIELDS = {
-    "nodes": (int, None, True, "cycle length N"),
-    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
-    "steps": (int, None, True, "number of steps to evolve"),
+    "nodes": _NODES,
+    "decoherence": _DECOHERENCE,
+    "steps": (int, None, True, "number of steps to evolve", 0),
     "method": (str, "fourier", False,
-               "'fourier' (momentum path) or 'direct' (density matrix)"),
-    "initial-coin": (str, "up", False, "up | down | balanced | re,im,re,im"),
+               "'fourier' (momentum path) or 'direct' (density matrix)", ("fourier", "direct")),
+    "initial-coin": _COIN,
     "output": (str, "-", False, "CSV destination ('-' for stdout)"),
 }
 
 
 def cmd_simulate(args) -> int:
     resolved = _resolve(args, SIMULATE_FIELDS)
-    if resolved["method"] not in ("fourier", "direct"):
-        raise ValueError(f"method must be 'fourier' or 'direct', got {resolved['method']!r}")
-    coin = _parse_coin(resolved["initial-coin"])
-    config = WalkConfig(n_nodes=resolved["nodes"],
-                        decoherence_rate=resolved["decoherence"],
-                        initial_coin=coin)
+    config = _walk(resolved)
     steps = resolved["steps"]
-    _check_count("steps", steps, 0)
     _check_writable(resolved["output"], args.manifest)
     if resolved["method"] == "fourier":
         trajectory = fourier_trajectory(config, steps)
@@ -400,14 +431,13 @@ def cmd_simulate(args) -> int:
     _write(resolved["output"], b"t,x,p,method\n",
            _table(f"%d,%d,%.16e,{resolved['method']}\n",
                   (np.arange(steps + 1)[:, None], np.arange(config.n_nodes), trajectory)))
-    if args.manifest:
-        _write_manifest(args.manifest, "simulate", resolved, [resolved["output"]])
+    _write_manifest(args, resolved, resolved["output"])
     return 0
 
 
 SPECTRUM_FIELDS = {
-    "nodes": (int, None, True, "cycle length N"),
-    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
+    "nodes": _NODES,
+    "decoherence": _DECOHERENCE,
     "output": (str, "-", False, "CSV destination ('-' for stdout)"),
     "summary": (str, "", False, "summary JSON destination (default: stderr)"),
 }
@@ -415,8 +445,7 @@ SPECTRUM_FIELDS = {
 
 def cmd_spectrum(args) -> int:
     resolved = _resolve(args, SPECTRUM_FIELDS)
-    config = WalkConfig(n_nodes=resolved["nodes"],
-                        decoherence_rate=resolved["decoherence"])
+    config = _walk(resolved)
     _check_writable(resolved["output"], resolved["summary"], args.manifest)
     n, p = config.n_nodes, config.decoherence_rate
     spectra = eigenvalues(all_pair_matrices(config)[0])
@@ -432,40 +461,30 @@ def cmd_spectrum(args) -> int:
         _write(resolved["summary"], _emit_json(summary), b"\n")
     else:
         sys.stderr.write(b"".join(_emit_json(summary)).decode() + "\n")
-    if args.manifest:
-        outputs = [resolved["output"]] + ([resolved["summary"]] if resolved["summary"] else [])
-        _write_manifest(args.manifest, "spectrum", resolved, outputs)
+    _write_manifest(args, resolved, resolved["output"], resolved["summary"])
     if not all(summary[verdict] for verdict in VERDICTS):
         raise NumericalCheckError("spectrum summary assertions failed; see summary")
     return 0
 
 
 MIXING_FIELDS = {
-    "nodes": (int, None, True, "cycle length N"),
-    "decoherence": (float, None, True, "coin measurement rate p in [0,1]"),
+    "nodes": _NODES,
+    "decoherence": _DECOHERENCE,
     "epsilon": (float, None, True, "mixing threshold"),
-    "target": (str, "averaged", False, "'averaged' (Cesaro) or 'instantaneous'"),
+    "target": (str, "averaged", False, "'averaged' (Cesaro) or 'instantaneous'",
+               ("averaged", "instantaneous")),
     "horizon": (int, None, False, "scan horizon (default: 20 N^2 / epsilon, capped at 1e6)"),
-    "initial-coin": (str, "up", False, "up | down | balanced | re,im,re,im"),
-    "bound": (str, "auto", False, "'auto' | 'require' | 'off' analytic deviation bound"),
-    "trace-stride": (int, 1, False, "thin the emitted tv trace to every K-th entry"),
+    "initial-coin": _COIN,
+    "bound": (str, "auto", False, "'auto' | 'require' | 'off' analytic deviation bound",
+              ("auto", "require", "off")),
+    "trace-stride": (int, 1, False, "thin the emitted tv trace to every K-th entry", 1),
     "output": (str, "-", False, "JSON destination ('-' for stdout)"),
 }
 
 
 def cmd_mixing(args) -> int:
     resolved = _resolve(args, MIXING_FIELDS)
-    if resolved["target"] not in ("averaged", "instantaneous"):
-        raise ValueError(f"target must be 'averaged' or 'instantaneous', "
-                         f"got {resolved['target']!r}")
-    if resolved["bound"] not in ("auto", "require", "off"):
-        raise ValueError(f"bound must be 'auto', 'require' or 'off', "
-                         f"got {resolved['bound']!r}")
-    _check_count("trace-stride", resolved["trace-stride"], 1)
-    coin = _parse_coin(resolved["initial-coin"])
-    config = WalkConfig(n_nodes=resolved["nodes"],
-                        decoherence_rate=resolved["decoherence"],
-                        initial_coin=coin)
+    config = _walk(resolved)
     problems = bound_unavailable_reasons(config)
     if resolved["target"] != "averaged":
         problems.append("instantaneous target")
@@ -489,8 +508,7 @@ def cmd_mixing(args) -> int:
         "tv_trace": report.trace_cells(resolved["trace-stride"]),
     }
     _write(resolved["output"], _emit_json(payload), b"\n")
-    if args.manifest:
-        _write_manifest(args.manifest, "mixing", resolved, [resolved["output"]])
+    _write_manifest(args, resolved, resolved["output"])
     return 0
 
 
@@ -505,10 +523,9 @@ def cmd_verify(args) -> int:
     profile = "quick" if args.quick else "default"
     report = run_checks(names=args.check, profile=profile)
     _write(resolved["output"], _emit_json(report), b"\n")
-    if args.manifest:
-        settings = {**resolved, "profile": profile,
-                    "checks": [check["name"] for check in report["checks"]]}
-        _write_manifest(args.manifest, "verify", settings, [resolved["output"]])
+    _write_manifest(args, {**resolved, "profile": profile,
+                           "checks": [check["name"] for check in report["checks"]]},
+                    resolved["output"])
     return 0 if report["all_passed"] else 1
 
 
@@ -516,15 +533,15 @@ def cmd_verify(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _add_common(sub):
-    sub.add_argument("--config", help="key=value file; flags take precedence")
-    sub.add_argument("--manifest", help="write a run manifest (JSON) to this path")
-
-
-def _add_fields(sub, fields: dict):
-    for key, (convert, _default, _required, text) in fields.items():
-        sub.add_argument(f"--{key}", type=convert, default=None,
-                         help=text, metavar=key.upper().replace("-", "_"))
+#: subcommand name, help, options and handler; each takes --config and
+#: --manifest after its options
+_COMMANDS = (
+    ("simulate", "evolve and write P(x,t) as CSV", SIMULATE_FIELDS, cmd_simulate),
+    ("spectrum", "per-pair eigenvalues as CSV plus a summary JSON", SPECTRUM_FIELDS,
+     cmd_spectrum),
+    ("mixing", "TV scan and mixing time as JSON", MIXING_FIELDS, cmd_mixing),
+    ("verify", "run the named property checks", VERIFY_FIELDS, cmd_verify),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -535,36 +552,24 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"cyclewalk {__version__}")
     commands = parser.add_subparsers(dest="command", required=True)
-
-    sim = commands.add_parser("simulate", help="evolve and write P(x,t) as CSV")
-    _add_fields(sim, SIMULATE_FIELDS)
-    _add_common(sim)
-    sim.set_defaults(handler=cmd_simulate)
-
-    spec = commands.add_parser("spectrum", help="per-pair eigenvalues as CSV "
-                                                "plus a summary JSON")
-    _add_fields(spec, SPECTRUM_FIELDS)
-    _add_common(spec)
-    spec.set_defaults(handler=cmd_spectrum)
-
-    mix = commands.add_parser("mixing", help="TV scan and mixing time as JSON")
-    _add_fields(mix, MIXING_FIELDS)
-    _add_common(mix)
-    mix.set_defaults(handler=cmd_mixing)
-
-    ver = commands.add_parser("verify", help="run the named property checks")
-    quick, full = PROFILES["quick"], PROFILES["default"]
-    ver.add_argument("--quick", action="store_true",
-                     help=f"reduced sizes: oracle walks up to N = {quick.oracle_max_nodes} "
-                          f"over {quick.oracle_max_steps} steps and {quick.random_tuples} "
-                          f"random pairs, instead of N = {full.oracle_max_nodes}, "
-                          f"{full.oracle_max_steps} steps and {full.random_tuples} pairs")
-    ver.add_argument("--check", action="append", metavar="NAME",
-                     help=f"run only the named check (repeatable); "
-                          f"one of: {', '.join(CHECK_NAMES)}")
-    _add_fields(ver, VERIFY_FIELDS)
-    _add_common(ver)
-    ver.set_defaults(handler=cmd_verify)
+    for name, text, fields, handler in _COMMANDS:
+        sub = commands.add_parser(name, help=text)
+        if handler is cmd_verify:
+            quick, full = PROFILES["quick"], PROFILES["default"]
+            sub.add_argument("--quick", action="store_true", help=(
+                f"reduced sizes: oracle walks up to N = {quick.oracle_max_nodes} over "
+                f"{quick.oracle_max_steps} steps and {quick.random_tuples} random pairs, "
+                f"instead of N = {full.oracle_max_nodes}, {full.oracle_max_steps} steps "
+                f"and {full.random_tuples} pairs"))
+            sub.add_argument("--check", action="append", metavar="NAME",
+                             help=f"run only the named check (repeatable); "
+                                  f"one of: {', '.join(CHECK_NAMES)}")
+        for key, (convert, _default, _required, field_help, *_rule) in fields.items():
+            sub.add_argument(f"--{key}", type=convert, default=None,
+                             help=field_help, metavar=key.upper().replace("-", "_"))
+        sub.add_argument("--config", help="key=value file; flags take precedence")
+        sub.add_argument("--manifest", help="write a run manifest (JSON) to this path")
+        sub.set_defaults(handler=handler)
     return parser
 
 

@@ -194,7 +194,7 @@ def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
     """Result of a ``_kernels`` reduction (passed as ``_kernels.<name>``, looked
     up at call time) on this walk's pairs; the kernel raises
     NumericalCheckError before its first step when their symmetry defect
-    exceeds ``_kernels.SYMMETRY_DEFECT_LIMIT``."""
+    exceeds ``fourier.SYMMETRY_DEFECT_LIMIT``."""
     return kernel(all_pair_matrices(config)[0], _pauli_vector(config), *args, **kwargs)[0]
 
 

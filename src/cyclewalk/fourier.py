@@ -54,6 +54,9 @@ __all__ = [
 
 #: The diagonal of U, which makes every pair matrix real: R = U L U^-1.
 _REALIFY = np.array([1.0, 1j, -1j, -1j])
+#: A pair symmetry defect, or a realification residue, above this aborts a
+#: run before its first step and refuses an eigensolve or a geometric sum.
+SYMMETRY_DEFECT_LIMIT = 1e-8
 #: Pair matrices realified per pass: bounds the complex temporary to 1 MB.
 _REALIFY_CHUNK = 4096
 

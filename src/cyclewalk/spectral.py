@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import SYMMETRY_DEFECT_LIMIT
 from .core import NumericalCheckError, WalkConfig, _check_momenta
-from .fourier import (_REALIFY_CHUNK, _pair_angles, _pair_momenta, _realified, _stack_nodes,
-                      all_pair_matrices)
+from .fourier import (SYMMETRY_DEFECT_LIMIT, _REALIFY_CHUNK, _pair_angles, _pair_momenta,
+                      _realified, _stack_nodes, all_pair_matrices)
 
 __all__ = [
     "SpectrumReport",

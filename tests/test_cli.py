@@ -496,6 +496,10 @@ _SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
     (("spectrum", "--nodes", "5", "--decoherence", "0.3", "--output", "{tmp}/dup.txt",
       "--summary", "{tmp}/./dup.txt"),
      "two destinations name the same file: {tmp}/dup.txt, {tmp}/./dup.txt, {tmp}/manifest.json"),
+    # next to the default --output -, stdout may not be named again
+    ((*_SIMULATE, "--manifest", "-"), "two destinations name stdout ('-')"),
+    (("spectrum", "--nodes", "5", "--decoherence", "0.3", "--summary", "-"),
+     "two destinations name stdout ('-')"),
     ((*_SCAN, "--output", "{tmp}/mixing.json"),
      {"nodes": 5, "decoherence": 0.3, "epsilon": 0.05, "target": "averaged", "horizon": 40,
       "initial-coin": "up", "bound": "auto", "trace-stride": 1,
@@ -509,15 +513,17 @@ _SIMULATE = ("simulate", "--nodes", "5", "--decoherence", "0.3", "--steps", "2")
       "unitality", "--output", "{tmp}/v.json"),
      {"output": "{tmp}/v.json", "profile": "quick", "checks": ["unitality", "closedform"]}),
 ], ids=["config-line", "coin-parts", "zero-coin", "target", "bound", "bound-instantaneous",
-        "simulate-output-is-manifest", "spectrum-output-is-summary", "mixing-manifest", "verify-manifest", "verify-quick-manifest",
-        "verify-repeated-checks-manifest"])
+        "simulate-output-is-manifest", "spectrum-output-is-summary", "simulate-manifest-is-stdout",
+        "spectrum-summary-is-stdout", "mixing-manifest", "verify-manifest",
+        "verify-quick-manifest", "verify-repeated-checks-manifest"])
 def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
     """A bad option exits 2 with its message alone; a good run writes a
     manifest that records its resolved settings."""
     (tmp_path / "run.cfg").write_text("nodes=5\nsteps 3\n")
     manifest = tmp_path / "manifest.json"
     argv = [arg.format(tmp=tmp_path) for arg in argv]
-    code, out, err = _run(capsys, *argv, "--manifest", str(manifest))
+    # the manifest flag goes first, so that a case's own --manifest wins
+    code, out, err = _run(capsys, argv[0], "--manifest", str(manifest), *argv[1:])
     if isinstance(expected, str):
         assert (code, out, err) == (2, "", f"error: {expected.format(tmp=tmp_path)}\n")
         assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
@@ -527,6 +533,33 @@ def test_usage_errors_and_manifest_settings(tmp_path, capsys, argv, expected):
         assert data["command"] == argv[0]
         assert data["settings"] == {key: value.format(tmp=tmp_path) if isinstance(value, str)
                                     else value for key, value in expected.items()}
+
+
+@pytest.mark.parametrize("argv, line, message", [
+    (_SIMULATE, "method=warp", "method must be 'fourier' or 'direct', got 'warp'"),
+    (_SIMULATE[:5], "steps=-1", "steps must be >= 0, got -1"),
+    (_SCAN, "target=final", "target must be 'averaged' or 'instantaneous', got 'final'"),
+    (_SCAN, "bound=always", "bound must be 'auto', 'require' or 'off', got 'always'"),
+    (_SCAN, "trace-stride=0", "trace-stride must be >= 1, got 0"),
+], ids=["method", "steps", "target", "bound", "trace-stride"])
+def test_a_config_file_value_obeys_the_rule_of_its_flag(tmp_path, capsys, argv, line,
+                                                        message):
+    key, _, value = line.partition("=")
+    config = tmp_path / "run.cfg"
+    config.write_text(line + "\n")
+    output = ("--output", str(tmp_path / "output"), "--manifest", str(tmp_path / "manifest"))
+    for source in (("--config", str(config)), (f"--{key}", value)):
+        assert _run(capsys, *argv, *source, *output) == (2, "", f"error: {message}\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["run.cfg"]
+
+
+def test_bound_off_writes_a_null_bound_and_changes_nothing_else(capsys):
+    code, auto, _ = _run(capsys, *_SCAN, "--bound", "auto")
+    assert code == 0
+    bound = '"bound": {\n    "tau": 29,\n    "value": 1.2260536398467430e+00\n  },'
+    assert auto.count(bound) == 1
+    assert _run(capsys, *_SCAN, "--bound", "off") == (
+        0, auto.replace(bound, '"bound": null,'), "")
 
 
 def test_mixing_with_a_nan_trace_exits_3_and_writes_nothing(tmp_path, capsys, monkeypatch):
@@ -622,6 +655,29 @@ def test_an_unwritable_destination_fails_before_the_work(tmp_path, capsys, monke
     code, _, err = _run(capsys, *argv, *flags)
     assert code == cli.USAGE_ERROR
     assert err == f"error: [Errno 21] Is a directory: '{tmp_path}'\n"
+    # an empty output path names no file: it is refused before the work too
+    if bad == "output":
+        paths[bad] = ""
+        flags = [arg for option in options for arg in (f"--{option}", str(paths[option]))]
+        code, stdout, err = _run(capsys, *argv, *flags)
+        assert (code, stdout) == (cli.USAGE_ERROR, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+        assert sorted(tmp_path.iterdir()) == [existing]
+
+
+def test_an_empty_summary_is_stderr_and_an_empty_manifest_is_none(tmp_path, capsys,
+                                                                   monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    code, out, err = _run(capsys, "spectrum", "--nodes", "5", "--decoherence", "0.3",
+                          "--output", "spectrum.csv", "--summary", "", "--manifest", "")
+    assert (code, out) == (0, "")
+    assert json.loads(err)["pairs"] == 25
+    assert [path.name for path in tmp_path.iterdir()] == ["spectrum.csv"]
+    # an empty manifest path is not a second stdout next to --output -
+    code, out, err = _run(capsys, *_SCAN, "--manifest", "")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["horizon"] == 40
+    assert [path.name for path in tmp_path.iterdir()] == ["spectrum.csv"]
 
 
 def test_a_named_pipe_destination_is_first_opened_to_be_written(tmp_path, capsys):

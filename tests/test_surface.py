@@ -207,6 +207,14 @@ def test_the_realification_is_stated_only_in_fourier():
         module = importlib.import_module(f"cyclewalk.{info.name}")
         lines = _realifications(inspect.getsource(module))
         assert len(lines) == (module is fourier), f"{module.__name__}: lines {lines}"
+    # the residue limit sits next to U, so the eigensolve needs nothing of the engine
+    from cyclewalk import _kernels, spectral
+
+    assert _kernels.SYMMETRY_DEFECT_LIMIT is fourier.SYMMETRY_DEFECT_LIMIT
+    imported = [(getattr(node, "module", None), alias.name)
+                for node in ast.walk(ast.parse(inspect.getsource(spectral)))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names]
+    assert not [pair for pair in imported if "_kernels" in str(pair)], imported
 
 
 def _load(name, monkeypatch):
