@@ -39,13 +39,20 @@ kernels are folds over these streams: the full trajectory, the
 total-variation scan behind the mixing times (up to 10^6 steps), and Cesaro
 averages at chosen window lengths.  Each returns its result with the
 symmetry defect.
+
+The full trajectory is the one return point of both momentum trajectory
+entries of :mod:`cyclewalk.evolution`, and it holds every row to the
+probability rule of :mod:`cyclewalk.core`: row t may dip to
+-max(1e-12, PROB_FLOOR_SLOPE * eps * t), because at p = 0 on even cycles the
+exact zeros of the nodes of the wrong parity drift negative in proportion
+to t.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .core import NumericalCheckError, _check_count
+from .core import NumericalCheckError, _check_count, _check_probabilities
 from .fourier import SYMMETRY_DEFECT_LIMIT, _REALIFY, _evolved_pairs, _realified, _stack_nodes
 
 __all__ = [
@@ -183,13 +190,15 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
 
 def distribution_trajectory(matrices, v0, steps):
     """P(x, t) for t = 0..steps, shape (steps+1, N), or (C, steps+1, N) for
-    a (C, 4) stack v0 of C initial coins, plus the symmetry defect."""
+    a (C, 4) stack v0 of C initial coins, plus the symmetry defect.  Every
+    row meets the probability rule, or NumericalCheckError is raised."""
     n = _stack_nodes(matrices)
     _check_count("steps", steps, 0)
     steps = int(steps)
     out = np.empty(np.shape(v0)[:-1] + (steps + 1, n))
     for t, dists, defect in _evolve(matrices, v0, steps):
         out[..., t:t + dists.shape[-2], :] = dists
+    _check_probabilities(out)
     return out, defect
 
 
@@ -237,6 +246,16 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     return tv[first:], defect
 
 
+def _check_taus(taus) -> np.ndarray:
+    """taus as an int64 array; raises ValueError unless they are integers
+    >= 1 in strictly ascending order, at least one."""
+    _check_count("taus", taus, 1)
+    taus = np.asarray(taus, dtype=np.int64)
+    if len(taus) == 0 or np.any(np.diff(taus) <= 0):
+        raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
+    return taus
+
+
 def averaged_snapshots(matrices, v0, taus):
     """Cesaro averages (1/tau) sum_{t<tau} P(.,t) at each requested tau.
 
@@ -245,10 +264,7 @@ def averaged_snapshots(matrices, v0, taus):
     """
     n = _stack_nodes(matrices)
     _one_coin(v0)
-    _check_count("taus", taus, 1)
-    taus = np.asarray(taus, dtype=np.int64)
-    if len(taus) == 0 or np.any(np.diff(taus) <= 0):
-        raise ValueError(f"taus must be a non-empty ascending sequence, got {taus}")
+    taus = _check_taus(taus)
     out = np.empty((len(taus), n))
     for t, averages, defect in _evolve(matrices, v0, int(taus[-1]) - 1, MODE_AVERAGED):
         # taus ending in this block: tau - 1 in [t, t + len(averages))

@@ -121,7 +121,9 @@ def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
 
 
 def time_averaged_snapshots(config: WalkConfig, taus) -> np.ndarray:
-    """Cesaro averages at several window lengths in one pass over t."""
+    """Cesaro averages at several window lengths in one pass over t; the
+    window lengths are checked before the pair build."""
+    _kernels._check_taus(taus)
     return _momentum_path(config, _kernels.averaged_snapshots, taus)
 
 

@@ -12,9 +12,16 @@ the tuple of values it accepts or the minimum of a count.  ``_resolve``
 holds a flag and a config-file value to that rule alike, and one table,
 ``_COMMANDS``, builds every subcommand from the field tables.  The
 destination rule, ``_check_writable``, runs before the work: ``-`` is
-stdout and may be named once; an empty path names no file, so ``--output
+stdout and may be named once, and so is a path that names the regular file
+or pipe stdout already is, such as ``/dev/stdout`` under ``| cat`` or the
+file of a ``>`` redirection; an empty path names no file, so ``--output
 ""`` is refused, while ``--summary ""`` means stderr and ``--manifest ""``
 means no manifest; no two destinations may name one file.
+
+The probability rule is not restated here: both `simulate` methods return
+only distributions that meet it, the momentum path through
+``_kernels.distribution_trajectory`` and the direct path through
+``PositionDistribution``.
 
 The three data tables, the `simulate` and `spectrum` CSVs and the mixing
 ``tv_trace``, stream through one renderer, :func:`_table`: a row template
@@ -33,6 +40,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -47,7 +55,7 @@ from .analysis import (
     uniform_deviation_bound,
 )
 from .core import COIN_STATES, NumericalCheckError, WalkConfig, _check_count, coin_state
-from .evolution import PROB_SUM_TOL, direct_trajectory, fourier_trajectory, position_marginal
+from .evolution import direct_trajectory, fourier_trajectory, position_marginal
 from .fourier import _pair_momenta, all_pair_matrices
 from .spectral import VERDICTS, eigenvalues, spectral_structure
 from .verify import CHECK_NAMES, PROFILES, run_checks
@@ -252,9 +260,7 @@ def _emit_json(value, indent: int = 0):
             yield from _emit_json(val, indent + 1)
             sep = ",\n"
         yield f"\n{pad}{'}' if is_dict else ']'}".encode()
-    elif isinstance(value, bool) or value is None:
-        yield json.dumps(value).encode()
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, np.integer):
         yield str(int(value)).encode()
     elif isinstance(value, (float, np.floating)):
         yield (_fmt(value) if math.isfinite(value) else json.dumps(float(value))).encode()
@@ -262,15 +268,27 @@ def _emit_json(value, indent: int = 0):
         yield json.dumps(value).encode()
 
 
+def _is_stdout(path: str) -> bool:
+    """Whether path names the open file of stdout while that is a regular
+    file or a pipe.  A device, such as /dev/null or a terminal, may be
+    shared, and a stdout without a descriptor names no file."""
+    try:
+        out, named = os.fstat(sys.stdout.fileno()), os.stat(path)
+    except (OSError, ValueError):
+        return False
+    return stat.S_IFMT(out.st_mode) in (stat.S_IFREG, stat.S_IFIFO) and os.path.samestat(out, named)
+
+
 def _check_writable(output, *extra):
     """The destination rule, checked before any work.  The destinations are
     output and each non-empty extra path (an empty extra path names none);
-    '-' is stdout.  Raise ValueError if two of them are '-' or two name one
-    file, and otherwise the OSError that writing a file destination would
-    raise once the work is done; no file is changed or left behind.  A named
-    pipe or device is not opened early: opening a pipe waits for a reader,
-    and closing it ends one."""
-    paths = [output, *filter(None, extra)]
+    '-' is stdout, and so is a path for which :func:`_is_stdout` holds.
+    Raise ValueError if two of them are stdout or two name one file, and
+    otherwise the OSError that writing a file destination would raise once
+    the work is done; no file is changed or left behind.  A named pipe or
+    device is not opened early: opening a pipe waits for a reader, and
+    closing it ends one."""
+    paths = ["-" if _is_stdout(path) else path for path in [output, *filter(None, extra)]]
     files = [path for path in paths if path != "-"]
     if len(paths) - len(files) > 1:
         raise ValueError("two destinations name stdout ('-')")
@@ -424,10 +442,6 @@ def cmd_simulate(args) -> int:
     else:
         trajectory = np.stack([position_marginal(rho).probs
                                for rho in direct_trajectory(config, steps)])
-    bad = np.flatnonzero(~(np.abs(trajectory.sum(axis=1) - 1.0) <= PROB_SUM_TOL))
-    if len(bad):
-        raise NumericalCheckError(f"probabilities at t={bad[0]} sum to "
-                                  f"{float(trajectory[bad[0]].sum())!r}, not 1")
     _write(resolved["output"], b"t,x,p,method\n",
            _table(f"%d,%d,%.16e,{resolved['method']}\n",
                   (np.arange(steps + 1)[:, None], np.arange(config.n_nodes), trajectory)))
@@ -491,10 +505,8 @@ def cmd_mixing(args) -> int:
     if resolved["bound"] == "require" and problems:
         raise ValueError("analytic bound unavailable: " + ", ".join(problems))
     _check_writable(resolved["output"], args.manifest)
-    if resolved["target"] == "averaged":
-        report = mixing_time_averaged(config, resolved["epsilon"], resolved["horizon"])
-    else:
-        report = mixing_time_instantaneous(config, resolved["epsilon"], resolved["horizon"])
+    scan = mixing_time_averaged if resolved["target"] == "averaged" else mixing_time_instantaneous
+    report = scan(config, resolved["epsilon"], resolved["horizon"])
     bound = None
     if resolved["bound"] != "off" and not problems and report.converged:
         bound = {"tau": report.mixing_time, "value": uniform_deviation_bound(

@@ -9,7 +9,9 @@ matrices.  The constructions take numbers or broadcastable arrays of the
 cycle length N, the rate p and the momenta k; only a walk run needs a
 :class:`WalkConfig`.  Walk inputs are checked here and nowhere else: every
 public entry calls ``_check_momenta`` for N, p and k, and ``_check_count``
-for its step counts, window lengths and strides.
+for its step counts, window lengths and strides.  The probability rule,
+``_check_probabilities``, is stated here too, so that the momentum engine
+and the density path hold their distributions to one rule.
 """
 
 from __future__ import annotations
@@ -52,6 +54,38 @@ COIN_STATES = {
 class NumericalCheckError(RuntimeError):
     """A runtime numerical assertion failed (e.g. the pair symmetry defect
     exceeded its limit).  Signals a construction bug, not bad user input."""
+
+
+#: A distribution whose probabilities sum further than this from 1 is rejected.
+PROB_SUM_TOL = 1e-10
+#: Row t of a trajectory may dip to -max(1e-12, PROB_FLOOR_SLOPE * eps * t).
+#: At p = 0 on even cycles the momentum path's exact zeros drift negative by
+#: at most 0.0755 eps per step (N = 8 to 64, up to 10^6 steps, three coins),
+#: so this slope keeps a 6.6x margin; a walk of a few hundred steps keeps
+#: the floor -1e-12 for any slope below 15.
+PROB_FLOOR_SLOPE = 0.5
+
+
+def _check_probabilities(probs: np.ndarray):
+    """The probability rule.  probs is one distribution over the nodes, or a
+    (..., T, N) stack of trajectories whose row t is the distribution at
+    time t; one distribution counts as t = 0.  Row t must not dip below
+    -max(1e-12, PROB_FLOOR_SLOPE * eps * t) and must sum to 1 within
+    PROB_SUM_TOL; raises NumericalCheckError on the worst entry or sum
+    otherwise.  Each row is reduced to its minimum and its sum before any
+    comparison, so no temporary of the trajectory's size is made."""
+    low = np.atleast_2d(probs).min(axis=-1)
+    floor = np.maximum(1e-12, PROB_FLOOR_SLOPE * np.finfo(float).eps * np.arange(low.shape[-1]))
+    # written as not (... <= ...) so that NaN fails it
+    bad = low[~(-floor <= low)]
+    if len(bad):
+        kind = "negative" if bad.min() < 0 else "non-finite"
+        raise NumericalCheckError(f"{kind} probability {bad.min():.3e}")
+    sums = probs.sum(axis=-1)
+    defect = np.abs(sums - 1.0)
+    if not (defect <= PROB_SUM_TOL).all():
+        worst = sums.flat[np.argmax(defect)]
+        raise NumericalCheckError(f"probabilities sum to {float(worst)!r}, not 1")
 
 
 def coin_state(spec) -> np.ndarray:

@@ -35,7 +35,10 @@ operator, and before the first step they check the largest deviation from
 it, the symmetry defect, against SYMMETRY_DEFECT_LIMIT, so an inconsistent
 construction fails before a long scan starts.  The kernels also take a
 (C, 4) stack of C such vectors: walks that differ only in their initial
-coin share one engine call, each with the bits of its own run.
+coin share one engine call, each with the bits of its own run.  Both
+trajectory entries return through the engine's full trajectory, which holds
+every row to the probability rule of :mod:`cyclewalk.core`, as
+:class:`PositionDistribution` and the density path's marginals hold theirs.
 The two paths must agree to near machine precision; the test suite binds
 them together entrywise.  The classical chain steps several cycle lengths
 at once, laid end to end in one row.  Step counts and the chain's N go
@@ -50,7 +53,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta, pauli_decompose
+from .core import (NumericalCheckError, WalkConfig, _check_count, _check_momenta,
+                   _check_probabilities, pauli_decompose)
 from .fourier import all_pair_matrices
 
 __all__ = [
@@ -60,10 +64,6 @@ __all__ = [
     "fourier_trajectory",
     "classical_reference",
 ]
-
-#: A distribution whose probabilities sum further than this from 1 is rejected.
-PROB_SUM_TOL = 1e-10
-
 
 @dataclass(frozen=True, eq=False)
 class PositionDistribution:
@@ -79,21 +79,6 @@ class PositionDistribution:
         _check_probabilities(p)
         object.__setattr__(self, "probs", p)
         self.probs.setflags(write=False)
-
-
-def _check_probabilities(probs: np.ndarray):
-    """Every distribution along the last axis non-negative to -1e-12 and
-    summing to 1 within PROB_SUM_TOL; raises NumericalCheckError on the worst
-    entry otherwise."""
-    low = probs.min()
-    # written as not (... <= ...) so that NaN fails them
-    if not -1e-12 <= low:
-        kind = "negative" if low < 0 else "non-finite"
-        raise NumericalCheckError(f"{kind} probability {low:.3e}")
-    defect = np.abs(probs.sum(axis=-1) - 1.0)
-    if not (defect <= PROB_SUM_TOL).all():
-        worst = probs.reshape(-1, probs.shape[-1])[np.argmax(defect)].sum()
-        raise NumericalCheckError(f"probabilities sum to {float(worst)!r}, not 1")
 
 
 def _check_density(rho: np.ndarray):
@@ -200,8 +185,7 @@ def _momentum_path(config: WalkConfig, kernel, *args, **kwargs):
 
 def fourier_trajectory(config: WalkConfig, t_max: int) -> np.ndarray:
     """P(x, t) for t = 0..t_max via the momentum path; shape (t_max+1, N)."""
-    _check_count("t_max", t_max, 0)
-    return _momentum_path(config, _kernels.distribution_trajectory, int(t_max))
+    return _fourier_trajectories([config], t_max)[0]
 
 
 def _fourier_trajectories(configs, t_max: int) -> np.ndarray:

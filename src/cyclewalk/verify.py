@@ -272,21 +272,12 @@ def check_averaged(profile: VerifyProfile):
                    ok=all(crossing is not None for crossing, _ in runs))
 
 
-_CHECKS = [
-    ("unitality", check_unitality),
-    ("closedform", check_closedform),
-    ("charpoly", check_charpoly),
-    ("spectrum", check_spectrum),
-    ("contraction", check_contraction),
-    ("oracle", check_oracle),
-    ("classical", check_classical),
-    ("limits", check_limits),
-    ("geosum", check_geosum),
-    ("mixbound", check_mixbound),
-    ("averaged", check_averaged),
-]
+#: every check in report order; a check's name is that of its function
+_CHECKS = [check_unitality, check_closedform, check_charpoly, check_spectrum, check_contraction,
+           check_oracle, check_classical, check_limits, check_geosum, check_mixbound,
+           check_averaged]
 
-CHECK_NAMES = [name for name, _ in _CHECKS]
+CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
 def run_checks(names=None, profile: str = "default") -> dict:
@@ -295,15 +286,13 @@ def run_checks(names=None, profile: str = "default") -> dict:
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile!r}; available: {list(PROFILES)}")
     prof = PROFILES[profile]
-    selected = [(n, fn) for n, fn in _CHECKS if names is None or n in names]
-    if names is not None:
-        unknown = set(names) - set(CHECK_NAMES)
-        if unknown:
-            raise ValueError(f"unknown checks: {sorted(unknown)}; "
-                             f"available: {CHECK_NAMES}")
+    selected = [fn for n, fn in zip(CHECK_NAMES, _CHECKS) if names is None or n in names]
+    unknown = set(names or ()) - set(CHECK_NAMES)
+    if unknown:
+        raise ValueError(f"unknown checks: {sorted(unknown)}; available: {CHECK_NAMES}")
     if not selected:
         raise ValueError("no checks selected")
-    results = [fn(prof) for _, fn in selected]
+    results = [fn(prof) for fn in selected]
     return {
         "tool": "cyclewalk",
         "version": __version__,

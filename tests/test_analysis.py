@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from cyclewalk import _kernels
+from cyclewalk import _kernels, evolution
 from cyclewalk import (
     WalkConfig,
     coin_state,
@@ -65,6 +65,21 @@ def test_tv_envelope_halves_when_window_doubles():
     tvs = [total_variation(s, uniform) for s in snaps]
     for small, big in zip(tvs, tvs[1:]):
         assert 0.4 <= big / small <= 0.6
+
+
+@pytest.mark.parametrize("taus, message", [
+    ([0], r"^taus must be >= 1, got \[0\]$"),
+    ([5, 3], r"^taus must be a non-empty ascending sequence, got \[5 3\]$"),
+    ([], r"^taus must be a non-empty ascending sequence, got \[\]$"),
+    ([1.5], r"^taus must be an integer, got \[1\.5\]$"),
+], ids=["zero", "descending", "empty", "fraction"])
+def test_snapshots_refuse_bad_taus_before_the_pair_build(monkeypatch, taus, message):
+    def unreachable(config):
+        raise AssertionError("the pair stack was built")
+
+    monkeypatch.setattr(evolution, "all_pair_matrices", unreachable)
+    with pytest.raises(ValueError, match=message):
+        time_averaged_snapshots(_cfg(801, 0.3), taus)
 
 
 def test_limiting_distribution_odd_cycle():

@@ -102,20 +102,22 @@ def test_simulate_direct_full_dephasing_matches_chain(tmp_path, capsys):
 
 
 def test_simulate_row_sum_guard_prints_a_plain_float(monkeypatch, capsys):
+    # the rows are broken under evolution, in the engine, so the probability
+    # rule that fourier_trajectory returns through is what refuses them
     def broken(t, value):
-        def trajectory(config, steps):
-            traj = np.full((steps + 1, config.n_nodes), 1.0 / config.n_nodes)
-            traj[t, 0] += value
-            return traj
-        return trajectory
+        def evolve(matrices, v0, steps, mode=_kernels.MODE_INSTANTANEOUS):
+            rows = np.full((steps + 1, 4), 0.25)
+            rows[t, 0] += value
+            yield 0, rows, 0.0
+        return evolve
 
-    for t, value, message in ((-1, 1e-9, "at t=3 sum to 1.000000001"),
-                              (1, np.nan, "at t=1 sum to nan")):
-        monkeypatch.setattr(cli, "fourier_trajectory", broken(t, value))
+    for t, value, message in ((-1, 1e-9, "probabilities sum to 1.000000001, not 1"),
+                              (1, np.nan, "non-finite probability nan")):
+        monkeypatch.setattr(_kernels, "_evolve", broken(t, value))
         code, _, err = _run(capsys, "simulate", "--nodes", "4", "--decoherence", "0.5",
                             "--steps", "3")
         assert code == 3
-        assert f"probabilities {message}, not 1" in err
+        assert err == f"numerical assertion failed: {message}\n"
         assert "np." not in err
 
 
@@ -716,6 +718,34 @@ def test_a_closed_stdout_pipe_exits_2(merged, horizon, lines_read):
     err = b"" if merged else proc.stderr.read()
     assert proc.wait(timeout=60) == cli.USAGE_ERROR
     assert err == (b"" if merged else b"error: [Errno 32] Broken pipe\n")
+
+
+def _simulate_process(*argv, stdout):
+    return subprocess.run(
+        [sys.executable, "-m", "cyclewalk.cli", "simulate", "--nodes", "3", "--decoherence",
+         "0.3", "--steps", "0", *argv],
+        stdout=stdout, stderr=subprocess.PIPE, timeout=60,
+        env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])})
+
+
+def test_a_path_that_is_stdout_counts_as_stdout(tmp_path):
+    # /dev/stdout on a pipe, and the file stdout is redirected to, are stdout
+    # under another name: next to the default --output -, each is refused
+    # before the work, as --manifest - is
+    refused = b"error: two destinations name stdout ('-')\n"
+    piped = _simulate_process("--manifest", "/dev/stdout", stdout=subprocess.PIPE)
+    assert (piped.returncode, piped.stdout, piped.stderr) == (2, b"", refused)
+    out = tmp_path / "out.txt"
+    with open(out, "wb") as redirected:
+        run = _simulate_process("--manifest", str(out), stdout=redirected)
+    assert (run.returncode, out.read_bytes(), run.stderr) == (2, b"", refused)
+    # named alone, /dev/stdout is the one stdout destination, and /dev/null
+    # stays shareable
+    plain = _simulate_process(stdout=subprocess.PIPE)
+    assert plain.returncode == 0 and plain.stdout.startswith(b"t,x,p,method\n")
+    for argv in (("--output", "/dev/stdout"), ("--manifest", "/dev/null")):
+        alone = _simulate_process(*argv, stdout=subprocess.PIPE)
+        assert (alone.returncode, alone.stdout, alone.stderr) == (0, plain.stdout, b"")
 
 
 def test_a_numerical_failure_leaves_the_files_it_always_left(tmp_path, capsys, monkeypatch):

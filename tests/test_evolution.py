@@ -10,7 +10,8 @@ from cyclewalk import (
     fourier_trajectory,
     position_marginal,
 )
-from cyclewalk.core import _HADAMARD, build_kraus_family, pauli_decompose
+from cyclewalk.core import (_HADAMARD, PROB_FLOOR_SLOPE, _check_probabilities,
+                            build_kraus_family, pauli_decompose)
 from cyclewalk.evolution import (
     PositionDistribution,
     _check_density,
@@ -333,6 +334,91 @@ def test_momentum_path_probability_sums_do_not_drift():
     # diagonal pairs keep trace exactly 1, so long runs stay normalized
     traj = fourier_trajectory(_cfg(9, 0.2), 400000)
     assert np.abs(traj.sum(axis=1) - 1.0).max() <= 1e-12
+
+
+_EPS = np.finfo(np.float64).eps
+
+
+def test_probability_floor_falls_linearly_with_t():
+    # row t may dip to -max(1e-12, PROB_FLOOR_SLOPE * eps * t); one
+    # distribution is row t = 0, and so keeps the floor -1e-12
+    steps = 40000
+    slope = PROB_FLOOR_SLOPE * _EPS
+    assert slope * 300 < 1e-12 < slope * steps
+    for scale, admitted in ((0.99, True), (1.01, False)):
+        for t in (0, 300, steps):
+            rows = np.full((steps + 1, 4), 0.25)
+            dip = scale * max(1e-12, slope * t)
+            rows[t] = [-dip, 0.5 + dip, 0.25, 0.25]
+            if admitted:
+                _check_probabilities(rows)
+                _check_probabilities(rows[None].repeat(2, axis=0))
+            else:
+                with pytest.raises(NumericalCheckError, match="^negative probability -"):
+                    _check_probabilities(rows)
+    with pytest.raises(NumericalCheckError, match=r"^negative probability -1\.010e-12$"):
+        PositionDistribution(probs=np.array([1.0 + 1.01e-12, -1.01e-12]))
+
+
+def test_momentum_drift_at_p0_stays_inside_the_floor_with_a_5x_margin():
+    # at p = 0 on even cycles the exact zeros of the nodes of the wrong parity
+    # drift negative in proportion to t: the plain floor -1e-12 would refuse
+    # these walks, and the measured drift stays under a fifth of the slope
+    steps = 100000
+    slope = PROB_FLOOR_SLOPE * _EPS
+    t = np.arange(steps + 1)
+    for n in (8, 16, 32):
+        configs = [_cfg(n, 0.0, coin) for coin in ("up", "balanced", _CUSTOM_COIN)]
+        low = evolution._fourier_trajectories(configs, steps).min(axis=-1)
+        assert (low >= -np.maximum(1e-12, slope * t) / 5).all(), n
+        assert (low < -1e-12).any(axis=-1).all(), n
+
+
+def test_a_million_step_coherent_walk_meets_the_probability_rule():
+    # its minimum, -1.354e-11 at t = 996197, is 0.061 eps t
+    low = fourier_trajectory(_cfg(16, 0.0, "balanced"), 10 ** 6).min(axis=-1)
+    assert low.min() < -1e-11
+    assert low.argmin() == 996197
+
+
+def _breaking(t, change):
+    """_kernels._evolve with change applied to the rows of time t."""
+    evolve = _kernels._evolve
+
+    def broken(*args, **kwargs):
+        for start, dists, defect in evolve(*args, **kwargs):
+            if start <= t < start + dists.shape[-2]:
+                change(dists[..., t - start, :])
+            yield start, dists, defect
+    return broken
+
+
+def _add(index, value):
+    def change(row):
+        row[..., index] += value
+    return change
+
+
+def _shift_mass(row):
+    # node 0 holds no probability at t = 3; the row keeps its sum
+    row[..., 0] -= 1e-9
+    row[..., 1] += 1e-9
+
+
+@pytest.mark.parametrize("change, message", [
+    (_add(1, np.nan), r"^non-finite probability nan$"),
+    (_add(1, 1e-9), r"^probabilities sum to 1\.00000000"),
+    (_shift_mass, r"^negative probability -1\.000e-09$"),
+], ids=["nan", "sum", "negative"])
+@pytest.mark.parametrize("entry", [
+    lambda: fourier_trajectory(_cfg(8, 0.3), 10),
+    lambda: evolution._fourier_trajectories([_cfg(8, 0.3), _cfg(8, 0.3, "down")], 10),
+], ids=["fourier_trajectory", "_fourier_trajectories"])
+def test_momentum_trajectories_return_only_rows_that_meet_the_rule(monkeypatch, entry, change,
+                                                                    message):
+    monkeypatch.setattr(_kernels, "_evolve", _breaking(3, change))
+    with pytest.raises(NumericalCheckError, match=message):
+        entry()
 
 
 def test_position_distribution_validation():

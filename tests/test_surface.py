@@ -121,6 +121,37 @@ def test_each_fact_is_stated_once():
     assert 1e-8 not in {node.value for node in ast.walk(tree) if isinstance(node, ast.Constant)}
 
 
+def _loads(names):
+    """(module, top-level definition) of every read of one of the names in
+    the package's source, once per read."""
+    found = []
+    for path in sorted(Path(cyclewalk.__file__).parent.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            found += [(path.stem, getattr(top, "name", None)) for node in ast.walk(top)
+                      if isinstance(node, ast.Name) and node.id in names
+                      and isinstance(node.ctx, ast.Load)]
+    return found
+
+
+def test_the_probability_rule_is_stated_once():
+    # only core._check_probabilities compares a probability minimum or a row
+    # sum with a tolerance; both momentum trajectory entries return through
+    # one call of it in the engine, the density path calls it per state and
+    # per stack, and simulate restates none of it
+    from cyclewalk import cli
+
+    tolerances = _loads({"PROB_SUM_TOL", "PROB_FLOOR_SLOPE"})
+    assert set(tolerances) == {("core", "_check_probabilities")}
+    assert sorted(_loads({"_check_probabilities"})) == [
+        ("_kernels", "distribution_trajectory"), ("evolution", "PositionDistribution"),
+        ("evolution", "_density_marginals")]
+    for name in ("PROB_SUM_TOL", "PROB_FLOOR_SLOPE", "_check_probabilities"):
+        assert not hasattr(cli, name), name
+    simulate = ast.parse(inspect.getsource(cli.cmd_simulate))
+    assert not [node.attr for node in ast.walk(simulate) if isinstance(node, ast.Attribute)
+                and node.attr in ("sum", "min")]
+
+
 def test_no_module_names_numpy_random():
     # the sampled verify cases come from the stdlib stream, so importing the
     # package never loads numpy's random subpackage
