@@ -29,13 +29,21 @@ are bit for bit those of its own run.
 The engine works in blocks of B steps.  Setup builds, per pair, the rows
 e0^T R^j (j < B) by doubling: rows m..2m-1 are rows 0..m-1 times R^m, and
 R^(2m) = (R^m)^2, so B rows cost about 2 log2(B) batched 4x4 products.  The
-power R^B is formed only when a second block will run.  One block then
-costs, per coin, one batched product per difference d and one table
-product, and one R^B step, whatever B is; the last block is cut at the last
+power R^B is formed only when a second block will run.  A block costs one
+R^B step of the state.  The distributions are emitted per chunk of
+consecutive blocks: the chunk's block-start states are stacked, and one
+batched product per difference d and coin with the rows, one table
+product, one Cesaro carry and one division give all of its rows, so the
+emission's numpy calls are paid once per chunk, not once per block.  A
+chunk's buffers take at most a quarter of the row buffer budget and what
+the rows leave of it: 6 blocks at N = 9, and one block from N = 14 on,
+where the rows fill the budget alone.  The last chunk is cut at the last
 step a caller asks for.  For the Cesaro averages row j becomes
 e0^T (R^0 + ... + R^j): a block's product then gives the partial sums of
-its distributions, and one carried N-vector completes them.  The public
-kernels are folds over these streams: the full trajectory, the
+its distributions, and a carried N-vector, the sum before the block,
+completes them; the carries of a chunk are one running sum over its
+blocks, the same additions in the same order as block by block.  The
+public kernels are folds over these streams: the full trajectory, the
 total-variation scan behind the mixing times (up to 10^6 steps), and Cesaro
 averages at chosen window lengths.  Each returns its result with the
 symmetry defect.
@@ -91,6 +99,23 @@ def _block_size(pairs: int) -> int:
     return max(1, min(MAX_BLOCK, ROW_BUFFER_BYTES // (32 * pairs)))
 
 
+def _chunk_blocks(n: int, block: int) -> int:
+    """Blocks per chunk of emission at N, for blocks of this many steps.
+
+    A chunk's buffers hold, per block, its start state (64 bytes per
+    evolved pair) and its trace sums and distributions (8 (2 (N//2 + 1) + N)
+    bytes per step).  They take at most a quarter of ROW_BUFFER_BYTES, and
+    no more than the rows leave of it, so that the rows and the chunk
+    together stay within it; a chunk is at least one block.  That is 6
+    blocks at N = 9, and one from N = 14 on, where the rows fill the budget.
+    The coin count plays no part, so each coin of a stack is chunked, and
+    rounded, as its own run is.
+    """
+    pairs = (n // 2 + 1) * n
+    room = min(ROW_BUFFER_BYTES // 4, ROW_BUFFER_BYTES - 32 * pairs * block)
+    return max(1, room // (64 * pairs + 8 * block * (2 * (n // 2 + 1) + n)))
+
+
 def _flush(a):
     """Zero, in place, the entries of the real array a below FLUSH_TOL in
     magnitude; returns a."""
@@ -99,17 +124,18 @@ def _flush(a):
 
 
 def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
-    """Yield (t, rows, symmetry defect) for t = 0, B, 2B, ... <= steps, where
-    rows is a (b, N) array, or (C, b, N) for a (C, 4) stack v0:
-    P(., t..t+b-1) for MODE_INSTANTANEOUS, or for MODE_AVERAGED the Cesaro
-    averages (1/(s+1)) sum_{i<=s} P(., i) for s = t..t+b-1.
+    """Yield (t, rows, symmetry defect) for t = 0, KB, 2KB, ... <= steps,
+    one per chunk of K blocks of B steps, where rows is a (b, N) array, or
+    (C, b, N) for a (C, 4) stack v0: P(., t..t+b-1) for MODE_INSTANTANEOUS,
+    or for MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i)
+    for s = t..t+b-1.
 
     Only the evolved half of the stack is read, in d-major order, and its
     partners for the symmetry defect, which is checked against
     SYMMETRY_DEFECT_LIMIT before any step.  B is :func:`_block_size` of the
-    evolved pair count, but at most steps + 1, so a short run is one block;
-    b = B except in the last block, which is cut so that the rows end at
-    t = steps.
+    evolved pair count, but at most steps + 1, so a short run is one block,
+    and K is :func:`_chunk_blocks`; b = KB except in the last chunk, which
+    is cut so that the rows end at t = steps.
     """
     n = _stack_nodes(matrices)
     v0 = np.asarray(v0)
@@ -168,24 +194,43 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS):
     # self-conjugate d = 0 and d = N/2; the rows of table run over (d, re/im)
     phase = np.exp(2j * np.pi * np.outer(np.arange(n), np.arange(half)) / n)
     weight = np.where(2 * np.arange(half) % n == 0, 1.0, 2.0)
-    table = np.stack([weight * phase.real,
-                      -weight * phase.imag], axis=-1).reshape(n, 2 * half).T
-    carry = 0.0
-    for t in range(0, steps + 1, block):
-        if t:
-            state = _flush(np.einsum("dijk,drjk->drik", power, state))
-        dists = []
-        for r in range(0, 2 * len(coins), 2):
-            # one product per group d sums the traces of its N pairs, per
-            # coin: one product of all coins would round differently in BLAS
-            g = 2.0 * np.matmul(state[:, r:r + 2].reshape(half, 2, 4 * n), rows)
-            dists.append((g.reshape(2 * half, block).T @ table)[:steps + 1 - t] / float(n * n))
-        dists = dists[0] if v0.ndim == 1 else np.stack(dists)
+    # the trace of a pair is twice its state's first component, and the 2
+    # is carried by the table: doubling is exact, so the products round alike
+    table = np.stack([2.0 * weight * phase.real,
+                      -2.0 * weight * phase.imag], axis=-1).reshape(n, 2 * half).T
+    chunk = block * _chunk_blocks(n, block)
+    carry = np.zeros((len(coins), 1, n))
+    for t in range(0, steps + 1, chunk):
+        # the block-start states of the chunk, stack[d, (coin, re/im), block, (i, k)],
+        # each block's state evolved into its own slot
+        starts = range(t, min(t + chunk, steps + 1), block)
+        stack = np.empty((half, 2 * len(coins), len(starts), 4 * n))
+        for j, start in enumerate(starts):
+            slot = stack[:, :, j].reshape(state.shape)
+            if start:
+                state = _flush(np.einsum("dijk,drjk->drik", power, state, out=slot))
+            else:
+                slot[:] = state
+        # one product per group d sums the traces of its N pairs over the
+        # whole chunk, per coin: one product of all coins would round
+        # differently in BLAS; g[(d, re/im), (block, j)] feeds the table
+        dists = np.empty((len(coins), len(starts) * block, n))
+        for c in range(len(coins)):
+            g = np.matmul(stack[:, 2 * c:2 * c + 2].reshape(half, 2 * len(starts), 4 * n), rows)
+            np.matmul(g.reshape(2 * half, -1).T, table, out=dists[c])
+        dists /= float(n * n)
         if mode == MODE_AVERAGED:
-            dists = dists + carry
-            carry = dists[..., -1:, :]
-            dists = dists / np.arange(t + 1, t + 1 + dists.shape[-2])[:, None]
-        yield t, dists, defect
+            # block k's rows are partial sums from its start; its carry is the
+            # sum before that start, formed by the same sequential additions
+            # as a block-by-block pass
+            sums = dists.reshape(len(coins), len(starts), block, n)
+            sums[:, 0] += carry
+            ends = np.cumsum(sums[:, :, -1], axis=1)
+            sums[:, 1:] += ends[:, :-1, None]
+            carry = ends[:, -1:]
+            dists /= np.arange(t + 1, t + 1 + dists.shape[-2])[:, None]
+        dists = dists[:, :steps + 1 - t]
+        yield t, (dists[0] if v0.ndim == 1 else dists), defect
 
 
 def distribution_trajectory(matrices, v0, steps):
@@ -227,22 +272,28 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     _one_coin(v0)
     _check_count("horizon", horizon, 1)
     horizon = int(horizon)
-    targets = np.asarray(targets)
-    np.broadcast_to(targets, (2, n))   # rejects every other shape
-    # only a parity pair is gathered per row; one distribution broadcasts
-    pair = targets.shape == (2, n)
+    # one distribution is the pair that repeats it; every other shape is rejected
+    targets = np.broadcast_to(targets, (2, n))
     # tv[t] holds the value of the stream's row t; the trace starts at
     # tv[first], so the instantaneous t = 0 is computed but not scanned
     first = 0 if mode == MODE_AVERAGED else 1
     tv = np.empty(first + horizon)
     for t, dists, defect in _evolve(matrices, v0, horizon - 1 + first, mode):
         end = t + len(dists)
-        target = targets[np.arange(t, end) % 2] if pair else targets
-        tv[t:end] = np.abs(dists - target).sum(axis=1)
-        start = max(t, first)
-        below = np.flatnonzero(tv[start:end] < stop_below)
-        if len(below):
-            return tv[first:start + below[0] + 1], defect
+        # each chunk's rows are a fresh array, so the deviations are formed
+        # in place: rows t, t + 2, ... meet targets[t % 2], taken as pairs of
+        # rows, since a strided row at a time runs several times slower
+        order = targets[[t % 2, 1 - t % 2]]
+        paired = len(dists) - len(dists) % 2
+        row_pairs = dists[:paired].reshape(-1, 2, n)
+        row_pairs -= order
+        dists[paired:] -= order[0]
+        np.add.reduce(np.abs(dists, out=dists), axis=1, out=tv[t:end])
+        if stop_below > 0:   # no TV is below 0, so the scan then runs to the horizon
+            start = max(t, first)
+            below = np.flatnonzero(tv[start:end] < stop_below)
+            if len(below):
+                return tv[first:start + below[0] + 1], defect
     return tv[first:], defect
 
 

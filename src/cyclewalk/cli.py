@@ -16,7 +16,8 @@ stdout and may be named once, and so is a path that names the regular file
 or pipe stdout already is, such as ``/dev/stdout`` under ``| cat`` or the
 file of a ``>`` redirection; an empty path names no file, so ``--output
 ""`` is refused, while ``--summary ""`` means stderr and ``--manifest ""``
-means no manifest; no two destinations may name one file.
+means no manifest; no two destinations may name one file, unless it is a
+character device such as ``/dev/null``.
 
 The probability rule is not restated here: both `simulate` methods return
 only distributions that meet it, the momentum path through
@@ -26,9 +27,10 @@ only distributions that meet it, the momentum path through
 The three data tables, the `simulate` and `spectrum` CSVs and the mixing
 ``tv_trace``, stream through one renderer, :func:`_table`: a row template
 over int, float and label columns, written in chunks of _CHUNK_ROWS rows
-as ASCII bytes, the same bytes as the template's ``%`` rendering.  Floats
-take their 17 digits from a double-double product with a power of ten and
-the exact ``format`` wherever that product could not decide a digit.
+as ASCII bytes, the same bytes as the template's ``%`` rendering.  Int and
+float fields are built from 4-byte words of four digits each.  Floats take
+their 17 digits from a double-double product with a power of ten and the
+exact ``format`` wherever that product could not decide a digit.
 """
 
 from __future__ import annotations
@@ -89,11 +91,21 @@ _SPLIT = 134217729.0
 _MARGIN = 1e-6
 
 
+def _words(text) -> np.ndarray:
+    """The 4-byte ASCII strings of text, each NUL-padded on the left, as
+    uint32 words."""
+    return np.array([w.rjust(4, "\0") for w in text], dtype="S4").view(np.uint32)
+
+
 @functools.lru_cache(maxsize=None)
 def _digit_tables():
-    """10^k as hi + lo for k in [_KMIN, _KMAX], hi split into two 26-bit
-    halves, and the 4-byte ASCII words "0000".."9999" as uint32; built on
-    first use, not at import."""
+    """Built on first use, not at import: 10^k as hi + lo for k in
+    [_KMIN, _KMAX], hi split into two 26-bit halves; the 4-byte ASCII words
+    "0000".."9999" as uint32; the int group words, "0".."9999" without
+    leading zeros and then "0000".."9999", with a NUL word or "0" for zero;
+    and the float head words (sign, first digit, point), indexed by the
+    digit plus 10 for a minus, and exponent words "e-100".."e+100" (the
+    hundreds dropped; those values take the exact fallback)."""
     hi, lo = [], []
     for k in range(_KMIN, _KMAX + 1):
         # 10^k = num / den exactly; int division rounds correctly, so hi is
@@ -105,12 +117,23 @@ def _digit_tables():
     hi, lo = np.array(hi), np.array(lo)
     split = _SPLIT * hi
     hi_hi = split - (split - hi)
-    words = (np.arange(10000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + 48)
-    return hi, lo, hi_hi, hi - hi_hi, words.astype(np.uint8).view(np.uint32).ravel()
+    group, place = np.arange(10000)[:, None], np.array([1000, 100, 10, 1])
+    digits = (group // place % 10 + 48).astype(np.uint8)
+    words = digits.view(np.uint32).ravel()
+    bare = np.where(group >= place, digits, 0).astype(np.uint8).view(np.uint32).ravel()
+    inner, last = np.concatenate([bare, words]), np.concatenate([bare, words])
+    last[0] = _words("0")[0]
+    head = _words(f"{sign}{lead}." for sign in ("", "-") for lead in range(10))
+    tail = _words(f"e{e:+03d}"[-4:] if abs(e) < 100 else f"e{'-+'[e > 0]}00"
+                  for e in range(-100, 101))
+    return hi, lo, hi_hi, hi - hi_hi, words, (inner, last), head, tail
 
 
 def _floats(x) -> np.ndarray:
-    """``%.16e`` of each float of x, as a NUL-padded (len(x), w) byte array.
+    """``%.16e`` of each float of x, as a NUL-padded (len(x), w) byte array
+    of six 4-byte words: sign, first digit and point, four words of the 16
+    further digits, and the exponent.  Without a fallback value, the NULs
+    that the head word has in every row are left out.
 
     The 17 digits are D = round(|x| 10^(16 - E)) with E = floor(log10 |x|):
     Dekker's exact product of |x| and the hi part of 10^(16 - E), plus |x|
@@ -121,9 +144,10 @@ def _floats(x) -> np.ndarray:
     below 10^17 (log10 rounded across an integer, E is off by one), and a
     three-digit exponent.  Otherwise the floor and the rounding direction
     of the scaled value are those of the exact one, so every byte is that
-    of ``format``.
+    of ``format``.  The digit groups of D come from floor divisions by
+    scalar powers of 10^4 and the word table.
     """
-    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, words = _digit_tables()
+    pow_hi, pow_lo, pow_hi_hi, pow_hi_lo, words, _, head, tail = _digit_tables()
     x = np.asarray(x, dtype=np.float64)
     a = np.abs(x)
     fast = (a >= 1e-100) & (a < 1e100)
@@ -149,39 +173,55 @@ def _floats(x) -> np.ndarray:
     d[top] = 10 ** 16
     e += top
     fast &= np.abs(e) < 100
-    lead, rest = np.divmod(d, 10 ** 16)
-    out = np.empty((len(x), 23), np.uint8)
-    out[:, 0] = np.where(x < 0, 45, 0)
-    out[:, 1] = lead + 48
-    out[:, 2] = 46
-    high, low = np.divmod(rest, 10 ** 8)
-    groups = np.stack([*np.divmod(high, 10 ** 4), *np.divmod(low, 10 ** 4)], axis=1)
-    out[:, 3:19] = words[groups].view(np.uint8)
-    out[:, 19] = 101
-    out[:, 20] = np.where(e < 0, 45, 43)
-    out[:, 21:] = words[np.abs(e), None].view(np.uint8)[:, 2:]
+    out = np.empty((len(x), 6), np.uint32)
+    above = d // 10 ** 16
+    negative = x < 0
+    out[:, 0] = head[above + 10 * negative]
+    for j, power in enumerate((10 ** 12, 10 ** 8, 10 ** 4, 1), 1):
+        high = d // power if power > 1 else d
+        out[:, j] = words[high - 10 ** 4 * above]
+        above = high
+    out[:, 5] = tail[e + 100]
+    out = out.view(np.uint8)
     slow = np.flatnonzero(~fast)
-    if len(slow):
-        text = np.array([format(v, ".16e") for v in x[slow].tolist()], dtype=bytes)
-        if text.itemsize > out.shape[1]:
-            out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
-        out[slow] = 0
-        out[slow, :text.itemsize] = text.view(np.uint8).reshape(len(slow), -1)
+    if not len(slow):
+        # the head word's NULs that every row has: one, or two without a sign
+        return out[:, 1 + (not negative.any()):]
+    text = np.array([format(v, ".16e") for v in x[slow].tolist()], dtype=bytes)
+    if text.itemsize > out.shape[1]:
+        out = np.pad(out, ((0, 0), (0, text.itemsize - out.shape[1])))
+    out[slow] = 0
+    out[slow, :text.itemsize] = text.view(np.uint8).reshape(len(slow), -1)
     return out
 
 
 def _ints(v) -> np.ndarray:
-    """``%d`` of each integer of v, right-aligned in a NUL-padded
-    (len(v), w) byte array."""
+    """``%d`` of each integer of v, as a NUL-padded (len(v), w) byte array:
+    a minus word where some integer is negative, then one word per group of
+    4 digits of |v|, taken by floor divisions by scalar powers of 10^4 from
+    the group words, without leading zeros in the leading group and NUL
+    before it.  When every integer is non-negative with as many digits as
+    the widest, the leading NULs that every row has are left out."""
+    inner, last = _digit_tables()[5]
     v = np.asarray(v, dtype=np.int64)
     a = np.abs(v)
-    powers = 10 ** np.arange(len(str(int(a.max()))) - 1, -1, -1, dtype=np.int64)
-    shown = (a[:, None] >= powers) | (powers == 1)
+    digits = len(str(int(a.max())))
+    groups = -(-digits // 4)
     sign = int(v.min() < 0)
-    out = np.zeros((len(v), sign + len(powers)), np.uint8)
-    out[:, sign:] = np.where(shown, a[:, None] // powers % 10 + 48, 0)
-    negative = np.flatnonzero(v < 0)
-    out[negative, len(powers) - shown[negative].sum(axis=1)] = 45
+    out = np.empty((len(v), sign + groups), np.uint32)
+    if sign:
+        out[:, 0] = np.where(v < 0, _words("-")[0], 0)
+    above = 0
+    for j in range(groups):
+        high = a // 10 ** (4 * (groups - 1 - j)) if j < groups - 1 else a
+        # a group after the leading one keeps its zeros: "0000".."9999"
+        table = last if j == groups - 1 else inner
+        out[:, sign + j] = table[high - 10 ** 4 * above + 10 ** 4 * (above > 0)]
+        above = high
+    out = out.view(np.uint8)
+    if not sign and len(str(int(a.min()))) == digits:
+        # every row has the leading group's NULs
+        return out[:, 4 * groups - digits:]
     return out
 
 
@@ -205,25 +245,29 @@ def _table(template: str, columns):
     taken in chunks along the leading axis, so a broadcast column is never
     built in full.  Each chunk is laid out as a byte matrix, one row per
     table row, whose fields are NUL-padded to the chunk's widest; deleting
-    the NULs leaves the bytes of the ``%`` rendering.
+    the NULs leaves the bytes of the ``%`` rendering.  A field leaves out
+    the NUL columns it has in every row where it can, so a chunk whose
+    fields all have one width, as most of a long mixing trace's do, has no
+    NUL to delete.
     """
-    literals = [np.frombuffer(s.encode("ascii"), np.uint8) for s in _FIELD.split(template)]
+    literals = [np.frombuffer(s.encode("ascii"), np.uint8)[None] for s in _FIELD.split(template)]
     render = [_RENDER[field] for field in _FIELD.findall(template)]
     columns = np.broadcast_arrays(*columns)
     shape = columns[0].shape
     step = max(1, _CHUNK_ROWS // math.prod(shape[1:]))
     for start in range(0, shape[0], step):
         fields = [fn(column[start:start + step].ravel()) for fn, column in zip(render, columns)]
-        width = sum(map(len, literals)) + sum(f.shape[1] for f in fields)
-        buf = np.empty((len(fields[0]), width), np.uint8)
+        parts = [part for pair in itertools.zip_longest(literals, fields)
+                 for part in pair if part is not None and part.shape[1]]
+        buf = np.empty((len(fields[0]), sum(part.shape[1] for part in parts)), np.uint8)
         at = 0
-        for literal, field in zip(literals, fields + [None]):
-            buf[:, at:at + len(literal)] = literal
-            at += len(literal)
-            if field is not None:
-                buf[:, at:at + field.shape[1]] = field
-                at += field.shape[1]
-        yield buf.tobytes().replace(b"\0", b"")
+        for part in parts:
+            # one copy of `size` bytes per row, not `size` one-byte copies
+            size = part.shape[1]
+            buf[:, at:at + size].view(f"V{size}")[:, 0] = part.view(f"V{size}")[:, 0]
+            at += size
+        text = buf.tobytes()
+        yield text.translate(None, b"\0") if b"\0" in text else text
 
 
 def _emit_rows(columns, indent: int):
@@ -279,20 +323,30 @@ def _is_stdout(path: str) -> bool:
     return stat.S_IFMT(out.st_mode) in (stat.S_IFREG, stat.S_IFIFO) and os.path.samestat(out, named)
 
 
+def _is_device(path: str) -> bool:
+    """Whether path names a character device."""
+    try:
+        return stat.S_ISCHR(os.stat(path).st_mode)
+    except (OSError, ValueError):
+        return False
+
+
 def _check_writable(output, *extra):
     """The destination rule, checked before any work.  The destinations are
     output and each non-empty extra path (an empty extra path names none);
     '-' is stdout, and so is a path for which :func:`_is_stdout` holds.
-    Raise ValueError if two of them are stdout or two name one file, and
-    otherwise the OSError that writing a file destination would raise once
-    the work is done; no file is changed or left behind.  A named pipe or
-    device is not opened early: opening a pipe waits for a reader, and
-    closing it ends one."""
+    Raise ValueError if two of them are stdout or two name one file that is
+    not a character device, and otherwise the OSError that writing a file
+    destination would raise once the work is done; no file is changed or
+    left behind.  A named pipe or device is not opened early: opening a
+    pipe waits for a reader, and closing it ends one."""
     paths = ["-" if _is_stdout(path) else path for path in [output, *filter(None, extra)]]
     files = [path for path in paths if path != "-"]
     if len(paths) - len(files) > 1:
         raise ValueError("two destinations name stdout ('-')")
-    if len({os.path.realpath(path) for path in files}) < len(files):
+    # a character device, such as /dev/null, may be shared
+    named = [path for path in files if not _is_device(path)]
+    if len({os.path.realpath(path) for path in named}) < len(named):
         raise ValueError(f"two destinations name the same file: {', '.join(files)}")
     for path in files:
         try:

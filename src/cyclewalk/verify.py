@@ -109,6 +109,21 @@ def _sample_pairs(seed: int, count: int, nodes: tuple, rates=(0.0, 1.0), extra: 
     return (k, k_prime, n, low_rate + (high_rate - low_rate) * u[:, 3]), u[:, 4:]
 
 
+def _keep(store, key, value):
+    """Keep value in the store of a run_checks call, for the later check
+    that takes it."""
+    if store is not None:
+        store[key] = value
+
+
+def _take(store, key, build):
+    """The value an earlier check kept in the store for key, dropped from
+    it once taken, or else build()."""
+    if store is not None and key in store:
+        return store.pop(key)
+    return build()
+
+
 def _config(n, p, coin="up"):
     return WalkConfig(n_nodes=n, decoherence_rate=p, initial_coin=coin_state(coin))
 
@@ -127,7 +142,7 @@ def _result(name, cases, measure, tol, detail, ok=True):
     }
 
 
-def check_unitality(profile: VerifyProfile):
+def check_unitality(profile: VerifyProfile, store=None):
     rates = np.linspace(0.0, 1.0, 101)
     kraus = build_kraus_family(rates)
     acc = (kraus.conj().swapaxes(-1, -2) @ kraus).sum(axis=-3)
@@ -135,25 +150,33 @@ def check_unitality(profile: VerifyProfile):
                    "sum A_n^dag A_n = I over 101 rates, tol 1e-14")
 
 
-def check_closedform(profile: VerifyProfile):
+def _pair_sample(profile: VerifyProfile):
+    """The seed-2024 pairs of closedform and charpoly and their definitional
+    matrices."""
     pairs, _ = _sample_pairs(2024, profile.random_tuples, (2, 32))
-    deviation = np.abs(superop_definitional(*pairs) - superop_closed_form(*pairs))
+    return pairs, superop_definitional(*pairs)
+
+
+def check_closedform(profile: VerifyProfile, store=None):
+    pairs, matrices = _pair_sample(profile)
+    _keep(store, "pair-sample", (pairs, matrices))
+    deviation = np.abs(matrices - superop_closed_form(*pairs))
     return _result("closedform", len(pairs[0]), np.max(deviation), 1e-12,
                    "definitional vs closed-form matrices, tol 1e-12")
 
 
-def check_charpoly(profile: VerifyProfile):
+def check_charpoly(profile: VerifyProfile, store=None):
     nodes = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
     vander = np.vander(nodes, 5)
-    pairs, _ = _sample_pairs(2024, profile.random_tuples, (2, 32))
-    matrices = superop_definitional(*pairs)[:, None]
+    pairs, matrices = _take(store, "pair-sample", lambda: _pair_sample(profile))
+    matrices = matrices[:, None]
     dets = np.linalg.det(nodes[:, None, None] * np.eye(4) - matrices)
     fitted = np.linalg.solve(vander, dets[..., None])[..., 0]
     return _result("charpoly", len(pairs[0]), np.max(np.abs(fitted - char_poly(*pairs))),
                    1e-10, "closed-form coefficients vs det interpolation, tol 1e-10")
 
 
-def check_spectrum(profile: VerifyProfile):
+def check_spectrum(profile: VerifyProfile, store=None):
     nodes = range(3, profile.spectrum_max_nodes + 1)
     try:
         structures = [spectral_structure(eigenvalues(
@@ -170,7 +193,7 @@ def check_spectrum(profile: VerifyProfile):
                    ok=all(s[verdict] for s in structures for verdict in VERDICTS))
 
 
-def check_contraction(profile: VerifyProfile):
+def check_contraction(profile: VerifyProfile, store=None):
     pairs, u = _sample_pairs(11, 40, (2, 16), extra=8)
     # real and imaginary parts of each 2x2 operand uniform in [-1, 1)
     operands = (2 * u[:, :4] - 1 + 1j * (2 * u[:, 4:] - 1)).reshape(-1, 2, 2)
@@ -188,7 +211,7 @@ def check_contraction(profile: VerifyProfile):
                    and np.all(np.abs(after - identity) <= 1e-12))
 
 
-def check_oracle(profile: VerifyProfile):
+def check_oracle(profile: VerifyProfile, store=None):
     steps = profile.oracle_max_steps
     deviations = []
     for n in range(3, profile.oracle_max_nodes + 1):
@@ -198,20 +221,26 @@ def check_oracle(profile: VerifyProfile):
         momentum = np.concatenate([_fourier_trajectories(coins, steps) for coins in walks])
         direct = _density_marginals([cfg for coins in walks for cfg in coins], steps)
         deviations += [np.max(np.abs(a - b)) for a, b in zip(momentum, direct)]
+        # the p = 1, up walk, stepped bit for bit as alone, is classical's
+        _keep(store, ("classical", n), direct[-2].copy())
     return _result("oracle", len(deviations), np.max(deviations), 1e-10,
                    "momentum path vs density-matrix path, entrywise tol 1e-10")
 
 
-def check_classical(profile: VerifyProfile):
+def check_classical(profile: VerifyProfile, store=None):
     steps = profile.oracle_max_steps
     nodes = range(2, profile.oracle_max_nodes + 1)
-    deviations = [np.max(np.abs(_density_marginals([_config(n, 1.0)], steps)[0] - chain))
-                  for n, chain in zip(nodes, _classical_chain(nodes, steps))]
+    deviations = []
+    for n, chain in zip(nodes, _classical_chain(nodes, steps)):
+        # oracle steps this walk for N >= 3; a run without it steps it here
+        walk = _take(store, ("classical", n),
+                     lambda: _density_marginals([_config(n, 1.0)], steps)[0])
+        deviations.append(np.max(np.abs(walk - chain)))
     return _result("classical", len(deviations), np.max(deviations), 1e-12,
                    "p=1 marginals vs the +-1/2 chain, tol 1e-12")
 
 
-def check_limits(profile: VerifyProfile):
+def check_limits(profile: VerifyProfile, store=None):
     deviations = []
     for n in profile.limit_nodes:
         for p in profile.limit_rates:
@@ -228,7 +257,7 @@ def check_limits(profile: VerifyProfile):
                    "the measured decay horizon, tol 1e-6")
 
 
-def check_geosum(profile: VerifyProfile):
+def check_geosum(profile: VerifyProfile, store=None):
     (k, k_prime, n, p), _ = _sample_pairs(5, profile.geosum_pairs, (3, 16), (0.05, 1.0))
     # a diagonal pair has the eigenvalue 1, where the resolvent form is singular
     k_prime = np.where(k_prime == k, (k + 1) % n, k_prime)
@@ -238,7 +267,7 @@ def check_geosum(profile: VerifyProfile):
                    "explicit power sum vs resolvent form, tol 1e-10")
 
 
-def check_mixbound(profile: VerifyProfile):
+def check_mixbound(profile: VerifyProfile, store=None):
     margins = []
     ratios = []
     taus = sorted(set(profile.bound_taus) | set(profile.ratio_taus))
@@ -257,7 +286,7 @@ def check_mixbound(profile: VerifyProfile):
                    ok=all(tv_hi <= 0 or 0.5 <= tv_lo / tv_hi <= 2.0 for tv_lo, tv_hi in ratios))
 
 
-def check_averaged(profile: VerifyProfile):
+def check_averaged(profile: VerifyProfile, store=None):
     epsilon = 1e-2
     runs = []
     for n in profile.averaged_nodes:
@@ -272,7 +301,9 @@ def check_averaged(profile: VerifyProfile):
                    ok=all(crossing is not None for crossing, _ in runs))
 
 
-#: every check in report order; a check's name is that of its function
+#: every check in report order; a check's name is that of its function.  A
+#: check takes the profile and the store of its run_checks call, a dict in
+#: which it keeps what a later check takes; called alone, it has none.
 _CHECKS = [check_unitality, check_closedform, check_charpoly, check_spectrum, check_contraction,
            check_oracle, check_classical, check_limits, check_geosum, check_mixbound,
            check_averaged]
@@ -280,19 +311,32 @@ _CHECKS = [check_unitality, check_closedform, check_charpoly, check_spectrum, ch
 CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
+def _run_check(name, fn, profile, store):
+    """The report entry of check fn; a NumericalCheckError raised inside it
+    is its failed entry, with the measure NaN and the message as detail."""
+    try:
+        return fn(profile, store)
+    except NumericalCheckError as exc:
+        return _result(name, 0, np.nan, 0.0, f"numerical assertion failed: {exc}")
+
+
 def run_checks(names=None, profile: str = "default") -> dict:
     """Run the selected checks, in the fixed order of CHECK_NAMES, and
-    assemble the deterministic report."""
+    assemble the deterministic report: every selected check has its entry,
+    also when it raised a NumericalCheckError.  A check reuses what an
+    earlier one of the run built: charpoly the seed-2024 pair sample of
+    closedform, and classical the p = 1 density walks that oracle steps."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile!r}; available: {list(PROFILES)}")
     prof = PROFILES[profile]
-    selected = [fn for n, fn in zip(CHECK_NAMES, _CHECKS) if names is None or n in names]
+    selected = [(n, fn) for n, fn in zip(CHECK_NAMES, _CHECKS) if names is None or n in names]
     unknown = set(names or ()) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {CHECK_NAMES}")
     if not selected:
         raise ValueError("no checks selected")
-    results = [fn(prof) for fn in selected]
+    store = {}
+    results = [_run_check(name, fn, prof, store) for name, fn in selected]
     return {
         "tool": "cyclewalk",
         "version": __version__,

@@ -10,7 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from cyclewalk import cli, evolution, verify
+from cyclewalk import _kernels, cli, evolution, verify
 from cyclewalk.analysis import limiting_distribution, steps_to_uniform
 from cyclewalk.core import WalkConfig
 from cyclewalk.evolution import position_marginal
@@ -237,3 +237,68 @@ def test_acceptance_criterion_fails_on_a_broken_input(monkeypatch, tmp_path, cri
     else:
         passed = getattr(verify, f"check_{check}")(verify.PROFILES["quick"])["passed"]
     assert passed is False
+
+
+def _nan_rows(evolve):
+    """The engine's rows made NaN: the momentum path's probability rule
+    raises NumericalCheckError inside the check."""
+    def broken(*args, **kwargs):
+        for t, rows, defect in evolve(*args, **kwargs):
+            yield t, rows * np.nan, defect
+    return broken
+
+
+@pytest.mark.parametrize("criterion", [
+    *(name for name in _MUTANTS if name.endswith("-nan")), "engine-nan"])
+def test_verify_reports_a_check_that_meets_nan(monkeypatch, tmp_path, capsys, criterion):
+    # whether the check measures the NaN or an assertion inside it raises,
+    # the run writes its report, with that check failed, and exits 1
+    check, module, attr, mutate = (("oracle", _kernels, "_evolve", _nan_rows)
+                                   if criterion == "engine-nan" else _MUTANTS[criterion])
+    monkeypatch.setattr(module, attr, mutate(getattr(module, attr)))
+    report = tmp_path / "verify.json"
+    code = cli.main(["verify", "--quick", "--check", check, "--check", "unitality",
+                     "--output", str(report)])
+    capsys.readouterr()
+    assert code == 1
+    entries = {entry["name"]: entry for entry in json.loads(report.read_text())["checks"]}
+    assert entries["unitality"]["passed"] and not entries[check]["passed"]
+    if criterion == "engine-nan":
+        assert np.isnan(entries[check]["measure"]) and entries[check]["cases"] == 0
+        assert entries[check]["detail"] == ("numerical assertion failed: "
+                                            "non-finite probability nan")
+
+
+def test_classical_reuses_the_walks_that_oracle_steps(monkeypatch):
+    # oracle steps the p = 1, up walk of every N >= 3 in its density stack;
+    # classical then steps only N = 2, and alone every N
+    profile = verify.PROFILES["quick"]
+    steps = profile.oracle_max_steps
+    stepped = []
+    marginals = evolution._density_marginals
+    monkeypatch.setattr(verify, "_density_marginals", lambda configs, t: stepped.append(
+        [cfg.n_nodes for cfg in configs]) or marginals(configs, t))
+    together = verify.run_checks(names=["oracle", "classical"], profile="quick")["checks"]
+    oracle_walks = len(range(3, profile.oracle_max_nodes + 1))
+    assert stepped[oracle_walks:] == [[2]]
+    stepped.clear()
+    alone = verify.run_checks(names=["classical"], profile="quick")["checks"]
+    assert stepped == [[n] for n in range(2, profile.oracle_max_nodes + 1)]
+    assert together[1] == alone[0]
+    # the shared walk is stepped bit for bit as alone
+    for n in (3, profile.oracle_max_nodes):
+        walks = [verify._config(n, p, coin) for p in (0.0, 0.1, 0.5, 1.0)
+                 for coin in ("up", "balanced")]
+        assert np.array_equal(marginals(walks, steps)[-2],
+                              marginals([verify._config(n, 1.0)], steps)[0])
+
+
+def test_closedform_and_charpoly_share_one_pair_sample(monkeypatch):
+    calls = []
+    build = verify.superop_definitional
+    monkeypatch.setattr(verify, "superop_definitional",
+                        lambda *args: calls.append(args) or build(*args))
+    together = verify.run_checks(names=["closedform", "charpoly"])["checks"]
+    assert len(calls) == 1 and len(calls[0][0]) == PROFILE.random_tuples
+    assert together == [verify.check_closedform(PROFILE), verify.check_charpoly(PROFILE)]
+    assert len(calls) == 3   # called alone, each check builds its own

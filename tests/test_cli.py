@@ -748,6 +748,26 @@ def test_a_path_that_is_stdout_counts_as_stdout(tmp_path):
         assert (alone.returncode, alone.stdout, alone.stderr) == (0, plain.stdout, b"")
 
 
+def test_destinations_may_share_a_character_device(capsys):
+    # /dev/null is a device, not a file that two writers would clobber
+    code, out, err = _run(capsys, "spectrum", "--nodes", "5", "--decoherence", "0.3",
+                          "--output", "/dev/null", "--summary", "/dev/null",
+                          "--manifest", "/dev/null")
+    assert (code, out, err) == (0, "", "")
+
+
+def test_two_names_of_one_regular_file_are_refused(tmp_path, capsys):
+    target = tmp_path / "out.csv"
+    target.write_text("kept\n")
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    code, out, err = _run(capsys, "spectrum", "--nodes", "5", "--decoherence", "0.3",
+                          "--output", str(target), "--summary", str(link))
+    assert (code, out) == (2, "")
+    assert err == f"error: two destinations name the same file: {target}, {link}\n"
+    assert target.read_text() == "kept\n"
+
+
 def test_a_numerical_failure_leaves_the_files_it_always_left(tmp_path, capsys, monkeypatch):
     # simulate and mixing fail before they write; spectrum writes its CSV,
     # summary and manifest, then fails on its verdicts

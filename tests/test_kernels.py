@@ -231,16 +231,115 @@ def test_blocked_snapshots_straddle_block_boundaries(n, block):
         assert np.abs(row - reference[:tau].mean(axis=0)).max() <= TOL
 
 
-def test_evolve_stream_is_cut_at_steps(block):
+@pytest.fixture(params=[1, 2, 3], ids=["chunk-1", "chunk-2", "chunk-3"])
+def chunk(request, monkeypatch):
+    """Blocks per chunk of emission, forced to 1, 2 or 3."""
+    monkeypatch.setattr(kernels, "_chunk_blocks", lambda n, block: request.param)
+    return request.param
+
+
+def _around_chunk_ends(size):
+    """Last steps one before, at and one after the end of the first and
+    the second chunk of this many steps, and 0."""
+    return sorted({0} | {end + offset for end in (size - 1, 2 * size - 1)
+                         for offset in (-1, 0, 1)} - {-1})
+
+
+def test_evolve_stream_is_cut_at_steps(monkeypatch, block):
+    # one yield per chunk of K blocks, the last one cut at steps, for the
+    # engine's own K and for K forced to 1, 2 and 3
     _, matrices, v0 = _inputs(5, 0.3, "balanced")
-    for steps in sorted({0, block - 1, block, block + 1, 2 * block + 3}):
-        blocks = list(kernels._evolve(matrices, v0, steps))
-        assert [t for t, _, _ in blocks] == list(range(0, steps + 1, block))
-        assert [len(rows) for _, rows, _ in blocks[:-1]] == [block] * (len(blocks) - 1)
-        assert sum(len(rows) for _, rows, _ in blocks) == steps + 1
-        residues = [max_imag for _, _, max_imag in blocks]
-        assert residues == sorted(residues)
-        assert residues[-1] <= 1e-12
+    for forced in (None, 1, 2, 3):
+        if forced:
+            monkeypatch.setattr(kernels, "_chunk_blocks", lambda n, block: forced)
+        chunk = kernels._chunk_blocks(5, block)
+        for steps in _around_chunk_ends(block * chunk):
+            chunks = list(kernels._evolve(matrices, v0, steps))
+            # a run shorter than a block is one block of steps + 1
+            size = chunk * min(block, steps + 1)
+            assert [t for t, _, _ in chunks] == list(range(0, steps + 1, size))
+            assert [len(rows) for _, rows, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert sum(len(rows) for _, rows, _ in chunks) == steps + 1
+            residues = [max_imag for _, _, max_imag in chunks]
+            assert residues == sorted(residues)
+            assert residues[-1] <= 1e-12
+
+
+@pytest.mark.parametrize("forced", [1, 2, 7], ids=["block-1", "block-2", "block-7"])
+def test_chunked_stream_matches_stepwise_around_chunk_ends(monkeypatch, chunk, forced):
+    # both modes, with runs that end one step before, at and one step after
+    # the end of a chunk
+    monkeypatch.setattr(kernels, "_block_size", lambda pairs: forced)
+    n = 6
+    _, matrices, v0 = _inputs(n, 0.4, "balanced")
+    target = np.full(n, 1.0 / n)
+    ends = _around_chunk_ends(forced * chunk)
+    reference = _stepwise(matrices, v0, n, ends[-1] + 1)
+    for steps in ends:
+        traj, _ = kernels.distribution_trajectory(matrices, v0, steps)
+        assert np.abs(traj - reference[:steps + 1]).max() <= TOL
+        averaged, _ = kernels.tv_scan(matrices, v0, steps + 1, target)
+        assert np.abs(averaged - _cesaro_tv(reference[:steps + 1], target)).max() <= TOL
+        instantaneous, _ = kernels.tv_scan(matrices, v0, steps + 1, target,
+                                           mode=kernels.MODE_INSTANTANEOUS)
+        expect = np.abs(reference[1:steps + 2] - target).sum(axis=1)
+        assert np.abs(instantaneous - expect).max() <= TOL
+        taus = sorted({1, steps + 1})
+        snaps, _ = kernels.averaged_snapshots(matrices, v0, taus)
+        for row, tau in zip(snaps, taus):
+            assert np.abs(row - reference[:tau].mean(axis=0)).max() <= TOL
+
+
+@pytest.mark.parametrize("offset", ["first-block", "later-block"])
+@pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
+def test_chunked_scan_stops_inside_a_chunk(monkeypatch, chunk, mode, offset):
+    monkeypatch.setattr(kernels, "_block_size", lambda pairs: 7)
+    n = 5
+    _, matrices, v0 = _inputs(n, 0.3)
+    target = np.full(n, 1.0 / n)
+    reference = _stepwise(matrices, v0, n, 400)
+    if mode == kernels.MODE_AVERAGED:
+        expect, first_t = _cesaro_tv(reference[:400], target), 0
+    else:
+        expect, first_t = np.abs(reference[1:] - target).sum(axis=1), 1
+    # a stop in the chunk's first block, or mid-way through its last
+    wanted = 0 if offset == "first-block" else 7 * (chunk - 1) + 3
+    i = _first_record_low(expect, lambda i: (i + first_t) % (7 * chunk) == wanted)
+    threshold = 0.5 * (expect[i] + expect[:i].min())
+    tv, _ = kernels.tv_scan(matrices, v0, 400, target, mode=mode, stop_below=threshold)
+    assert len(tv) == i + 1
+    assert np.abs(tv - expect[:i + 1]).max() <= TOL
+
+
+@pytest.mark.parametrize("n", [3, 8])
+def test_each_coin_of_a_stack_is_chunked_as_its_own_run_bit_for_bit(monkeypatch, chunk, n):
+    monkeypatch.setattr(kernels, "_block_size", lambda pairs: 7)
+    runs = [_inputs(n, 0.5, coin) for coin in _COINS]
+    matrices = runs[0][1]
+    v0 = np.stack([coin_v0 for _, _, coin_v0 in runs])
+    for steps in _around_chunk_ends(7 * chunk):
+        together, _ = kernels.distribution_trajectory(matrices, v0, steps)
+        for column, (_, _, coin_v0) in zip(together, runs):
+            alone, _ = kernels.distribution_trajectory(matrices, coin_v0, steps)
+            assert np.array_equal(column, alone)
+
+
+def test_chunk_rule():
+    # a chunk's buffers take at most a quarter of the row buffer budget, and
+    # what the rows leave of it: one block once the rows fill it, which
+    # they do from N = 14 on
+    assert kernels._chunk_blocks(9, 256) == 6
+    assert kernels._chunk_blocks(13, 256) == 4
+    assert kernels._chunk_blocks(101, 6) == 1
+    for n in range(2, 160):
+        pairs = (n // 2 + 1) * n
+        block = kernels._block_size(pairs)
+        blocks = kernels._chunk_blocks(n, block)
+        assert (blocks == 1) == (n >= 14), n
+        if blocks > 1:
+            chunk = blocks * (64 * pairs + 8 * block * (2 * (n // 2 + 1) + n))
+            assert chunk <= kernels.ROW_BUFFER_BYTES // 4
+            assert 32 * pairs * block + chunk <= kernels.ROW_BUFFER_BYTES
 
 
 @pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
@@ -360,7 +459,8 @@ def test_symmetry_guard_fires_before_the_first_block(size, fails):
             next(blocks)
     else:
         t, rows, defect = next(blocks)
-        assert t == 0 and rows.shape == (_engine_block(n), n)
+        first_chunk = _engine_block(n) * kernels._chunk_blocks(n, _engine_block(n))
+        assert t == 0 and rows.shape == (first_chunk, n)
         assert defect == pytest.approx(1e-12, rel=1e-3)
 
 

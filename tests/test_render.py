@@ -1,5 +1,7 @@
 """The CLI's table renderer against Python's own ``%`` formatting."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,68 @@ def test_int_and_label_fields_match_percent_formatting():
         cells = [v for row in zip(*(c.tolist() for c in columns)) for v in row]
         assert _render(template, columns) == template * rows % tuple(cells)
 
+
+
+@pytest.mark.parametrize("digits", range(1, 20))
+def test_int_fields_of_every_width_match_percent_formatting(digits):
+    # the widest value of a column sets its 4-digit groups; each column mixes
+    # signs, zero and the shorter values that take leading NULs
+    rng = np.random.default_rng(digits)
+    top = min(10 ** digits - 1, 2 ** 63 - 1)
+    edges = [0, 1, -1, 9, 10, 9999, 10000, -10000, 10 ** (digits - 1), top, -top]
+    shorter = rng.integers(0, 10 ** rng.integers(1, min(digits, 18) + 1, 400))
+    wide = rng.integers(10 ** (digits - 1), top, 400, dtype=np.int64, endpoint=True)
+    for values in (np.concatenate([edges, shorter, -wide, wide]),
+                   np.abs(np.concatenate([edges, shorter, wide]))):
+        assert _render("%d\n", (values,)) == "".join(f"{v}\n" for v in values.tolist())
+
+
+def test_float_fields_at_the_exponent_edges_match_format():
+    # exponents +-99 take the word table; +-100 take the exact fallback
+    mantissas = np.array([1.0, 1.5, 9.999999999999999, 9.9999999999999999, 5.000000000000001])
+    x = np.concatenate([mantissas * 10.0 ** e for e in (-100, -99, 99)]
+                       + [np.nextafter([1e100, 1e100, 1e-99, 1e-100, 1e-100],
+                                       [0, 2e100, 0, 0, 1])])
+    x = np.concatenate([x, -x])
+    assert _render("%.16e\n", (x,)) == "".join(format(v, ".16e") + "\n" for v in x.tolist())
+
+
+def _rounding_up_to_a_power_of_ten():
+    """The doubles below 10^k whose 17 significant digits round up to
+    1.0000000000000000e(k), for the exponents of the word table."""
+    out = []
+    for k in range(-98, 100):
+        power = float(f"1e{k}")
+        for x in (power, float(np.nextafter(power, 0))):
+            rounded = format(x, ".16e") == f"1.0000000000000000e{k:+03d}"
+            if rounded and Fraction(x) < Fraction(10) ** k:
+                out.append(x)
+    return np.array(out)
+
+
+@pytest.mark.parametrize("log10_low", [False, True], ids=["log10", "log10-one-ulp-low"])
+def test_mantissas_that_round_up_to_ten_to_the_17_match_format(monkeypatch, log10_low):
+    x = _rounding_up_to_a_power_of_ten()
+    assert len(x) >= 3
+    if log10_low:
+        # with E one too small, the scaled value lies just below 10^17: the
+        # digits round up to 10^17, and the exponent word moves up by one
+        log10 = np.log10
+        monkeypatch.setattr(np, "log10", lambda a: np.nextafter(log10(a), -np.inf))
+    x = np.concatenate([x, -x])
+    assert _render("%.16e\n", (x,)) == "".join(format(v, ".16e") + "\n" for v in x.tolist())
+
+
+@pytest.mark.parametrize("digits", [1, 4, 5, 8, 19])
+def test_fields_without_common_nul_columns_match_percent_formatting(digits):
+    # equally wide non-negative ints, and floats without a fallback value,
+    # leave out the NULs that every row has; such a chunk has none to delete
+    rng = np.random.default_rng(digits)
+    ints = rng.integers(10 ** (digits - 1), min(10 ** digits, 2 ** 63 - 1), 3000)
+    floats = rng.uniform(1e-3, 1e3, 3000)
+    assert cli._ints(ints).shape[1] == digits
+    assert cli._floats(floats).shape[1] == 22 and cli._floats(-floats).shape[1] == 23
+    for column in (floats, -floats):
+        template = "%d,%.16e\n"
+        cells = [v for row in zip(ints.tolist(), column.tolist()) for v in row]
+        assert _render(template, (ints, column)) == template * len(ints) % tuple(cells)
