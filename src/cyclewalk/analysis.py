@@ -11,7 +11,8 @@ three scans (:func:`mixing_time_averaged`, :func:`mixing_time_instantaneous`
 and :func:`averaged_time_below`) run through one private driver, which
 checks epsilon and the horizon, picks the target and applies this rule.
 :func:`verify_geometric_sum` takes its power sum and resolvent on the real
-realified pair matrices R = U L U^-1 of :mod:`cyclewalk.fourier`.
+realified pair matrices R = U L U^-1 of :mod:`cyclewalk.fourier`, the power
+sum from the engine's binary powering.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from . import _kernels
 from .core import NumericalCheckError, WalkConfig, _check_count, _check_momenta
 from .evolution import PositionDistribution, _momentum_path
 from .fourier import SYMMETRY_DEFECT_LIMIT, _realified
-from .spectral import spectral_gap
+from .spectral import _spectral_gaps
 
 __all__ = [
     "MixingReport",
@@ -123,7 +124,7 @@ def time_averaged(config: WalkConfig, tau: int) -> PositionDistribution:
 def time_averaged_snapshots(config: WalkConfig, taus) -> np.ndarray:
     """Cesaro averages at several window lengths in one pass over t; the
     window lengths are checked before the pair build."""
-    _kernels._check_taus(taus)
+    _kernels._check_times("taus", taus, 1)
     return _momentum_path(config, _kernels.averaged_snapshots, taus)
 
 
@@ -249,7 +250,9 @@ def uniform_deviation_bound(tau: int, n_nodes: int, p: float) -> float:
 def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     """Max entrywise deviation between sum_{t<tau} L^t and the resolvent form
     (I - L)^{-1} (I - L^tau) for a 4x4 pair matrix L, or the largest over a
-    (..., 4, 4) stack of them.
+    (..., 4, 4) stack of them.  The power sum is the engine's own, the
+    binary powering behind its jumps, so the identity checks the evaluator
+    the package uses.
 
     Both sides are taken in real arithmetic, on fourier's realified
     R = U L U^-1: U is diagonal with entries of modulus 1, so the deviation
@@ -274,11 +277,7 @@ def verify_geometric_sum(matrix: np.ndarray, tau: int) -> float:
     if not np.all(cond <= 1e12):
         raise ValueError(f"geometric-sum identity needs I - L invertible, "
                          f"cond(I - L) = {np.max(cond):.3e}")
-    explicit = np.zeros(np.shape(matrix))
-    power = eye
-    for _ in range(int(tau)):
-        explicit += power
-        power = matrix @ power
+    ((_, explicit),) = _kernels._power_sum(matrix, [tau])
     resolvent = np.linalg.solve(eye - matrix, eye - np.linalg.matrix_power(matrix, int(tau)))
     return float(np.abs(explicit - resolvent).max())
 
@@ -288,10 +287,18 @@ def steps_to_uniform(config: WalkConfig) -> int:
     spectral radius: an estimate, not a bound, since it ignores the
     non-normality of the pair matrices (the defective pairs at p = 0.5, say),
     so nothing certifies P past T within 1e-6 of its limit.  Requires p > 0."""
-    if config.decoherence_rate == 0.0:
+    return _steps_to_uniform(config.n_nodes, [config.decoherence_rate])[0]
+
+
+def _steps_to_uniform(n_nodes: int, rates) -> list[int]:
+    """:func:`steps_to_uniform` of the walks of N at each of several rates,
+    from one closed-form build and one eigensolve; each count is the one its
+    walk alone gives."""
+    if 0.0 in rates:
         raise ValueError("no decay at p = 0; the distribution keeps oscillating")
-    radius = 1.0 - spectral_gap(config)
-    if radius <= 0.0:
-        return 1
-    n = config.n_nodes
-    return max(1, math.ceil(math.log(1e-6 / (n * n)) / math.log(radius)))
+    counts = []
+    for gap in _spectral_gaps(n_nodes, rates):
+        radius = 1.0 - gap
+        counts.append(1 if radius <= 0.0 else max(
+            1, math.ceil(math.log(1e-6 / (n_nodes * n_nodes)) / math.log(radius))))
+    return counts

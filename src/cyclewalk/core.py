@@ -66,16 +66,18 @@ PROB_SUM_TOL = 1e-10
 PROB_FLOOR_SLOPE = 0.5
 
 
-def _check_probabilities(probs: np.ndarray):
+def _check_probabilities(probs: np.ndarray, times=None):
     """The probability rule.  probs is one distribution over the nodes, or a
-    (..., T, N) stack of trajectories whose row t is the distribution at
-    time t; one distribution counts as t = 0.  Row t must not dip below
+    (..., T, N) stack of trajectories whose row i is the distribution at
+    time t = i, or t = times[i] when the T times are given; one distribution
+    counts as t = 0.  Row t must not dip below
     -max(1e-12, PROB_FLOOR_SLOPE * eps * t) and must sum to 1 within
     PROB_SUM_TOL; raises NumericalCheckError on the worst entry or sum
     otherwise.  Each row is reduced to its minimum and its sum before any
     comparison, so no temporary of the trajectory's size is made."""
     low = np.atleast_2d(probs).min(axis=-1)
-    floor = np.maximum(1e-12, PROB_FLOOR_SLOPE * np.finfo(float).eps * np.arange(low.shape[-1]))
+    t = np.arange(low.shape[-1]) if times is None else np.asarray(times)
+    floor = np.maximum(1e-12, PROB_FLOOR_SLOPE * np.finfo(float).eps * t)
     # written as not (... <= ...) so that NaN fails it
     bad = low[~(-floor <= low)]
     if len(bad):
@@ -154,10 +156,18 @@ def build_kraus_family(rate) -> np.ndarray:
 def _check_count(name, value, minimum):
     """Every entry of value an integer >= minimum (NaN and inf fail); raises
     ValueError otherwise."""
-    if not np.all(np.asarray(value) % 1 == 0):
+    entries = np.asarray(value)
+    if not _holds(entries % 1 == 0):
         raise ValueError(f"{name} must be an integer, got {value}")
-    if not np.all(np.asarray(value) >= minimum):
+    if not _holds(entries >= minimum):
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+
+
+def _holds(condition) -> bool:
+    """Whether every entry of a comparison's result is true: np.all without
+    its dispatch, which the input checks of every pair build would pay.  An
+    object array's comparison may give a plain bool."""
+    return bool(np.asarray(condition).all())
 
 
 def _check_momenta(n_nodes, *indices, rate=0.0):
@@ -166,9 +176,9 @@ def _check_momenta(n_nodes, *indices, rate=0.0):
     them all.  Raises ValueError otherwise."""
     _check_count("n_nodes", n_nodes, 2)
     n, rate = np.asarray(n_nodes), np.asarray(rate)
-    if not np.all((0.0 <= rate) & (rate <= 1.0)):
+    if not _holds((0.0 <= rate) & (rate <= 1.0)):
         raise ValueError(f"decoherence rate must lie in [0, 1], got {rate}")
-    if not all(np.all((k % 1 == 0) & (0 <= k) & (k < n)) for k in indices):
+    if not all(_holds((k % 1 == 0) & (0 <= k) & (k < n)) for k in map(np.asarray, indices)):
         raise ValueError(f"momentum indices must be integers with 0 <= k < {n_nodes}, "
                          "got " + ", ".join(map(str, indices)))
 

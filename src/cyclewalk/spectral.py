@@ -14,8 +14,10 @@ closed unit disk.  For 0 < p < 1 the only unit-modulus eigenvalues are +1
 (exactly on diagonal pairs k = k') and -1 (exactly on antipodal pairs
 |k' - k| = N/2, even N); all other pairs decay, and the spectral gap is taken
 over them.  Only :func:`spectral_structure` rules on this structure, for the
-``spectrum`` summary and check and :func:`spectral_gap`, by one rule: within
-UNIT_MODULUS_TOL of +1, of -1 or of |z| = 1 is +1, -1 or unit modulus.
+``spectrum`` summary and check, by one rule: within UNIT_MODULUS_TOL of +1,
+of -1 or of |z| = 1 is +1, -1 or unit modulus.  It and :func:`spectral_gap`
+take the largest generic radius by one rule too; the gaps of several rates
+of one N come from one closed-form build and one eigensolve.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ import numpy as np
 
 from .core import NumericalCheckError, WalkConfig, _check_momenta
 from .fourier import (SYMMETRY_DEFECT_LIMIT, _REALIFY_CHUNK, _pair_angles, _pair_momenta,
-                      _realified, _stack_nodes, all_pair_matrices)
+                      _realified, _stack_nodes, superop_closed_form)
 
 __all__ = [
     "SpectrumReport",
@@ -101,22 +103,13 @@ def char_poly(k, k_prime, n_nodes, rate) -> np.ndarray:
         1.0, q * cp - cm, -2.0 * q * cp * cm, q * (cp - q * cm), q * q), axis=-1)
 
 
-def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
-    """Spectra of an (N^2, 4, 4) pair stack (any other shape raises
-    ValueError), as one :class:`SpectrumReport`.
-
-    The eigensolve is real and batched: it takes the realified stack
-    R = U L U^-1 of :mod:`cyclewalk.fourier`, whose spectra are those of the
-    pair matrices, one chunk of up to 4096 pairs per call.
-    A stack the eigensolver cannot take (NaN or inf entries), or one whose
+def _real_eigvals(matrices, n_nodes: int) -> np.ndarray:
+    """The eigenvalues of every pair matrix of N in an (M, 4, 4) stack, in
+    the eigensolver's order, shape (M, 4), from the realified stack, one
+    chunk of up to 4096 pairs per call.  Each matrix gets the eigenvalues
+    its own eigensolve gives.  A stack the eigensolver cannot take, or whose
     realification leaves an imaginary residue above SYMMETRY_DEFECT_LIMIT,
-    raises NumericalCheckError.
-
-    Each row of eigenvalues is put in canonical order, by real part and then
-    by imaginary part, both keys rounded to 9 decimals (the values are not),
-    so equal spectra give equal rows whatever order the eigensolver returned.
-    """
-    n_nodes = _stack_nodes(matrices)
+    raises NumericalCheckError."""
     eig = np.empty((len(matrices), 4), dtype=np.complex128)
     residues = []
     # chunk by chunk, so that no real copy of a large stack is made whole
@@ -133,6 +126,32 @@ def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
     if not residue <= SYMMETRY_DEFECT_LIMIT:
         raise NumericalCheckError(f"pair stack (N={n_nodes}) is not real under U: "
                                   f"imaginary residue {residue:.3e}")
+    return eig
+
+
+def _generic_radius(radius, classes):
+    """The largest spectral radius over the generic pairs, along the last
+    axis; 0 where there is none."""
+    return radius.max(axis=-1, where=classes == CLASS_GENERIC, initial=0.0)
+
+
+def eigenvalues(matrices: np.ndarray) -> SpectrumReport:
+    """Spectra of an (N^2, 4, 4) pair stack (any other shape raises
+    ValueError), as one :class:`SpectrumReport`.
+
+    The eigensolve is real and batched: it takes the realified stack
+    R = U L U^-1 of :mod:`cyclewalk.fourier`, whose spectra are those of the
+    pair matrices, one chunk of up to 4096 pairs per call.
+    A stack the eigensolver cannot take (NaN or inf entries), or one whose
+    realification leaves an imaginary residue above SYMMETRY_DEFECT_LIMIT,
+    raises NumericalCheckError.
+
+    Each row of eigenvalues is put in canonical order, by real part and then
+    by imaginary part, both keys rounded to 9 decimals (the values are not),
+    so equal spectra give equal rows whatever order the eigensolver returned.
+    """
+    n_nodes = _stack_nodes(matrices)
+    eig = _real_eigvals(matrices, n_nodes)
     # numpy orders complex numbers by real part, then imaginary part
     order = eig.round(9).argsort(axis=-1, kind="stable")
     eig = eig[np.arange(len(eig))[:, None], order]
@@ -159,7 +178,7 @@ def spectral_structure(spectra: SpectrumReport, rate: float) -> dict:
                  | (unit & ~plus & ~minus).any(axis=1) | (has_minus & (np.abs(slope) <= 1e-10)))
     checked = bool(0.0 < rate < 1.0)
     max_radius = float(radius.max())
-    max_radius_generic = float(radius.max(where=classes == CLASS_GENERIC, initial=0.0))
+    max_radius_generic = float(_generic_radius(radius, classes))
     return {
         "count_diagonal": int((classes == CLASS_DIAGONAL).sum()),
         "count_antipodal": int((classes == CLASS_ANTIPODAL).sum()),
@@ -185,5 +204,15 @@ def spectral_gap(config: WalkConfig) -> float:
     """
     if config.decoherence_rate == 0.0:
         return 0.0
-    spectra = eigenvalues(all_pair_matrices(config)[0])
-    return 1.0 - spectral_structure(spectra, config.decoherence_rate)["max_radius_generic"]
+    return float(_spectral_gaps(config.n_nodes, [config.decoherence_rate])[0])
+
+
+def _spectral_gaps(n_nodes: int, rates) -> np.ndarray:
+    """:func:`spectral_gap` of the walks of N at each of several rates, from
+    one closed-form build and one eigensolve of all their pairs.  The
+    eigensolve is per matrix, so each gap is the one its walk alone gives,
+    bit for bit."""
+    k, k_prime = _pair_momenta(n_nodes)
+    stack = superop_closed_form(k, k_prime, n_nodes, np.asarray(rates, dtype=float)[:, None])
+    eig = _real_eigvals(stack.reshape(-1, 4, 4), n_nodes).reshape(stack.shape[:-1])
+    return 1.0 - _generic_radius(np.abs(eig).max(axis=-1), classify_pair(k, k_prime, n_nodes))

@@ -16,10 +16,10 @@ import numpy as np
 
 from . import __version__
 from .analysis import (
+    _steps_to_uniform,
     averaged_time_below,
     default_horizon,
     limiting_distribution,
-    steps_to_uniform,
     time_averaged_snapshots,
     total_variation,
     uniform_deviation_bound,
@@ -27,9 +27,8 @@ from .analysis import (
 )
 from .core import (NumericalCheckError, WalkConfig, build_kraus_family, coin_state,
                    pauli_compose, pauli_decompose)
-from .evolution import (_classical_chain, _density_marginals, _fourier_trajectories,
-                        fourier_trajectory)
-from .fourier import _pair_momenta, superop_closed_form, superop_definitional
+from .evolution import _classical_chain, _density_marginals, _fourier_rows, _fourier_trajectories
+from .fourier import superop_closed_form, superop_definitional
 from .spectral import VERDICTS, char_poly, eigenvalues, spectral_structure
 
 __all__ = ["VerifyProfile", "PROFILES", "CHECK_NAMES", "run_checks"]
@@ -179,8 +178,10 @@ def check_charpoly(profile: VerifyProfile, store=None):
 def check_spectrum(profile: VerifyProfile, store=None):
     nodes = range(3, profile.spectrum_max_nodes + 1)
     try:
-        structures = [spectral_structure(eigenvalues(
-            superop_definitional(*_pair_momenta(n), n, p)), p)
+        # pair (k, k') at row k N + k', with the Kraus chain of each k formed
+        # once for its N pairs
+        structures = [spectral_structure(eigenvalues(superop_definitional(
+            np.arange(n)[:, None], np.arange(n), n, p).reshape(-1, 4, 4)), p)
             for n in nodes for p in (0.1, 0.3, 0.5, 0.9)]
         radius = np.max([structure["max_radius"] for structure in structures])
     except NumericalCheckError:
@@ -243,15 +244,14 @@ def check_classical(profile: VerifyProfile, store=None):
 def check_limits(profile: VerifyProfile, store=None):
     deviations = []
     for n in profile.limit_nodes:
-        for p in profile.limit_rates:
+        # the rates of one N share one pair build and one eigensolve for t*
+        for p, t_star in zip(profile.limit_rates, _steps_to_uniform(n, profile.limit_rates)):
             cfg = _config(n, p)
-            t_star = steps_to_uniform(cfg)
             # even cycles alternate between two limits: check one of each
             times = (t_star,) if n % 2 else (t_star, t_star + 1)
-            traj = fourier_trajectory(cfg, times[-1])
             deviations.append(np.max([
-                np.abs(traj[t] - limiting_distribution(cfg, "odd" if t % 2 else "even"))
-                for t in times]))
+                np.abs(row - limiting_distribution(cfg, "odd" if t % 2 else "even"))
+                for row, t in zip(_fourier_rows(cfg, times), times)]))
     return _result("limits", len(deviations), np.max(deviations), 1e-6,
                    "instantaneous limits 1/N (odd) and parity 2/N (even) at "
                    "the measured decay horizon, tol 1e-6")

@@ -50,6 +50,21 @@ def test_acceptance_instantaneous_limits():
             f"at t* for (N, p) = (3, 0.5), (4, 0.5) (tol 1e-6)")
 
 
+def test_limits_reads_its_rows_at_the_pinned_decay_horizons(monkeypatch):
+    # t* of the 24 default walks, N-major then p, and the rows the check
+    # jumps to: t* for odd N, t* and t* + 1 for even N
+    read = []
+    rows = verify._fourier_rows
+    monkeypatch.setattr(verify, "_fourier_rows",
+                        lambda cfg, times: read.append(tuple(times)) or rows(cfg, times))
+    assert verify.check_limits(PROFILE)["passed"]
+    t_stars = [761, 117, 38, 1856, 289, 107, 3565, 558, 216, 5910, 928, 366,
+               8906, 1401, 558, 315, 48, 15, 826, 127, 42, 577, 88, 65]
+    assert [times[0] for times in read] == t_stars
+    assert [len(times) for times in read] == [1] * 15 + [2] * 9
+    assert all(times == (t, t + 1) for times, t in zip(read[15:], t_stars[15:]))
+
+
 def test_acceptance_verify_determinism(tmp_path, capsys):
     first, second = tmp_path / "r1.json", tmp_path / "r2.json"
     for path in (first, second):
@@ -188,6 +203,24 @@ def _off_real(build):
     return shifted
 
 
+def _drop_highest_digit(power_sum):
+    """Binary powering that drops the highest binary digit of every count:
+    a jump to t lands at t - 2^floor(log2 t), below t/2."""
+    def dropped(matrix, counts, *args):
+        counts = [int(c) - (1 << (int(c).bit_length() - 1)) if c else 0 for c in counts]
+        return power_sum(matrix, counts, *args)
+    return dropped
+
+
+def _join_without_power(join):
+    """The join of two runs with S_a + S_b for S_a + R^a S_b."""
+    def joined(first, second):
+        power, _ = join(first, second)
+        sum_a, sum_b = first[1], second[1]
+        return power, (None if sum_a is None else sum_a + sum_b)
+    return joined
+
+
 #: criterion -> (check it breaks, or None for the spectrum CLI summary;
 #: module and name of the input replaced; how the input is broken)
 _MUTANTS = {
@@ -204,11 +237,13 @@ _MUTANTS = {
     "oracle-density": ("oracle", evolution, "_density_step", _depolarise),
     "oracle-nan": ("oracle", verify, "_fourier_trajectories", _nan),
     "classical": ("classical", evolution, "_density_step", _keep_coherence),
-    "limits-nan": ("limits", verify, "fourier_trajectory", _nan),
+    "limits-nan": ("limits", verify, "_fourier_rows", _nan),
+    "limits-digit": ("limits", _kernels, "_power_sum", _drop_highest_digit),
     # only the resolvent side of the identity takes L^tau from matrix_power
     "geosum": ("geosum", np.linalg, "matrix_power",
                lambda fn: lambda m, k: (1 + 1e-8) * fn(m, k)),
     "geosum-nan": ("geosum", verify, "superop_definitional", _nan),
+    "geosum-join": ("geosum", _kernels, "_join", _join_without_power),
     "geosum-realify": ("geosum", verify, "superop_definitional", _off_real),
     "mixbound": ("mixbound", verify, "uniform_deviation_bound",
                  lambda fn: lambda *a: 0.0 * fn(*a)),

@@ -366,6 +366,17 @@ def test_steps_to_uniform_reaches_tolerance():
         steps_to_uniform(_cfg(3, 0.0))
 
 
+def test_decay_horizons_of_several_rates_are_each_walks_own():
+    from cyclewalk import analysis
+
+    rates = (0.1, 0.5, 0.9)
+    for n in range(2, 14):
+        assert analysis._steps_to_uniform(n, rates) == [steps_to_uniform(_cfg(n, p))
+                                                        for p in rates]
+    with pytest.raises(ValueError, match="no decay at p = 0"):
+        analysis._steps_to_uniform(5, (0.3, 0.0))
+
+
 def test_default_horizon_formula_and_cap():
     assert default_horizon(5, 0.01) == 50_000
     assert default_horizon(100, 1e-4) == 1_000_000

@@ -432,6 +432,36 @@ def test_position_distribution_validation():
         PositionDistribution(probs=np.array([np.inf, 0.0]))
 
 
+def _state_with_least_eigenvalue(least):
+    """A Hermitian 4x4 matrix of unit trace with eigenvalues 0.6,
+    0.4 - least, 0 and least, in a basis that mixes every entry."""
+    basis, _ = np.linalg.qr(np.array([[1, 2j, 3, 4], [2, 1, -1j, 0],
+                                      [0, 1, 1, 1j], [1j, 0, 2, -1]]))
+    rho = (basis * [0.6, 0.4 - least, 0.0, least]) @ basis.conj().T
+    return (rho + rho.conj().T) / 2
+
+
+def test_the_psd_test_keeps_its_floor_and_words_only_a_refusal(monkeypatch):
+    # a Cholesky factor of rho + 1e-9 I accepts a state; eigvalsh runs only
+    # to word a refusal, whose floor stays at -1e-9; the shift is made on
+    # the state's own diagonal, which gets its bits back either way
+    state = _state_with_least_eigenvalue(-2e-9)
+    before = state.copy()
+    with pytest.raises(NumericalCheckError, match=r"^density operator not PSD: -2\.000e-09$"):
+        _check_density(state)
+    assert np.array_equal(state, before)
+
+    def refused(*args):
+        raise AssertionError("eigvalsh ran on an accepted state")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refused)
+    for least in (-5e-10, 0.0):
+        state = _state_with_least_eigenvalue(least)
+        before = state.copy()
+        _check_density(state)
+        assert np.array_equal(state, before)
+
+
 def test_density_operator_validation():
     bad = np.diag([0.7, 0.7, -0.4, 0.0]).astype(complex)
     with pytest.raises(NumericalCheckError, match=r"^density operator not PSD: -4\.000e-01$"):

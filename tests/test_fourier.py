@@ -338,3 +338,14 @@ def test_batched_closed_form_is_bit_identical_to_all_pair_matrices():
         for p in RATES:
             assert np.array_equal(superop_closed_form(k, kp, n, p),
                                   all_pair_matrices(_cfg(n, p))[0])
+
+
+@pytest.mark.parametrize("n", [3, 8, 16])
+def test_a_stack_built_per_k_is_the_pair_stack_bit_for_bit(n):
+    # k[:, None] against k forms each Kraus chain C_k A_n sigma_j A_n^dag once
+    # for its N pairs; the rows follow the pair stack's layout
+    k = np.arange(n)
+    k_pairs, k_prime = np.divmod(np.arange(n * n), n)
+    for p in (0.0, 0.1, 0.3, 0.5, 0.9, 1.0):
+        assert np.array_equal(superop_definitional(k[:, None], k, n, p).reshape(-1, 4, 4),
+                              superop_definitional(k_pairs, k_prime, n, p))

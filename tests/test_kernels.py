@@ -357,14 +357,18 @@ def test_single_target_scans_as_the_pair_that_repeats_it(mode, block):
 
 
 @pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
-def test_scan_stops_at_its_first_scanned_value(mode, block):
+def test_scan_stops_at_its_first_scanned_value(monkeypatch, mode, block):
     # every TV is at most 2, so a threshold of 3 stops the scan at its first
     # value: tau = 1, or t = 1 in the instantaneous mode, whose t = 0 row is
-    # computed but never scanned
+    # computed but never scanned; a scan that may stop emits one block per
+    # chunk, so it is the full scan with one-block chunks bit for bit
     n = 5
     _, matrices, v0 = _inputs(n, 0.3)
     target = np.full(n, 1.0 / n)
+    chunk_blocks = kernels._chunk_blocks
+    monkeypatch.setattr(kernels, "_chunk_blocks", lambda n, block: 1)
     full, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode)
+    monkeypatch.setattr(kernels, "_chunk_blocks", chunk_blocks)
     tv, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode,
                             stop_below=3.0)
     assert np.array_equal(tv, full[:1])
@@ -614,3 +618,96 @@ def test_the_realification_is_taken_in_bounded_chunks(monkeypatch):
     assert np.array_equal(whole[0], chunked[0]) and whole[1] == chunked[1]
     matrices[80, 3, 0] = np.nan
     assert math.isnan(fourier._realified(matrices)[1])
+
+
+# ---------------------------------------------------------------------------
+# jumps to chosen rows vs the stream
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("p", [0.0, 0.3, 0.5, 1.0])
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_jump_matches_the_stream(n, p):
+    # all three coins of one prepared walk in both modes, at t = 0, 1, around
+    # the end of the first block, and on to 10^4 steps
+    runs = [_inputs(n, p, coin) for coin in _COINS]
+    matrices = runs[0][1]
+    v0 = np.stack([coin_v0 for _, _, coin_v0 in runs])
+    block = _engine_block(n)
+    times = [0, 1, block - 1, block, block + 1, 1000, 4097, 10 ** 4]
+    walk = kernels._prepare(matrices, v0)
+    for mode in (kernels.MODE_INSTANTANEOUS, kernels.MODE_AVERAGED):
+        stream = np.concatenate([rows for _, rows, _ in
+                                 kernels._evolve(matrices, v0, times[-1], mode)], axis=-2)
+        jumped = kernels._jump(walk, times, mode)
+        assert jumped.shape == (len(_COINS), len(times), n)
+        assert np.abs(jumped - stream[:, times]).max() <= TOL
+        alone = kernels._jump(kernels._prepare(matrices, runs[1][2]), times, mode)
+        assert alone.shape == (len(times), n)
+        assert np.abs(alone - stream[1, times]).max() <= TOL
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 100])
+def test_power_sum_is_the_power_and_the_explicit_sum(count):
+    _, matrices, _ = _inputs(5, 0.3)
+    real = kernels._prepare(matrices, _inputs(5, 0.3)[2]).realified.transpose(0, 3, 1, 2)
+    power, total = np.broadcast_to(np.eye(4), real.shape), np.zeros(real.shape)
+    for _ in range(count):
+        total = total + power
+        power = power @ real
+    ((jumped_power, jumped_sum),) = kernels._power_sum(real, [count])
+    assert np.abs(jumped_power - power).max() <= TOL
+    assert np.abs(jumped_sum - total).max() <= TOL * max(count, 1)
+    # without sums, and among other counts, the same power bit for bit
+    ((bare, none),) = kernels._power_sum(real, [count], sums=False)
+    assert none is None and np.array_equal(bare, jumped_power)
+    together = kernels._power_sum(real, [1, count, 1000])
+    assert np.array_equal(together[1][0], jumped_power)
+    assert np.array_equal(together[1][1], jumped_sum)
+
+
+def test_rows_meet_the_probability_rule_at_their_own_t(monkeypatch):
+    # a dip of -5e-12 is refused at t = 0, where the floor is -1e-12, and
+    # allowed at t = 10^5, where it is -PROB_FLOOR_SLOPE eps 10^5 = -1.1e-11
+    _, matrices, v0 = _inputs(4, 0.3)
+    row = np.array([-5e-12, 0.25 + 5e-12, 0.25, 0.5])
+    monkeypatch.setattr(kernels, "_jump",
+                        lambda walk, times, mode=None: np.tile(row, (len(times), 1)))
+    rows, _ = kernels.distribution_rows(matrices, v0, [10 ** 5])
+    assert np.array_equal(rows, [row])
+    for times in ([0], [0, 10 ** 5]):
+        with pytest.raises(NumericalCheckError, match=r"^negative probability -5\.000e-12$"):
+            kernels.distribution_rows(matrices, v0, times)
+
+
+@pytest.mark.parametrize("times", [[], [3, 3], [5, 2], [-1, 4], [1.5]])
+def test_distribution_rows_reject_bad_times(times):
+    _, matrices, v0 = _inputs(4, 0.3)
+    with pytest.raises(ValueError):
+        kernels.distribution_rows(matrices, v0, times)
+
+
+def test_a_scan_that_may_stop_emits_one_block_per_chunk(monkeypatch):
+    # so it ends within a block of its crossing; a full scan keeps K blocks
+    lengths = []
+    evolve = kernels._evolve
+
+    def recorded(*args, **kwargs):
+        for t, rows, defect in evolve(*args, **kwargs):
+            lengths.append(len(rows))
+            yield t, rows, defect
+
+    monkeypatch.setattr(kernels, "_evolve", recorded)
+    n = 4
+    _, matrices, v0 = _inputs(n, 0.2)
+    block = _engine_block(n)
+    blocks = kernels._chunk_blocks(n, block)
+    assert blocks > 1
+    target = np.full(n, 1.0 / n)
+    full, _ = kernels.tv_scan(matrices, v0, 3 * blocks * block, target)
+    assert lengths == [blocks * block] * 3
+    lengths.clear()
+    crossing = int(np.flatnonzero(full < 2e-3)[0])
+    assert block < crossing < blocks * block
+    tv, _ = kernels.tv_scan(matrices, v0, 3 * blocks * block, target, stop_below=2e-3)
+    assert len(tv) == crossing + 1
+    assert lengths == [block] * (crossing // block + 1)

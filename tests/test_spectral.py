@@ -359,3 +359,14 @@ def test_multiset_match_distance_basics():
     assert multiset_match_distance([0.0], [3.0]) == 3.0
     with pytest.raises(ValueError):
         multiset_match_distance([1.0], [1.0, 2.0])
+
+
+def test_gaps_of_several_rates_are_each_walks_own_bit_for_bit():
+    # one closed-form build and one eigensolve for all rates of one N give
+    # the gap that the walk's own pair stack and spectral_structure give
+    rates = (0.1, 0.5, 0.9, 0.013, 1.0)
+    for n in range(2, 17):
+        gaps = spectral._spectral_gaps(n, rates)
+        for gap, p in zip(gaps, rates):
+            structure = spectral_structure(eigenvalues(all_pair_matrices(_cfg(n, p))[0]), p)
+            assert gap == 1.0 - structure["max_radius_generic"] == spectral_gap(_cfg(n, p))

@@ -111,7 +111,7 @@ def test_each_fact_is_stated_once():
     from_evolution = {name for name, value in vars(verify).items()
                       if getattr(value, "__module__", None) == evolution.__name__}
     assert from_evolution == {"_classical_chain", "_density_marginals",
-                              "_fourier_trajectories", "fourier_trajectory"}
+                              "_fourier_rows", "_fourier_trajectories"}
     tree = ast.parse(inspect.getsource(spectral))
     reads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
              and node.id == "UNIT_MODULUS_TOL" and isinstance(node.ctx, ast.Load)]
@@ -136,15 +136,16 @@ def _loads(names):
 def test_the_probability_rule_is_stated_once():
     # only core._check_probabilities compares a probability minimum or a row
     # sum with a tolerance; both momentum trajectory entries return through
-    # one call of it in the engine, the density path calls it per state and
-    # per stack, and simulate restates none of it
+    # one call of it in the engine, as do the rows the engine jumps to, the
+    # density path calls it per state and per stack, and simulate restates
+    # none of it
     from cyclewalk import cli
 
     tolerances = _loads({"PROB_SUM_TOL", "PROB_FLOOR_SLOPE"})
     assert set(tolerances) == {("core", "_check_probabilities")}
     assert sorted(_loads({"_check_probabilities"})) == [
-        ("_kernels", "distribution_trajectory"), ("evolution", "PositionDistribution"),
-        ("evolution", "_density_marginals")]
+        ("_kernels", "distribution_rows"), ("_kernels", "distribution_trajectory"),
+        ("evolution", "PositionDistribution"), ("evolution", "_density_marginals")]
     for name in ("PROB_SUM_TOL", "PROB_FLOOR_SLOPE", "_check_probabilities"):
         assert not hasattr(cli, name), name
     simulate = ast.parse(inspect.getsource(cli.cmd_simulate))
