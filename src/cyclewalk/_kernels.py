@@ -287,10 +287,15 @@ def distribution_trajectory(matrices, v0, steps):
 def _join(first, second):
     """(R^(a+b), sum_{t<a+b} R^t) of a run of a steps, (R^a, S_a), followed
     by a run of b steps, (R^b, S_b): S_a + R^a S_b.  Runs without sums (S is
-    None) join to one without.  Every product is flushed."""
+    None) join to one without."""
     (power_a, sum_a), (power_b, sum_b) = first, second
-    power = _flush(power_a @ power_b)
-    return power, (None if sum_a is None else _flush(sum_a + power_a @ sum_b))
+    return power_a @ power_b, (None if sum_a is None else sum_a + power_a @ sum_b)
+
+
+def _flushed(run):
+    """run, a fresh (power, sum) pair, with both flushed in place."""
+    power, sums = run
+    return _flush(power), (None if sums is None else _flush(sums))
 
 
 def _power_sum(matrix, counts, sums=True):
@@ -300,19 +305,24 @@ def _power_sum(matrix, counts, sums=True):
     the counts, and each count joins the runs that its binary digits
     select, lowest first.  That is about 2 log2(max(counts)) batched
     products and no inverse, so it holds at p = 0, on the diagonal pairs
-    and for even N."""
+    and for even N.  Each run is flushed once, when it is formed, and the
+    join of a count of several digits once, when it is final."""
     eye = np.broadcast_to(np.eye(4), np.shape(matrix))
     counts = [int(count) for count in counts]
     run, totals = (matrix, eye if sums else None), [None] * len(counts)
     for i in range(max(counts).bit_length()):
         if i:
-            run = _join(run, run)
+            run = _flushed(_join(run, run))
         for j, count in enumerate(counts):
             if count >> i & 1:
                 totals[j] = run if totals[j] is None else _join(totals[j], run)
-    # count 0 joins no run: R^0 and the empty sum
+    # count 0 joins no run: R^0 and the empty sum.  A count of one binary
+    # digit is its run, shared with the other counts and flushed when it
+    # was formed (R itself at count 1), so only the joins of several digits
+    # are flushed here
     empty = eye, (np.zeros(np.shape(matrix)) if sums else None)
-    return [empty if total is None else total for total in totals]
+    return [empty if not count else _flushed(total) if count.bit_count() > 1 else total
+            for count, total in zip(counts, totals)]
 
 
 def _jump(walk, times, mode=MODE_INSTANTANEOUS):

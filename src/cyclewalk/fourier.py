@@ -29,6 +29,15 @@ R = U L U^-1 has real entries, since U only multiplies entries by 1, -1 or
 part the product left, its residue; the engine evolves R, the eigenvalues
 are those of R, and the geometric sum is taken over R, all in real
 arithmetic, and each holds the residue to ``SYMMETRY_DEFECT_LIMIT``.
+
+The position distribution P ignores the sigma_y part r_y of the initial
+coin's Bloch vector r, v0 = (1, r_x, r_y, r_z)/2.  The coin, the shift and
+the Kraus operators are real, so the walk from the conjugate coin, rho0
+conjugated, has the conjugate density matrix at every t, with the same
+real diagonal: the same P.  Conjugation flips only the sign of r_y, and P
+is affine in r, so it cannot depend on r_y.  A coin, its conjugate and the
+mixed coin (r_x, 0, r_z) thus walk to one P; on the momentum path they
+agree to rounding (1e-13 over 1000 steps at p = 0).
 """
 
 from __future__ import annotations

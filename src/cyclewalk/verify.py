@@ -5,11 +5,23 @@ sizes and reports the measured worst deviation.  Checks are deterministic
 (sampled cases come from fixed seeds of the stdlib ``random.random`` stream,
 no wall-clock content), so two runs of the same profile produce
 byte-identical reports.
+
+A run splits its checks into two lanes: a child forked once per run runs
+the worker lane (:data:`_WORKER_LANE`) while the calling process runs the
+rest, and the report puts the entries of both back in the order of
+CHECK_NAMES.  The lanes run one after the other in the calling process when
+it cannot fork, has fewer than two usable CPUs, or when every selected check
+falls in one lane.  Each lane keeps its own store, so a check that keeps a
+value for a later one shares its lane.
 """
 
 from __future__ import annotations
 
+import os
+import pickle
 import random
+import signal
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,6 +323,13 @@ _CHECKS = [check_unitality, check_closedform, check_charpoly, check_spectrum, ch
 CHECK_NAMES = [fn.__name__.removeprefix("check_") for fn in _CHECKS]
 
 
+#: the checks of the forked worker lane, each check that keeps a value in the
+#: store with the check that takes it: closedform's pair sample is charpoly's,
+#: oracle's p = 1 walks are classical's.  With geosum and mixbound, its share
+#: of a default run is about that of the other lane.
+_WORKER_LANE = ("closedform", "charpoly", "oracle", "classical", "geosum", "mixbound")
+
+
 def _run_check(name, fn, profile, store):
     """The report entry of check fn; a NumericalCheckError raised inside it
     is its failed entry, with the measure NaN and the message as detail."""
@@ -320,23 +339,102 @@ def _run_check(name, fn, profile, store):
         return _result(name, 0, np.nan, 0.0, f"numerical assertion failed: {exc}")
 
 
+def _run_lane(lane, profile):
+    """The report entries of the (name, check) pairs of lane, run in order
+    with one store."""
+    store = {}
+    return [_run_check(name, fn, profile, store) for name, fn in lane]
+
+
+def _usable_cpus():
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_lanes(worker, own, profile):
+    """The entries of the worker lane, then those of own: the worker lane
+    in a forked child while this process runs own, when both have checks
+    and there are a fork and two usable CPUs, else both lanes here.
+
+    The child sends its entries, or the exception its lane raised, pickled
+    through a pipe, and that exception is raised here.  A child that ends
+    without sending raises RuntimeError with its exit status, and a failing
+    own lane kills the child; either way the child is reaped.
+    """
+    if not (worker and own and hasattr(os, "fork") and _usable_cpus() >= 2):
+        return _run_lane(worker, profile) + _run_lane(own, profile)
+    read, write = os.pipe()
+    with warnings.catch_warnings():
+        # Python 3.12 warns of a fork of a process with more than one thread,
+        # which the pool of OpenBLAS adds at two threads or more; OpenBLAS
+        # quiesces that pool around a fork through pthread_atfork, so this
+        # fork is safe
+        warnings.filterwarnings("ignore", r"This process .* is multi-threaded, use of fork\(\)",
+                                DeprecationWarning)
+        pid = os.fork()
+    if pid == 0:
+        # the child writes only to its pipe and always leaves through
+        # os._exit: it never returns into the caller nor flushes the buffers
+        # it inherited
+        code = 1
+        try:
+            os.close(read)
+            try:
+                message = (_run_lane(worker, profile), None)
+            except Exception as exc:
+                message = (None, exc)
+            with open(write, "wb") as pipe:
+                pipe.write(pickle.dumps(message))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write)
+    try:
+        with open(read, "rb") as pipe:
+            entries = _run_lane(own, profile)
+            # only the child forked here writes to this pipe, so its bytes
+            # are safe to unpickle
+            message = pipe.read()
+    except BaseException:
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        _, status = os.waitpid(pid, 0)
+    if not message:
+        raise RuntimeError("the worker lane of verify sent no report "
+                           f"(exit status {os.waitstatus_to_exitcode(status)})")
+    worker_entries, error = pickle.loads(message)
+    if error is not None:
+        raise error
+    return worker_entries + entries
+
+
 def run_checks(names=None, profile: str = "default") -> dict:
-    """Run the selected checks, in the fixed order of CHECK_NAMES, and
-    assemble the deterministic report: every selected check has its entry,
-    also when it raised a NumericalCheckError.  A check reuses what an
-    earlier one of the run built: charpoly the seed-2024 pair sample of
-    closedform, and classical the p = 1 density walks that oracle steps."""
+    """Run the selected checks and assemble the deterministic report, in the
+    fixed order of CHECK_NAMES: every selected check has its entry, also
+    when it raised a NumericalCheckError.  A check reuses what an earlier
+    one of the run built: charpoly the seed-2024 pair sample of closedform,
+    and classical the p = 1 density walks that oracle steps.  The checks of
+    _WORKER_LANE run in a forked child, beside the others (see the module
+    docstring)."""
     if profile not in PROFILES:
         raise ValueError(f"unknown profile: {profile!r}; available: {list(PROFILES)}")
     prof = PROFILES[profile]
+    # _CHECKS is read at the call and the lanes are chosen by name, so a
+    # check rebound in _CHECKS, as the benchmark's tracer rebinds them, runs
+    # in its lane
     selected = [(n, fn) for n, fn in zip(CHECK_NAMES, _CHECKS) if names is None or n in names]
     unknown = set(names or ()) - set(CHECK_NAMES)
     if unknown:
         raise ValueError(f"unknown checks: {sorted(unknown)}; available: {CHECK_NAMES}")
     if not selected:
         raise ValueError("no checks selected")
-    store = {}
-    results = [_run_check(name, fn, prof, store) for name, fn in selected]
+    worker = [(n, fn) for n, fn in selected if n in _WORKER_LANE]
+    own = [(n, fn) for n, fn in selected if n not in _WORKER_LANE]
+    entries = dict(zip([n for n, _ in worker + own], _run_lanes(worker, own, prof)))
+    results = [entries[name] for name, _ in selected]
     return {
         "tool": "cyclewalk",
         "version": __version__,

@@ -6,6 +6,9 @@ with -s or -rA to see them).
 
 import dataclasses
 import json
+import os
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -337,3 +340,102 @@ def test_closedform_and_charpoly_share_one_pair_sample(monkeypatch):
     assert len(calls) == 1 and len(calls[0][0]) == PROFILE.random_tuples
     assert together == [verify.check_closedform(PROFILE), verify.check_charpoly(PROFILE)]
     assert len(calls) == 3   # called alone, each check builds its own
+
+
+#: the lanes of a run are forked only with a fork and two usable CPUs
+_FORKS = hasattr(os, "fork") and verify._usable_cpus() >= 2
+_needs_fork = pytest.mark.skipif(not _FORKS, reason="verify runs its lanes in-process here")
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _replace_check(monkeypatch, name, fn):
+    checks = list(verify._CHECKS)
+    checks[verify.CHECK_NAMES.index(name)] = fn
+    monkeypatch.setattr(verify, "_CHECKS", checks)
+
+
+@pytest.mark.parametrize("profile", verify.PROFILES)
+def test_the_lanes_write_the_report_of_an_in_process_run(monkeypatch, tmp_path, capsys, profile):
+    flags = ["--quick"] if profile == "quick" else []
+
+    def report(name):
+        assert cli.main(["verify", *flags, "--output", str(tmp_path / name)]) == 0
+        capsys.readouterr()
+        return (tmp_path / name).read_bytes()
+    forks = []
+    fork = os.fork
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+    forked = report("forked.json")
+    assert forks == ([1] if _FORKS else [])
+    _no_child_left()
+    monkeypatch.delattr(os, "fork")
+    assert report("serial.json") == forked
+
+
+@_needs_fork
+def test_a_worker_lane_error_is_raised_in_the_caller(monkeypatch):
+    def failing(profile, store=None):
+        raise RuntimeError(f"oracle failed in process {os.getpid()}")
+    _replace_check(monkeypatch, "oracle", failing)
+    with pytest.raises(RuntimeError, match="oracle failed in process") as raised:
+        verify.run_checks(names=["oracle", "unitality"], profile="quick")
+    # raised in the forked worker, raised again here with its message
+    assert str(raised.value) != f"oracle failed in process {os.getpid()}"
+    _no_child_left()
+
+
+@_needs_fork
+def test_a_worker_that_sends_nothing_is_an_error_with_its_status(monkeypatch):
+    caller = os.getpid()
+
+    def vanishing(profile, store=None):
+        if os.getpid() != caller:
+            os._exit(3)
+        raise AssertionError("the worker lane ran in the caller")
+    _replace_check(monkeypatch, "geosum", vanishing)
+    with pytest.raises(RuntimeError, match=r"sent no report \(exit status 3\)"):
+        verify.run_checks(names=["geosum", "contraction"], profile="quick")
+    _no_child_left()
+
+
+@_needs_fork
+def test_a_failing_own_lane_kills_the_worker(monkeypatch):
+    def stalled(profile, store=None):
+        time.sleep(60)
+
+    def failing(profile, store=None):
+        raise ValueError("unitality failed")
+    _replace_check(monkeypatch, "mixbound", stalled)
+    _replace_check(monkeypatch, "unitality", failing)
+    start = time.monotonic()
+    with pytest.raises(ValueError, match="unitality failed"):
+        verify.run_checks(names=["unitality", "mixbound"], profile="quick")
+    assert time.monotonic() - start < 30
+    _no_child_left()
+
+
+def test_the_fork_warning_of_a_threaded_process_is_suppressed_alone(monkeypatch):
+    # Python 3.12 and later warn of a fork of a process with several threads,
+    # such as OpenBLAS's pool; every other DeprecationWarning still escapes
+    fork = os.fork
+
+    def warned(message):
+        def warned_fork():
+            warnings.warn(message, DeprecationWarning)
+            return fork()
+        return warned_fork
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        monkeypatch.setattr(os, "fork", warned(
+            f"This process (pid={os.getpid()}) is multi-threaded, use of fork() "
+            "may lead to deadlocks in the child."))
+        verify.run_checks(names=["unitality", "closedform"], profile="quick")
+        _no_child_left()
+        if _FORKS:
+            monkeypatch.setattr(os, "fork", warned("another deprecation"))
+            with pytest.raises(DeprecationWarning, match="another deprecation"):
+                verify.run_checks(names=["unitality", "closedform"], profile="quick")

@@ -158,6 +158,25 @@ def test_coins_of_one_walk_evolve_together_as_alone():
         evolution._fourier_trajectories([_cfg(5, 0.3), _cfg(6, 0.3)], 3)
 
 
+@pytest.mark.parametrize("n", [5, 8, 9, 16])
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+def test_the_position_marginals_ignore_the_coins_sigma_y_part(n, p):
+    # the coin, the shift and the Kraus operators are real, so the conjugate
+    # coin, whose r_y has the other sign, walks to the same P; P is affine in
+    # the Bloch vector, so it cannot depend on r_y at all
+    for coin in ("balanced", _CUSTOM_COIN):
+        configs = [_cfg(n, p, coin), _cfg(n, p, coin_state(coin).conj())]
+        # the direct path steps only Re rho, which conjugation leaves as it is
+        same, conjugate = evolution._density_marginals(configs, 1000)
+        assert np.array_equal(same, conjugate)
+        same, conjugate = evolution._fourier_trajectories(configs, 1000)
+        assert np.max(np.abs(same - conjugate)) <= 1e-13
+        v0 = evolution._pauli_vector(configs[0]) * [1, 1, 0, 1]
+        without_y, _ = _kernels.distribution_trajectory(
+            all_pair_matrices(configs[0])[0], v0, 1000)
+        assert np.max(np.abs(same - without_y)) <= 1e-13
+
+
 def test_classical_reference_validates_arguments():
     with pytest.raises(ValueError):
         classical_reference(4, -1)
