@@ -6,6 +6,16 @@ and mixing-time analysis, with a CLI front end (``cyclewalk --help``).
 
 __version__ = "0.1.0"
 
+import os
+
+# This package imports numpy first, and with it OpenBLAS, whose worker
+# threads each busy-wait 2^28 TSC cycles (0.13 s at 2.1 GHz) for work before
+# they sleep.  Most CLI runs give them none, so every process paid that spin
+# in CPU time.  2^20 cycles (0.5 ms) keeps the pool for threaded products:
+# the direct path at N = 201 runs no slower.  A value the user set wins, and
+# a BLAS that is not a pthreads OpenBLAS ignores the variable.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "20")
+
 from .core import (
     NumericalCheckError,
     WalkConfig,

@@ -193,6 +193,16 @@ def _prepare(matrices, v0) -> _Walk:
     return _Walk(realified, state, table, defect, v0.ndim == 1)
 
 
+def _launch(walk: _Walk):
+    """P(., 0) of each coin of a prepared walk, shape (C, N): the launch
+    delta at node 0, which carries the coin's trace, twice the first
+    component of U v0.  The phase sum gives it only up to rounding, with
+    roundoff at nodes the walker cannot be on."""
+    rows = np.zeros((walk.state.shape[1] // 2, walk.realified.shape[-1]))
+    rows[:, 0] = 2.0 * walk.state[0, 0::2, 0, 0]
+    return rows
+
+
 def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
     """Yield (t, rows, symmetry defect) for t = 0, KB, 2KB, ... <= steps,
     one per chunk of K blocks of B steps, where rows is a (b, N) array, or
@@ -204,9 +214,12 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
     checked before any step.  B is :func:`_block_size` of the evolved pair
     count, but at most steps + 1, so a short run is one block, and K is
     :func:`_chunk_blocks`, or 1 when not chunked; b = KB except in the last
-    chunk, which is cut so that the rows end at t = steps.
+    chunk, which is cut so that the rows end at t = steps.  The
+    instantaneous P(., 0) is the exact launch delta (:func:`_launch`); the
+    averaged stream keeps its computed first row, which its sums carry.
     """
-    realified, state, table, defect, single = _prepare(matrices, v0)
+    walk = _prepare(matrices, v0)
+    realified, state, table, defect, single = walk
     half, _, _, n = realified.shape
     coins = state.shape[1] // 2
     block = max(1, min(steps + 1, _block_size(half * n)))
@@ -266,6 +279,8 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
             sums[:, 1:] += ends[:, :-1, None]
             carry = ends[:, -1:]
             dists /= np.arange(t + 1, t + 1 + dists.shape[-2])[:, None]
+        elif not t:
+            dists[:, 0] = _launch(walk)
         dists = dists[:, :steps + 1 - t]
         yield t, (dists[0] if single else dists), defect
 
@@ -333,7 +348,8 @@ def _jump(walk, times, mode=MODE_INSTANTANEOUS):
     Row t is read from R^t U v0, or for MODE_AVERAGED from the sum of
     R^s U v0 over s <= t, with the powers and sums of :func:`_power_sum`.
     A jump to t thus costs about 2 log2 t batched 4x4 products, and no row
-    buffer is made.
+    buffer is made.  The instantaneous row at t = 0 is the exact launch
+    delta, as in the stream.
     """
     averaged = mode == MODE_AVERAGED
     half, _, _, n = walk.realified.shape
@@ -351,6 +367,8 @@ def _jump(walk, times, mode=MODE_INSTANTANEOUS):
     dists = traces.reshape(-1, len(times), 2 * half) @ walk.table / float(n * n)
     if averaged:
         dists /= counts[:, None]
+    elif not counts[0]:
+        dists[:, 0] = _launch(walk)
     return dists[0] if walk.single else dists
 
 

@@ -36,7 +36,9 @@ exact ``format`` wherever that product could not decide a digit.
 from __future__ import annotations
 
 import argparse
+import atexit
 import functools
+import gc
 import itertools
 import json
 import math
@@ -655,6 +657,13 @@ def main(argv=None) -> int:
     """Run the command line argv and return its exit code.  A closed stdout
     is an output that cannot be written, exit code 2, also when only the
     final flush finds it closed."""
+    # the collector's full passes over numpy's and the package's objects at
+    # interpreter exit only free memory the process is about to give back:
+    # every output is written and closed under `with` before main returns.
+    # Freezing the heap at exit skips them; unregistering first keeps one
+    # registration over repeated calls.
+    atexit.unregister(gc.freeze)
+    atexit.register(gc.freeze)
     parser = build_parser()
     try:
         try:

@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -796,3 +797,86 @@ def test_version_and_help_paths(capsys):
     assert _run(capsys, "--help")[0] == 0
     assert main([]) == 2  # missing subcommand
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# process start and exit
+# ---------------------------------------------------------------------------
+
+def _fresh_python(script, env=None):
+    """Run script in a fresh interpreter that imports this checkout's package."""
+    env = {**(os.environ if env is None else env),
+           "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+#: records OPENBLAS_THREAD_TIMEOUT when numpy is first imported, then
+#: imports the package
+_AT_NUMPY_IMPORT = """\
+import os, sys
+seen = []
+class Probe:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy":
+            seen.append(os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+probe = Probe()
+sys.meta_path.insert(0, probe)
+import cyclewalk
+sys.meta_path.remove(probe)
+print(seen, os.environ.get("OPENBLAS_THREAD_TIMEOUT"))
+"""
+
+
+@pytest.mark.parametrize("preset, expected", [(None, "20"), ("28", "28")],
+                         ids=["unset", "user-set"])
+def test_the_blas_thread_timeout_is_set_before_numpy_loads(preset, expected):
+    # OpenBLAS reads the variable when numpy loads it: the package's default
+    # is in place by then, and a value the user set is left as it is
+    env = {key: value for key, value in os.environ.items()
+           if key != "OPENBLAS_THREAD_TIMEOUT"}
+    if preset is not None:
+        env["OPENBLAS_THREAD_TIMEOUT"] = preset
+    out = _fresh_python(_AT_NUMPY_IMPORT, env=env)
+    assert out == f"['{expected}'] {expected}\n"
+
+
+def test_repeated_main_calls_register_the_exit_freeze_once():
+    # gc.freeze, counted, runs once at exit after two main calls
+    script = ("import gc, sys\n"
+              "calls, freeze = [], gc.freeze\n"
+              "def counted():\n"
+              "    calls.append(None)\n"
+              "    freeze()\n"
+              "    print('freeze', len(calls))\n"
+              "gc.freeze = counted\n"
+              "from cyclewalk import cli\n"
+              "for _ in range(2):\n"
+              "    cli.main(['--version'])\n")
+    out = _fresh_python(script).splitlines()
+    assert [line for line in out if line.startswith("freeze")] == ["freeze 1"]
+
+
+def test_a_cli_process_writes_what_an_in_process_run_writes(tmp_path, capsys):
+    # the exit path loses no buffered output: the file, the manifest and
+    # stdout of a process hold the bytes of a main run in this process (the
+    # manifest's timestamp aside)
+    out, manifest = tmp_path / "sim.csv", tmp_path / "manifest.json"
+    argv = ["simulate", "--nodes", "7", "--decoherence", "0.3", "--steps", "300",
+            "--initial-coin", "balanced"]
+    to_files = [*argv, "--output", str(out), "--manifest", str(manifest)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    processes = [subprocess.run([sys.executable, "-m", "cyclewalk.cli", *run],
+                                capture_output=True, timeout=120, env=env)
+                 for run in (to_files, [*argv, "--output", "-"])]
+    assert [(proc.returncode, proc.stderr) for proc in processes] == [(0, b"")] * 2
+    table, written = out.read_bytes(), manifest.read_text()
+    assert processes[0].stdout == b"" and processes[1].stdout == table
+    assert _run(capsys, *to_files) == (0, "", "")
+    assert out.read_bytes() == table and len(table) > 8192
+    timestamp = re.compile(r'"timestamp": "[^"]*"')
+    assert timestamp.sub("", manifest.read_text()) == timestamp.sub("", written)
+    code, stdout, _ = _run(capsys, *argv, "--output", "-")
+    assert code == 0 and stdout.encode() == table

@@ -646,6 +646,27 @@ def test_jump_matches_the_stream(n, p):
         assert np.abs(alone - stream[1, times]).max() <= TOL
 
 
+@pytest.mark.parametrize("p", [0.0, 0.3, 1.0])
+@pytest.mark.parametrize("n", [2, 3, 4, 101])
+def test_the_instantaneous_first_row_is_the_exact_launch_delta(n, p):
+    # the stream and a jump to t = 0 give P(., 0) as the delta at node 0
+    # with the coin's trace, 2 Re v0[0], where the phase sum would leave
+    # roundoff at nodes the walker cannot be on (at N = 3, p = 0.3:
+    # 1.5e-16 and -3.0e-16); each coin of a stack as alone
+    runs = [_inputs(n, p, coin) for coin in _COINS]
+    matrices = runs[0][1]
+    v0 = np.stack([coin_v0 for _, _, coin_v0 in runs])
+    delta = np.zeros((len(_COINS), n))
+    delta[:, 0] = 2.0 * v0[:, 0].real
+    for steps in (0, 5):
+        trajectory, _ = kernels.distribution_trajectory(matrices, v0, steps)
+        assert np.array_equal(trajectory[:, 0], delta)
+    jumped = kernels._jump(kernels._prepare(matrices, v0), [0, 3])
+    assert np.array_equal(jumped[:, 0], delta)
+    alone, _ = kernels.distribution_rows(matrices, runs[2][2], [0])
+    assert np.array_equal(alone, delta[2:])
+
+
 @pytest.mark.parametrize("count", [0, 1, 2, 3, 7, 8, 100])
 def test_power_sum_is_the_power_and_the_explicit_sum(count):
     _, matrices, _ = _inputs(5, 0.3)
