@@ -45,11 +45,11 @@ e0^T (R^0 + ... + R^j): a block's product then gives the partial sums of
 its distributions, and a carried N-vector, the sum before the block,
 completes them; the carries of a chunk are one running sum over its
 blocks, the same additions in the same order as block by block.  Two
-public kernels are folds over these streams: the full trajectory and the
-total-variation scan behind the mixing times (up to 10^6 steps); a scan
-that may stop early emits one block per chunk, so it ends within a block
-of its crossing.  Every kernel returns its result with the symmetry
-defect.
+public kernels are folds over this one schedule, each from one setup: the
+full trajectory and the total-variation scan behind the mixing times (up
+to 10^6 steps).  A scan that may stop early stops taking chunks at its
+crossing, so its trace is the full scan's prefix bit for bit.  Every
+kernel returns its result with the symmetry defect.
 
 Rows at a few chosen times need no stream: :func:`_jump` reads them off a
 prepared walk with the binary powering of :func:`_power_sum`, about
@@ -90,10 +90,11 @@ MODE_INSTANTANEOUS = 1
 #: Pair vectors decay geometrically, and components that drift into the
 #: subnormal range can stay there for thousands of steps, where CPU
 #: arithmetic is an order of magnitude slower.  Components below this are
-#: flushed to exact zero in the state after every block and in the
-#: precomputed rows and powers; with spectral radii <= 1 the induced error
-#: can never grow back above ~1e-280, hundreds of decades under every
-#: tolerance in the package.
+#: flushed to exact zero wherever the engine forms them: in the state after
+#: every block, in the precomputed rows and powers, and in every power and
+#: sum a jump joins; with spectral radii <= 1 the induced error can never
+#: grow back above ~1e-280, hundreds of decades under every tolerance in
+#: the package.
 FLUSH_TOL = 1e-280
 
 #: Largest number of steps per block.  It binds only below N = 16, where it
@@ -203,23 +204,21 @@ def _launch(walk: _Walk):
     return rows
 
 
-def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
-    """Yield (t, rows, symmetry defect) for t = 0, KB, 2KB, ... <= steps,
-    one per chunk of K blocks of B steps, where rows is a (b, N) array, or
-    (C, b, N) for a (C, 4) stack v0: P(., t..t+b-1) for MODE_INSTANTANEOUS,
-    or for MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i)
-    for s = t..t+b-1.
+def _evolve(walk: _Walk, steps, mode=MODE_INSTANTANEOUS):
+    """Yield (t, rows) for t = 0, KB, 2KB, ... <= steps, one per chunk of K
+    blocks of B steps of a prepared walk, where rows is a (b, N) array, or
+    (C, b, N) for a coin stack: P(., t..t+b-1) for MODE_INSTANTANEOUS, or
+    for MODE_AVERAGED the Cesaro averages (1/(s+1)) sum_{i<=s} P(., i) for
+    s = t..t+b-1.
 
-    The walk is set up by :func:`_prepare`, so the symmetry defect is
-    checked before any step.  B is :func:`_block_size` of the evolved pair
-    count, but at most steps + 1, so a short run is one block, and K is
-    :func:`_chunk_blocks`, or 1 when not chunked; b = KB except in the last
-    chunk, which is cut so that the rows end at t = steps.  The
-    instantaneous P(., 0) is the exact launch delta (:func:`_launch`); the
-    averaged stream keeps its computed first row, which its sums carry.
+    B is :func:`_block_size` of the evolved pair count, but at most
+    steps + 1, so a short run is one block, and K is :func:`_chunk_blocks`;
+    b = KB except in the last chunk, which is cut so that the rows end at
+    t = steps.  The instantaneous P(., 0) is the exact launch delta
+    (:func:`_launch`); the averaged stream keeps its computed first row,
+    which its sums carry.
     """
-    walk = _prepare(matrices, v0)
-    realified, state, table, defect, single = walk
+    realified, state, table, _, single = walk
     half, _, _, n = realified.shape
     coins = state.shape[1] // 2
     block = max(1, min(steps + 1, _block_size(half * n)))
@@ -248,7 +247,7 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
         np.cumsum(rows, axis=0, out=rows)
     # rows[d] as a (4N, B) matrix, for one product per group d
     rows = rows.reshape(block, half, 4 * n).transpose(1, 2, 0)
-    chunk = block * (_chunk_blocks(n, block) if chunked else 1)
+    chunk = block * _chunk_blocks(n, block)
     carry = np.zeros((coins, 1, n))
     for t in range(0, steps + 1, chunk):
         # the block-start states of the chunk, stack[d, (coin, re/im), block, (i, k)],
@@ -282,7 +281,7 @@ def _evolve(matrices, v0, steps, mode=MODE_INSTANTANEOUS, chunked=True):
         elif not t:
             dists[:, 0] = _launch(walk)
         dists = dists[:, :steps + 1 - t]
-        yield t, (dists[0] if single else dists), defect
+        yield t, (dists[0] if single else dists)
 
 
 def distribution_trajectory(matrices, v0, steps):
@@ -292,25 +291,21 @@ def distribution_trajectory(matrices, v0, steps):
     n = _stack_nodes(matrices)
     _check_count("steps", steps, 0)
     steps = int(steps)
+    walk = _prepare(matrices, v0)
     out = np.empty(np.shape(v0)[:-1] + (steps + 1, n))
-    for t, dists, defect in _evolve(matrices, v0, steps):
+    for t, dists in _evolve(walk, steps):
         out[..., t:t + dists.shape[-2], :] = dists
     _check_probabilities(out)
-    return out, defect
+    return out, walk.defect
 
 
 def _join(first, second):
     """(R^(a+b), sum_{t<a+b} R^t) of a run of a steps, (R^a, S_a), followed
-    by a run of b steps, (R^b, S_b): S_a + R^a S_b.  Runs without sums (S is
-    None) join to one without."""
+    by a run of b steps, (R^b, S_b): S_a + R^a S_b, both flushed.  Runs
+    without sums (S is None) join to one without."""
     (power_a, sum_a), (power_b, sum_b) = first, second
-    return power_a @ power_b, (None if sum_a is None else sum_a + power_a @ sum_b)
-
-
-def _flushed(run):
-    """run, a fresh (power, sum) pair, with both flushed in place."""
-    power, sums = run
-    return _flush(power), (None if sums is None else _flush(sums))
+    return _flush(power_a @ power_b), (None if sum_a is None
+                                       else _flush(sum_a + power_a @ sum_b))
 
 
 def _power_sum(matrix, counts, sums=True):
@@ -320,24 +315,19 @@ def _power_sum(matrix, counts, sums=True):
     the counts, and each count joins the runs that its binary digits
     select, lowest first.  That is about 2 log2(max(counts)) batched
     products and no inverse, so it holds at p = 0, on the diagonal pairs
-    and for even N.  Each run is flushed once, when it is formed, and the
-    join of a count of several digits once, when it is final."""
+    and for even N.  Count 0 joins no run: it is R^0 and the empty sum.
+    Every power and sum formed is flushed, by :func:`_join`."""
     eye = np.broadcast_to(np.eye(4), np.shape(matrix))
     counts = [int(count) for count in counts]
     run, totals = (matrix, eye if sums else None), [None] * len(counts)
     for i in range(max(counts).bit_length()):
         if i:
-            run = _flushed(_join(run, run))
+            run = _join(run, run)
         for j, count in enumerate(counts):
             if count >> i & 1:
                 totals[j] = run if totals[j] is None else _join(totals[j], run)
-    # count 0 joins no run: R^0 and the empty sum.  A count of one binary
-    # digit is its run, shared with the other counts and flushed when it
-    # was formed (R itself at count 1), so only the joins of several digits
-    # are flushed here
     empty = eye, (np.zeros(np.shape(matrix)) if sums else None)
-    return [empty if not count else _flushed(total) if count.bit_count() > 1 else total
-            for count, total in zip(counts, totals)]
+    return [empty if total is None else total for total in totals]
 
 
 def _jump(walk, times, mode=MODE_INSTANTANEOUS):
@@ -417,10 +407,10 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
     # tv[first], so the instantaneous t = 0 is computed but not scanned
     first = 0 if mode == MODE_AVERAGED else 1
     tv = np.empty(first + horizon)
-    # a scan that may stop emits one block per chunk, so it ends within a
-    # block of its crossing
-    for t, dists, defect in _evolve(matrices, v0, horizon - 1 + first, mode,
-                                    chunked=stop_below <= 0):
+    walk = _prepare(matrices, v0)
+    # a scan that may stop takes the full scan's chunks and stops consuming
+    # them at its crossing, so its trace is the full trace's prefix
+    for t, dists in _evolve(walk, horizon - 1 + first, mode):
         end = t + len(dists)
         # each chunk's rows are a fresh array, so the deviations are formed
         # in place: rows t, t + 2, ... meet targets[t % 2], taken as pairs of
@@ -435,8 +425,8 @@ def tv_scan(matrices, v0, horizon, targets, mode=MODE_AVERAGED, stop_below=0.0):
             start = max(t, first)
             below = np.flatnonzero(tv[start:end] < stop_below)
             if len(below):
-                return tv[first:start + below[0] + 1], defect
-    return tv[first:], defect
+                return tv[first:start + below[0] + 1], walk.defect
+    return tv[first:], walk.defect
 
 
 def _check_times(name, times, minimum) -> np.ndarray:

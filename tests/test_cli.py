@@ -106,10 +106,10 @@ def test_simulate_row_sum_guard_prints_a_plain_float(monkeypatch, capsys):
     # the rows are broken under evolution, in the engine, so the probability
     # rule that fourier_trajectory returns through is what refuses them
     def broken(t, value):
-        def evolve(matrices, v0, steps, mode=_kernels.MODE_INSTANTANEOUS):
+        def evolve(walk, steps, mode=_kernels.MODE_INSTANTANEOUS):
             rows = np.full((steps + 1, 4), 0.25)
             rows[t, 0] += value
-            yield 0, rows, 0.0
+            yield 0, rows
         return evolve
 
     for t, value, message in ((-1, 1e-9, "probabilities sum to 1.000000001, not 1"),

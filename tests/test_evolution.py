@@ -405,10 +405,10 @@ def _breaking(t, change):
     evolve = _kernels._evolve
 
     def broken(*args, **kwargs):
-        for start, dists, defect in evolve(*args, **kwargs):
+        for start, dists in evolve(*args, **kwargs):
             if start <= t < start + dists.shape[-2]:
                 change(dists[..., t - start, :])
-            yield start, dists, defect
+            yield start, dists
     return broken
 
 

@@ -6,6 +6,7 @@ import pytest
 import cyclewalk._kernels as kernels
 from cyclewalk import (NumericalCheckError, WalkConfig, coin_state, eigenvalues,
                        mixing_time_averaged, pauli_decompose, superop_definitional)
+from cyclewalk.analysis import _limit
 from cyclewalk.fourier import all_pair_matrices
 
 
@@ -249,20 +250,19 @@ def test_evolve_stream_is_cut_at_steps(monkeypatch, block):
     # one yield per chunk of K blocks, the last one cut at steps, for the
     # engine's own K and for K forced to 1, 2 and 3
     _, matrices, v0 = _inputs(5, 0.3, "balanced")
+    walk = kernels._prepare(matrices, v0)
+    assert walk.defect <= 1e-12
     for forced in (None, 1, 2, 3):
         if forced:
             monkeypatch.setattr(kernels, "_chunk_blocks", lambda n, block: forced)
         chunk = kernels._chunk_blocks(5, block)
         for steps in _around_chunk_ends(block * chunk):
-            chunks = list(kernels._evolve(matrices, v0, steps))
+            chunks = list(kernels._evolve(walk, steps))
             # a run shorter than a block is one block of steps + 1
             size = chunk * min(block, steps + 1)
-            assert [t for t, _, _ in chunks] == list(range(0, steps + 1, size))
-            assert [len(rows) for _, rows, _ in chunks[:-1]] == [size] * (len(chunks) - 1)
-            assert sum(len(rows) for _, rows, _ in chunks) == steps + 1
-            residues = [max_imag for _, _, max_imag in chunks]
-            assert residues == sorted(residues)
-            assert residues[-1] <= 1e-12
+            assert [t for t, _ in chunks] == list(range(0, steps + 1, size))
+            assert [len(rows) for _, rows in chunks[:-1]] == [size] * (len(chunks) - 1)
+            assert sum(len(rows) for _, rows in chunks) == steps + 1
 
 
 @pytest.mark.parametrize("forced", [1, 2, 7], ids=["block-1", "block-2", "block-7"])
@@ -357,18 +357,15 @@ def test_single_target_scans_as_the_pair_that_repeats_it(mode, block):
 
 
 @pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
-def test_scan_stops_at_its_first_scanned_value(monkeypatch, mode, block):
+def test_scan_stops_at_its_first_scanned_value(mode, block):
     # every TV is at most 2, so a threshold of 3 stops the scan at its first
     # value: tau = 1, or t = 1 in the instantaneous mode, whose t = 0 row is
-    # computed but never scanned; a scan that may stop emits one block per
-    # chunk, so it is the full scan with one-block chunks bit for bit
+    # computed but never scanned; the stop takes the full scan's chunks, so
+    # its value is the full scan's bit for bit
     n = 5
     _, matrices, v0 = _inputs(n, 0.3)
     target = np.full(n, 1.0 / n)
-    chunk_blocks = kernels._chunk_blocks
-    monkeypatch.setattr(kernels, "_chunk_blocks", lambda n, block: 1)
     full, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode)
-    monkeypatch.setattr(kernels, "_chunk_blocks", chunk_blocks)
     tv, _ = kernels.tv_scan(matrices, v0, 50, target, mode=mode,
                             stop_below=3.0)
     assert np.array_equal(tv, full[:1])
@@ -417,8 +414,8 @@ def test_block_size_rule():
     assert kernels._block_size(10 ** 6) == 1
     # B is also at most steps + 1: 200 steps at N = 5 are one block
     _, matrices, v0 = _inputs(5, 0.3)
-    blocks = list(kernels._evolve(matrices, v0, 200))
-    assert [(t, rows.shape) for t, rows, _ in blocks] == [(0, (201, 5))]
+    blocks = list(kernels._evolve(kernels._prepare(matrices, v0), 200))
+    assert [(t, rows.shape) for t, rows in blocks] == [(0, (201, 5))]
 
 
 def test_long_blocks_match_the_old_block_length_over_a_long_scan(monkeypatch):
@@ -457,15 +454,15 @@ def test_symmetry_guard_fires_before_the_first_block(size, fails):
     n = 5
     _, matrices, v0 = _inputs(n, 0.3, "balanced")
     matrices[1 * n + 3, 1, 2] += size
-    blocks = kernels._evolve(matrices, v0, 10 ** 6)
     if fails:
         with pytest.raises(NumericalCheckError, match=r"^pair symmetry defect 1\.000e-06 "):
-            next(blocks)
+            kernels._prepare(matrices, v0)
     else:
-        t, rows, defect = next(blocks)
+        walk = kernels._prepare(matrices, v0)
+        t, rows = next(kernels._evolve(walk, 10 ** 6))
         first_chunk = _engine_block(n) * kernels._chunk_blocks(n, _engine_block(n))
         assert t == 0 and rows.shape == (first_chunk, n)
-        assert defect == pytest.approx(1e-12, rel=1e-3)
+        assert walk.defect == pytest.approx(1e-12, rel=1e-3)
 
 
 #: stacks whose first axis is no square N^2 >= 4, or whose pairs are not 4x4
@@ -636,8 +633,8 @@ def test_jump_matches_the_stream(n, p):
     times = [0, 1, block - 1, block, block + 1, 1000, 4097, 10 ** 4]
     walk = kernels._prepare(matrices, v0)
     for mode in (kernels.MODE_INSTANTANEOUS, kernels.MODE_AVERAGED):
-        stream = np.concatenate([rows for _, rows, _ in
-                                 kernels._evolve(matrices, v0, times[-1], mode)], axis=-2)
+        stream = np.concatenate([rows for _, rows in kernels._evolve(walk, times[-1], mode)],
+                                axis=-2)
         jumped = kernels._jump(walk, times, mode)
         assert jumped.shape == (len(_COINS), len(times), n)
         assert np.abs(jumped - stream[:, times]).max() <= TOL
@@ -686,6 +683,21 @@ def test_power_sum_is_the_power_and_the_explicit_sum(count):
     assert np.array_equal(together[1][1], jumped_sum)
 
 
+@pytest.mark.parametrize("flushed", [True, False], ids=["flushed", "unflushed"])
+def test_power_sum_flushes_every_power_and_sum_it_forms(monkeypatch, flushed):
+    # at N = 3 and p = 1 the powers of the realified half decay past
+    # FLUSH_TOL: unflushed, each count's power and sum hold 12 nonzero
+    # entries below it, the lone run of 1024 and the join of 1000's digits
+    _, matrices, v0 = _inputs(3, 1.0)
+    real = kernels._prepare(matrices, v0).realified.transpose(0, 3, 1, 2)
+    if not flushed:
+        monkeypatch.setattr(kernels, "_flush", lambda a: a)
+    for power, total in kernels._power_sum(real, [1000, 1024]):
+        tiny = [np.count_nonzero((a != 0) & (np.abs(a) < kernels.FLUSH_TOL))
+                for a in (power, total)]
+        assert sum(tiny) == (0 if flushed else 12)
+
+
 def test_rows_meet_the_probability_rule_at_their_own_t(monkeypatch):
     # a dip of -5e-12 is refused at t = 0, where the floor is -1e-12, and
     # allowed at t = 10^5, where it is -PROB_FLOOR_SLOPE eps 10^5 = -1.1e-11
@@ -707,28 +719,42 @@ def test_distribution_rows_reject_bad_times(times):
         kernels.distribution_rows(matrices, v0, times)
 
 
-def test_a_scan_that_may_stop_emits_one_block_per_chunk(monkeypatch):
-    # so it ends within a block of its crossing; a full scan keeps K blocks
+@pytest.mark.parametrize("mode", [kernels.MODE_AVERAGED, kernels.MODE_INSTANTANEOUS])
+@pytest.mark.parametrize("n", [4, 8, 9, 12, 13])
+def test_a_scan_that_may_stop_takes_the_full_scans_chunks(monkeypatch, n, mode):
+    # and stops taking them at its crossing, so its trace is the full
+    # trace's prefix bit for bit, also at N = 8..13, where OpenBLAS rounds a
+    # product of 2K rows unlike one of 2 rows.  The stops: at the first
+    # scanned value (every TV is at most 2), and at the first record low
+    # past the first block and past the second chunk's first block, where
+    # the trace has one (at N = 4 the instantaneous TV is 0 at t = 1)
     lengths = []
     evolve = kernels._evolve
 
     def recorded(*args, **kwargs):
-        for t, rows, defect in evolve(*args, **kwargs):
+        for t, rows in evolve(*args, **kwargs):
             lengths.append(len(rows))
-            yield t, rows, defect
+            yield t, rows
 
     monkeypatch.setattr(kernels, "_evolve", recorded)
-    n = 4
     _, matrices, v0 = _inputs(n, 0.2)
     block = _engine_block(n)
-    blocks = kernels._chunk_blocks(n, block)
-    assert blocks > 1
-    target = np.full(n, 1.0 / n)
-    full, _ = kernels.tv_scan(matrices, v0, 3 * blocks * block, target)
-    assert lengths == [blocks * block] * 3
-    lengths.clear()
-    crossing = int(np.flatnonzero(full < 2e-3)[0])
-    assert block < crossing < blocks * block
-    tv, _ = kernels.tv_scan(matrices, v0, 3 * blocks * block, target, stop_below=2e-3)
-    assert len(tv) == crossing + 1
-    assert lengths == [block] * (crossing // block + 1)
+    chunk = block * kernels._chunk_blocks(n, block)
+    assert chunk > block
+    if mode == kernels.MODE_AVERAGED:
+        targets, first = np.full(n, 1.0 / n), 0
+    else:
+        targets, first = np.stack([_limit(n, 0), _limit(n, 1)]), 1
+    # the stream's rows 0..2 chunk - 1, two chunks
+    horizon = 2 * chunk - first
+    full, _ = kernels.tv_scan(matrices, v0, horizon, targets, mode=mode)
+    assert lengths == [chunk, chunk]
+    lows = np.flatnonzero(full[1:] < np.minimum.accumulate(full)[:-1]) + 1
+    stops = np.concatenate([lows[lows + first >= start][:1] for start in (block, chunk + block)])
+    thresholds = [3.0, *(0.5 * (full[i] + full[:i].min()) for i in stops)]
+    for threshold in thresholds:
+        lengths.clear()
+        tv, _ = kernels.tv_scan(matrices, v0, horizon, targets, mode=mode, stop_below=threshold)
+        crossing = int(np.flatnonzero(full < threshold)[0])
+        assert lengths == [chunk] * ((crossing + first) // chunk + 1)
+        assert np.array_equal(tv, full[:crossing + 1])
